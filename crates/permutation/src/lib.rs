@@ -58,7 +58,6 @@ mod perm;
 mod segment;
 pub mod shadow;
 mod sharded;
-mod transcript;
 
 pub use arrangement::{Arrangement, MergeOp};
 pub use error::PermutationError;
@@ -83,4 +82,3 @@ pub use node::{all_nodes, Node};
 pub use pairs::{concordant_pairs, internal_concordant_pairs, left_pairs, pair_set_difference};
 pub use perm::Permutation;
 pub use segment::SegmentArrangement;
-pub use transcript::SwapTranscript;

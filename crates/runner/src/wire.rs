@@ -15,7 +15,7 @@
 //! [`WireError`]s, never panics or unbounded allocations.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use crate::json::{Json, JsonError};
 
@@ -23,14 +23,19 @@ use crate::json::{Json, JsonError};
 /// the length header is attacker-controlled input.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// Longest accepted length header, newline included. The decimal length
+/// of any frame up to [`MAX_FRAME_LEN`] fits with room to spare, so a
+/// longer header is malformed and is rejected without being buffered.
+const MAX_HEADER_LEN: u64 = 32;
+
 /// A framing or payload failure on the wire.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum WireError {
     /// The underlying stream failed.
     Io(std::io::Error),
-    /// The length header was not a decimal integer, or exceeded
-    /// [`MAX_FRAME_LEN`].
+    /// The length header was not a newline-terminated decimal integer
+    /// of at most 32 bytes, or exceeded [`MAX_FRAME_LEN`].
     BadHeader(String),
     /// The stream ended inside a declared payload.
     Truncated,
@@ -84,8 +89,13 @@ pub fn write_frame(w: &mut impl Write, message: &Json) -> Result<(), WireError> 
 /// failures or invalid JSON.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    if Read::take(&mut *r, MAX_HEADER_LEN).read_line(&mut header)? == 0 {
         return Ok(None);
+    }
+    if !header.ends_with('\n') {
+        return Err(WireError::BadHeader(format!(
+            "length header unterminated within {MAX_HEADER_LEN} bytes"
+        )));
     }
     let trimmed = header.trim();
     if trimmed.is_empty() {
@@ -150,7 +160,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_structured_errors() {
-        let cases: [(&[u8], ErrCheck); 5] = [
+        let cases: [(&[u8], ErrCheck); 7] = [
             (b"abc\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"10\n{}\n", |e| matches!(e, WireError::Truncated)),
@@ -158,6 +168,11 @@ mod tests {
             (b"999999999999999999\n", |e| {
                 matches!(e, WireError::BadHeader(_))
             }),
+            // Digits past the header cap, and a header cut off by EOF.
+            (b"000000000000000000000000000000002\n{}\n", |e| {
+                matches!(e, WireError::BadHeader(_))
+            }),
+            (b"2", |e| matches!(e, WireError::BadHeader(_))),
         ];
         for (bytes, check) in cases {
             let err = read_frame(&mut Cursor::new(bytes.to_vec())).unwrap_err();

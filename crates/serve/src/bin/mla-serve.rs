@@ -2,13 +2,14 @@
 //! default) or a TCP listener, over a multi-tenant [`Server`].
 //!
 //! ```text
-//! mla-serve [--tcp ADDR] [--shards N] [--threads N]
-//!           [--restore PATH] [--checkpoint PATH]
+//! mla-serve [--tcp ADDR] [--shards N] [--restore PATH] [--checkpoint PATH]
 //! ```
 //!
 //! `--restore PATH` loads a server checkpoint before serving (the
 //! crash-recovery path). `--checkpoint PATH` sets the default target of
-//! `checkpoint` and `shutdown` ops. On TCP, connections are served one
+//! `checkpoint` and `shutdown` ops; each write replaces the file
+//! atomically. Every tenant serves its reveals on the sequential loop,
+//! one at a time. On TCP, connections are served one
 //! at a time — tenants persist across connections; a `shutdown` op ends
 //! the process.
 
@@ -22,7 +23,6 @@ use mla_serve::{serve_loop, Server};
 struct Args {
     tcp: Option<String>,
     shards: usize,
-    threads: usize,
     restore: Option<String>,
     checkpoint: Option<String>,
 }
@@ -31,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         tcp: None,
         shards: 1,
-        threads: 0,
         restore: None,
         checkpoint: None,
     };
@@ -48,17 +47,14 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|err| format!("--shards: {err}"))?;
             }
-            "--threads" => {
-                args.threads = value("count")?
-                    .parse()
-                    .map_err(|err| format!("--threads: {err}"))?;
-            }
             "--restore" => args.restore = Some(value("path")?),
             "--checkpoint" => args.checkpoint = Some(value("path")?),
             "--help" | "-h" => {
-                return Err("usage: mla-serve [--tcp ADDR] [--shards N] [--threads N] \
-                     [--restore PATH] [--checkpoint PATH]"
-                    .to_owned())
+                return Err(
+                    "usage: mla-serve [--tcp ADDR] [--shards N] [--restore PATH] \
+                     [--checkpoint PATH]"
+                        .to_owned(),
+                )
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -68,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let mut server = Server::new(args.shards, args.threads);
+    let mut server = Server::new(args.shards, 0);
     if let Some(path) = &args.checkpoint {
         server = server.checkpoint_path(path);
     }

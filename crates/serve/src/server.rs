@@ -13,14 +13,14 @@
 //! |--------------|------------------------------------------|--------|
 //! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target`, `shard` optional) |
 //! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal |
-//! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame through the batch executor |
+//! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time |
 //! | `position`   | `tenant`, `node`                         | arrangement position mid-stream |
 //! | `cost`       | `tenant`                                 | exact cost totals so far |
 //! | `outcome`    | `tenant`                                 | totals plus the current permutation |
 //! | `tenants`    | —                                        | list tenants with shard placement |
 //! | `migrate`    | `tenant`, `shard`                        | reassign the tenant's shard label |
 //! | `close`      | `tenant`                                 | drop the session |
-//! | `checkpoint` | — (`path` optional)                      | serialize **all** tenants; to a file, or inline as hex |
+//! | `checkpoint` | — (`path` optional)                      | serialize **all** tenants; to a file (atomically replaced), or inline as hex |
 //! | `restore`    | `bytes` (hex) or `path`                  | replace the table from a checkpoint |
 //! | `shutdown`   | —                                        | checkpoint to the default path (if any) and stop |
 //!
@@ -30,11 +30,19 @@
 //! that a fleet scheduler would act on, carried through checkpoints and
 //! reassigned by `migrate`. They never influence outcomes — the
 //! determinism contract makes a session's result independent of where
-//! (and with how many threads) it runs, which is exactly what makes
-//! live migration safe.
+//! it runs, which is exactly what makes live migration safe.
+//!
+//! ## Durable checkpoints
+//!
+//! A checkpoint file is replaced atomically: the bytes go to the sibling
+//! `<path>.tmp`, which is fsynced and renamed over `<path>`, and then the
+//! directory is fsynced. A crash at any point leaves either the previous
+//! checkpoint or the new one at `<path>`; a torn `<path>.tmp` is never
+//! read and is overwritten by the next write.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::fs::{self, File};
+use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use mla_graph::{RevealEvent, Topology};
@@ -61,8 +69,6 @@ pub struct Server {
     tenants: BTreeMap<String, Tenant>,
     /// Number of logical shards; placement labels are `0..shards`.
     shards: usize,
-    /// Worker threads handed to every session's batched apply path.
-    threads: usize,
     /// Default target of `checkpoint`/`shutdown` checkpoints.
     checkpoint_path: Option<PathBuf>,
     /// Round-robin cursor for default shard assignment.
@@ -74,7 +80,6 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("tenants", &self.tenants.len())
             .field("shards", &self.shards)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -127,15 +132,14 @@ fn want_usize(request: &Json, key: &str) -> Result<usize, Json> {
 }
 
 impl Server {
-    /// An empty server with `shards` placement labels (clamped to ≥ 1)
-    /// and `threads` workers per batched apply (`0` = available
-    /// parallelism).
+    /// An empty server with `shards` placement labels (clamped to ≥ 1).
+    /// The thread count is kept for API compatibility and has no effect
+    /// on serving: sessions serve every frame on the sequential loop.
     #[must_use]
-    pub fn new(shards: usize, threads: usize) -> Self {
+    pub fn new(shards: usize, _threads: usize) -> Self {
         Server {
             tenants: BTreeMap::new(),
             shards: shards.max(1),
-            threads,
             checkpoint_path: None,
             next_shard: 0,
         }
@@ -197,8 +201,7 @@ impl Server {
                 .to_owned();
             let shard = r.count(usize::MAX, "shard label")?;
             let blob_len = r.count(body.len(), "session-checkpoint byte")?;
-            let mut session = decode_session(r.bytes(blob_len)?)?;
-            session.set_threads(self.threads);
+            let session = decode_session(r.bytes(blob_len)?)?;
             let tenant = Tenant {
                 session,
                 shard: shard % self.shards,
@@ -282,9 +285,8 @@ impl Server {
             }
             Some(value) => self.parse_shard(value)?,
         };
-        let mut session =
+        let session =
             open_session(spec).map_err(|err| err_response("bad-request", err.to_string()))?;
-        session.set_threads(self.threads);
         let response = ok_response()
             .field("tenant", name.as_str())
             .field("shard", shard)
@@ -452,7 +454,7 @@ impl Server {
     }
 
     fn write_checkpoint(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.checkpoint_bytes())
+        replace_file(path, &self.checkpoint_bytes())
             .map_err(|err| format!("writing checkpoint {}: {err}", path.display()))
     }
 
@@ -484,6 +486,33 @@ impl Server {
             .map_err(|err| err_response("checkpoint", err.to_string()))?;
         Ok(ok_response().field("tenants", count))
     }
+}
+
+/// Atomically replaces `path` with `bytes` (see the module docs): write
+/// `<path>.tmp`, fsync it, rename it over `path`, fsync the directory.
+fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path names no file"))?
+        .to_owned();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written?;
+    // The rename is durable only once the directory entry is.
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// Appends the exact cost totals of a session to a response.

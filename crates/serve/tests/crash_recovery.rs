@@ -195,6 +195,46 @@ fn opt_cliques_segment_recovers_across_processes() {
     );
 }
 
+/// Checkpoint files are replaced atomically through `<path>.tmp`: a
+/// successful write leaves no temp file behind, and a torn temp file —
+/// what a crash during a later write leaves — never shadows the last
+/// good checkpoint at `--restore PATH`.
+#[test]
+fn torn_temp_file_never_shadows_the_last_good_checkpoint() {
+    let pairs = instance_pairs(Topology::Cliques, 16, 5);
+    let ckpt = tmp_path("atomic.ckpt");
+    let ckpt_str = ckpt.to_str().unwrap();
+    let tmp = tmp_path("atomic.ckpt.tmp");
+    let _ = std::fs::remove_file(&tmp);
+
+    let mut first = Daemon::spawn(&["--checkpoint", ckpt_str]);
+    first.request_ok(
+        "{\"op\":\"open\",\"tenant\":\"t0\",\"topology\":\"cliques\",\"n\":16,\
+         \"policy\":\"rand\",\"seed\":3}",
+    );
+    first.request_ok(&format!(
+        "{{\"op\":\"reveals\",\"tenant\":\"t0\",\"events\":{}}}",
+        events_json(&pairs)
+    ));
+    let want = first.request_ok("{\"op\":\"outcome\",\"tenant\":\"t0\"}");
+    first.request_ok("{\"op\":\"checkpoint\"}");
+    assert!(!tmp.exists(), "a successful write left {tmp:?} behind");
+    let good = std::fs::read(&ckpt).unwrap();
+    std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
+    first.kill9();
+
+    let mut second = Daemon::spawn(&["--restore", ckpt_str, "--checkpoint", ckpt_str]);
+    let got = second.request_ok("{\"op\":\"outcome\",\"tenant\":\"t0\"}");
+    assert_eq!(
+        got, want,
+        "restore read something other than the good checkpoint"
+    );
+    // Shutdown writes the same state again, replacing the torn temp file.
+    second.shutdown();
+    assert!(!tmp.exists(), "the next write left {tmp:?} behind");
+    assert_eq!(std::fs::read(&ckpt).unwrap(), good);
+}
+
 /// The daemon also speaks the protocol over TCP; a session opened on
 /// one connection survives to the next, and `shutdown` ends the
 /// process.

@@ -10,12 +10,10 @@
 //!
 //! Three layers:
 //!
-//! * [`Session<A>`] — the typed engine. Sequential serving mirrors
-//!   [`Simulation::run`] exactly; batched serving
-//!   ([`Session::apply_batch`]) routes frames through the *same* sealed
-//!   batch executor as [`Simulation::parallel`]
-//!   (`execute_planned_batch`), so merges applied by a daemon are
-//!   byte-identical to an engine run.
+//! * [`Session<A>`] — the typed engine. Every policy serves a frame one
+//!   reveal at a time through [`Session::apply`], the exact loop body of
+//!   [`Simulation::run`], so a daemon's outcome is bit-identical to an
+//!   engine run however the reveals are split into frames.
 //! * [`TenantSession`] — the object-safe facade a multi-tenant server
 //!   stores: apply / query / checkpoint without knowing the concrete
 //!   policy × backend type.
@@ -23,17 +21,15 @@
 //!   versioned checkpoint codec. Everything that can influence future
 //!   serves is captured: arrangement (including segment-arena partition
 //!   and orientation flags), graph state (union-find arrays and
-//!   neighbor slots verbatim), RNG streams, per-policy algorithm state,
-//!   the outcome accumulator, and the batch planner's adaptive-window
-//!   tuning.
+//!   neighbor slots verbatim), RNG streams, per-policy algorithm state
+//!   and the outcome accumulator.
 //!
 //! [`Simulation`]: crate::Simulation
 //! [`Simulation::run`]: crate::Simulation::run
-//! [`Simulation::parallel`]: crate::Simulation::parallel
 
 use mla_core::{
-    BatchServe, DetClosest, MergeDecision, MovePolicy, OnlineMinla, OptReplay, PolicyState,
-    RandCliques, RandLines, RearrangePolicy, UpdateReport,
+    DetClosest, MovePolicy, OnlineMinla, OptReplay, PolicyState, RandCliques, RandLines,
+    RearrangePolicy, UpdateReport,
 };
 use mla_graph::{GraphState, RevealEvent, SnapshotMode, Topology};
 use mla_offline::LopConfig;
@@ -42,9 +38,9 @@ use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement, MAX_NO
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::batch::{BatchPlanner, PlannedReveal};
+use crate::batch::BatchPlanner;
 use crate::checkpoint::{self, CheckpointError};
-use crate::engine::{execute_planned_batch, Recorder, RunOutcome, DEFAULT_BATCH_WINDOW};
+use crate::engine::{Recorder, RunOutcome, DEFAULT_BATCH_WINDOW};
 use crate::error::SimError;
 
 // ---- spec ----
@@ -349,24 +345,33 @@ impl ArrCodec for SegmentArrangement {
 // ---- the typed session engine ----
 
 /// A long-lived serving session: a [`Simulation`](crate::Simulation) run
-/// broken out of its closed loop. Reveals are applied as they arrive
-/// (one at a time or in frames through the batch executor), queries are
-/// answered mid-stream, and the whole live state can be checkpointed at
-/// any point between calls.
+/// broken out of its closed loop. Reveals are applied one at a time as
+/// they arrive, queries are answered mid-stream, and the whole live
+/// state can be checkpointed at any point between calls.
 pub struct Session<A: OnlineMinla> {
     spec: SessionSpec,
     state: GraphState,
     algorithm: A,
     recorder: Recorder,
-    /// Snapshot mode of the sequential serve path (the engine rule:
-    /// lazy iff algorithm and backend agree).
+    /// Snapshot mode of the serve path (the engine rule: lazy iff
+    /// algorithm and backend agree).
     mode: SnapshotMode,
-    check_feasibility: bool,
     full_scan: bool,
-    threads: usize,
-    planner: BatchPlanner,
-    decisions: Vec<MergeDecision>,
-    batch_buf: Vec<PlannedReveal>,
+    /// Checkpoint format version 1 ends with the batch planner's tuning
+    /// `(window, full_seals, collapse_streak)`. Sessions serve on the
+    /// sequential loop and never read it; it is carried unchanged from
+    /// decode to encode so that a version-1 checkpoint re-encodes byte
+    /// for byte.
+    planner_tuning: (usize, u32, u32),
+}
+
+/// The [`Recorder`] mode `(full, window)` of a [`RecordMode`].
+fn recorder_mode(record: RecordMode) -> (bool, Option<usize>) {
+    match record {
+        RecordMode::Full => (true, None),
+        RecordMode::Off => (false, None),
+        RecordMode::Window(k) => (false, Some(k)),
+    }
 }
 
 impl<A: OnlineMinla> std::fmt::Debug for Session<A> {
@@ -390,90 +395,20 @@ impl<A: OnlineMinla> Session<A> {
             } else {
                 SnapshotMode::Eager
             };
-        // The batched path additionally requires cliques for lazy
-        // snapshots (the lines pipeline builds target contents from
-        // member lists) — same rule as `Simulation::parallel`.
-        let batch_mode = if mode == SnapshotMode::Lazy && spec.topology == Topology::Cliques {
-            SnapshotMode::Lazy
-        } else {
-            SnapshotMode::Eager
-        };
-        let (full, window) = match spec.record {
-            RecordMode::Full => (true, None),
-            RecordMode::Off => (false, None),
-            RecordMode::Window(k) => (false, Some(k)),
-        };
+        let (full, window) = recorder_mode(spec.record);
         Session {
             state: GraphState::new(spec.topology, spec.n),
             recorder: Recorder::new(full, window),
             mode,
-            check_feasibility: spec.check_feasibility,
             full_scan: cfg!(debug_assertions),
-            threads: 1,
-            planner: BatchPlanner::new(DEFAULT_BATCH_WINDOW).snapshot_mode(batch_mode),
-            decisions: Vec::new(),
-            batch_buf: Vec::new(),
+            planner_tuning: BatchPlanner::new(DEFAULT_BATCH_WINDOW).tuning(),
             algorithm,
             spec,
         }
     }
 
-    /// The spec this session was opened with.
-    #[must_use]
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
-    }
-
-    /// Reveals served so far.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.recorder.step()
-    }
-
-    /// Exact accumulated moving cost.
-    #[must_use]
-    pub fn moving_cost(&self) -> u128 {
-        self.recorder.moving_cost()
-    }
-
-    /// Exact accumulated rearranging cost.
-    #[must_use]
-    pub fn rearranging_cost(&self) -> u128 {
-        self.recorder.rearranging_cost()
-    }
-
-    /// Worker threads for batched applies (`0` = available parallelism).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = mla_runner::resolve_threads(threads);
-    }
-
-    /// Current position of `node` in the arrangement.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Other`] if `node` is out of range (queries come off
-    /// the wire; they must not panic the server).
-    pub fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        if node.index() >= self.spec.n {
-            return Err(SimError::Other(format!(
-                "node {} out of range for n = {}",
-                node.index(),
-                self.spec.n
-            )));
-        }
-        Ok(self.algorithm.arrangement().position_of(node))
-    }
-
-    /// Snapshot of the run outcome so far (mid-stream: totals, retained
-    /// history and the current permutation).
-    #[must_use]
-    pub fn outcome(&self) -> RunOutcome {
-        self.recorder
-            .outcome_snapshot(self.algorithm.arrangement().to_permutation())
-    }
-
-    /// Serves one reveal through the **sequential** path — the exact
-    /// body of [`Simulation::run`](crate::Simulation::run)'s loop.
+    /// Serves one reveal — the exact body of
+    /// [`Simulation::run`](crate::Simulation::run)'s loop.
     ///
     /// # Errors
     ///
@@ -483,7 +418,7 @@ impl<A: OnlineMinla> Session<A> {
     pub fn apply(&mut self, event: RevealEvent) -> Result<UpdateReport, SimError> {
         let info = self.state.apply_with(event, self.mode)?;
         let report = self.algorithm.serve(event, &info, &self.state);
-        if self.check_feasibility {
+        if self.spec.check_feasibility {
             let feasible = self
                 .state
                 .merge_keeps_minla(self.algorithm.arrangement(), &info)
@@ -500,92 +435,11 @@ impl<A: OnlineMinla> Session<A> {
     }
 }
 
-impl<A: BatchServe> Session<A>
-where
-    A::Arr: Sync,
-{
-    /// Serves a frame of reveals through the **batch executor** — the
-    /// same plan → decide → build → apply pipeline as
-    /// [`Simulation::parallel`](crate::Simulation::parallel), with the
-    /// same bit-identity contract: any frame partition of a reveal
-    /// sequence produces the sequential outcome.
-    ///
-    /// The internal planner is always drained before returning, so the
-    /// session is checkpointable between calls.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::apply`]. On error, reveals of this frame past the
-    /// failure point are **dropped** (never half-applied); totals and
-    /// the arrangement stay consistent, so the session remains usable
-    /// for queries and checkpoints.
-    pub fn apply_batch(&mut self, events: &[RevealEvent]) -> Result<(), SimError> {
-        for &event in events {
-            self.planner.push(event);
-        }
-        while !self.planner.is_empty() {
-            let planned = self.planner.plan_batch_into(
-                &self.state,
-                self.algorithm.arrangement(),
-                self.threads,
-                &mut self.batch_buf,
-            );
-            if let Err(err) = planned {
-                self.planner.clear_queue();
-                return Err(SimError::Graph(err));
-            }
-            let applied = execute_planned_batch(
-                &mut self.algorithm,
-                &mut self.state,
-                &mut self.recorder,
-                &self.batch_buf,
-                &mut self.decisions,
-                self.threads,
-                self.check_feasibility,
-                self.full_scan,
-            );
-            if let Err(err) = applied {
-                self.planner.clear_queue();
-                return Err(err);
-            }
-            self.planner.retire_batch(&self.state, &self.batch_buf);
-        }
-        Ok(())
-    }
-}
-
 impl<A> Session<A>
 where
     A: OnlineMinla + PolicyState,
     A::Arr: ArrCodec,
 {
-    /// Serializes the full live state into a sealed checkpoint (see
-    /// [`encode_session`] for the contract).
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        checkpoint::seal(&body)
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        debug_assert!(
-            self.planner.is_empty(),
-            "checkpoints are taken at drained-planner points"
-        );
-        self.spec.encode_into(out);
-        // The arrangement precedes the graph state: the decoder needs it
-        // first to construct the algorithm it then restores into.
-        self.algorithm.arrangement().encode_arr(out);
-        self.state.encode_into(out);
-        self.algorithm.encode_state_into(out);
-        self.recorder.encode_into(out);
-        let (window, full_seals, collapse_streak) = self.planner.tuning();
-        put_len(out, window);
-        put_u32(out, full_seals);
-        put_u32(out, collapse_streak);
-    }
-
     /// Restores the serialized state into a freshly built session whose
     /// spec already matched. The arrangement was decoded *before* the
     /// algorithm was constructed; this consumes the rest of the body.
@@ -603,22 +457,13 @@ where
         self.state = state;
         self.algorithm.restore_state(r)?;
         let recorder = Recorder::decode_from(r, self.spec.n)?;
-        let expected_mode = match self.spec.record {
-            RecordMode::Full => (true, None),
-            RecordMode::Off => (false, None),
-            RecordMode::Window(k) => (false, Some(k)),
-        };
-        if recorder.mode() != expected_mode {
+        if recorder.mode() != recorder_mode(self.spec.record) {
             return Err(CheckpointError::malformed(
                 "recorder mode disagrees with the session spec".to_string(),
             ));
         }
         self.recorder = recorder;
-        let window = r.count(usize::MAX, "planner window")?;
-        let full_seals = r.u32()?;
-        let collapse_streak = r.u32()?;
-        self.planner
-            .restore_tuning(window, full_seals, collapse_streak);
+        self.planner_tuning = (r.count(usize::MAX, "planner window")?, r.u32()?, r.u32()?);
         Ok(())
     }
 }
@@ -645,17 +490,19 @@ pub trait TenantSession: Send {
     /// Exact accumulated rearranging cost.
     fn rearranging_cost(&self) -> u128;
 
-    /// Worker threads for batched applies (`0` = available parallelism).
-    fn set_threads(&mut self, threads: usize);
+    /// Kept for API compatibility; it has no effect on serving. Sessions
+    /// serve every frame on the sequential loop, one reveal at a time.
+    fn set_threads(&mut self, _threads: usize) {}
 
-    /// Serves a frame of reveals — through the batch executor when the
-    /// policy supports it, sequentially otherwise. Returns the number of
-    /// reveals applied (the whole frame on success).
+    /// Serves a frame of reveals in order, one [`Session::apply`] each.
+    /// Returns the number of reveals applied (the whole frame on
+    /// success).
     ///
     /// # Errors
     ///
-    /// As [`Session::apply`]; a failed frame is never half-recorded
-    /// beyond the failing reveal.
+    /// As [`Session::apply`]. Reveals after the failing one are not
+    /// applied; totals and the arrangement stay consistent, so the
+    /// session remains usable for queries and checkpoints.
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError>;
 
     /// Current position of `node`.
@@ -681,133 +528,69 @@ impl std::fmt::Debug for dyn TenantSession {
     }
 }
 
-/// Batched-policy tenant: frames go through the batch executor.
-struct Batched<A: BatchServe>(Session<A>)
-where
-    A::Arr: Sync;
-
-/// Jump-policy tenant (`Det`, `Opt`): frames replay sequentially.
-struct Sequential<A: OnlineMinla>(Session<A>);
-
-/// Restore hook shared by the wrappers, dispatched before boxing (the
-/// concrete type is still known there).
-trait RestoreBody {
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError>;
-}
-
-impl<A> RestoreBody for Batched<A>
-where
-    A: BatchServe + PolicyState,
-    A::Arr: ArrCodec + Sync,
-{
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        self.0.restore_body(r)
-    }
-}
-
-impl<A> RestoreBody for Sequential<A>
-where
-    A: OnlineMinla + PolicyState,
-    A::Arr: ArrCodec,
-{
-    fn restore_body(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        self.0.restore_body(r)
-    }
-}
-
-impl<A> TenantSession for Batched<A>
-where
-    A: BatchServe + PolicyState + Send,
-    A::Arr: ArrCodec + Sync + Send,
-{
-    fn spec(&self) -> &SessionSpec {
-        self.0.spec()
-    }
-
-    fn algorithm_name(&self) -> String {
-        self.0.algorithm.name().to_owned()
-    }
-
-    fn steps(&self) -> usize {
-        self.0.steps()
-    }
-
-    fn moving_cost(&self) -> u128 {
-        self.0.moving_cost()
-    }
-
-    fn rearranging_cost(&self) -> u128 {
-        self.0.rearranging_cost()
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.0.set_threads(threads);
-    }
-
-    fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError> {
-        self.0.apply_batch(events)?;
-        Ok(events.len())
-    }
-
-    fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        self.0.position_of(node)
-    }
-
-    fn outcome(&self) -> RunOutcome {
-        self.0.outcome()
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        self.0.checkpoint()
-    }
-}
-
-impl<A> TenantSession for Sequential<A>
+impl<A> TenantSession for Session<A>
 where
     A: OnlineMinla + PolicyState + Send,
     A::Arr: ArrCodec + Send,
 {
     fn spec(&self) -> &SessionSpec {
-        self.0.spec()
+        &self.spec
     }
 
     fn algorithm_name(&self) -> String {
-        self.0.algorithm.name().to_owned()
+        self.algorithm.name().to_owned()
     }
 
     fn steps(&self) -> usize {
-        self.0.steps()
+        self.recorder.step()
     }
 
     fn moving_cost(&self) -> u128 {
-        self.0.moving_cost()
+        self.recorder.moving_cost()
     }
 
     fn rearranging_cost(&self) -> u128 {
-        self.0.rearranging_cost()
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.0.set_threads(threads);
+        self.recorder.rearranging_cost()
     }
 
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError> {
         for &event in events {
-            self.0.apply(event)?;
+            self.apply(event)?;
         }
         Ok(events.len())
     }
 
     fn position_of(&self, node: Node) -> Result<usize, SimError> {
-        self.0.position_of(node)
+        // Queries come off the wire; they must not panic the server.
+        if node.index() >= self.spec.n {
+            return Err(SimError::Other(format!(
+                "node {} out of range for n = {}",
+                node.index(),
+                self.spec.n
+            )));
+        }
+        Ok(self.algorithm.arrangement().position_of(node))
     }
 
     fn outcome(&self) -> RunOutcome {
-        self.0.outcome()
+        self.recorder
+            .outcome_snapshot(self.algorithm.arrangement().to_permutation())
     }
 
     fn encode(&self) -> Vec<u8> {
-        self.0.checkpoint()
+        let mut body = Vec::new();
+        self.spec.encode_into(&mut body);
+        // The arrangement precedes the graph state: the decoder needs it
+        // first to construct the algorithm it then restores into.
+        self.algorithm.arrangement().encode_arr(&mut body);
+        self.state.encode_into(&mut body);
+        self.algorithm.encode_state_into(&mut body);
+        self.recorder.encode_into(&mut body);
+        let (window, full_seals, collapse_streak) = self.planner_tuning;
+        put_len(&mut body, window);
+        put_u32(&mut body, full_seals);
+        put_u32(&mut body, collapse_streak);
+        checkpoint::seal(&body)
     }
 }
 
@@ -826,9 +609,9 @@ pub fn open_session(spec: SessionSpec) -> Result<Box<dyn TenantSession>, SimErro
 }
 
 /// Serializes a session into its sealed checkpoint: the
-/// [`SessionSpec`], graph state, arrangement, policy/RNG state, outcome
-/// accumulator and planner tuning, wrapped in the magic / version /
-/// CRC-64 envelope of [`crate::checkpoint`].
+/// [`SessionSpec`], graph state, arrangement, policy/RNG state and
+/// outcome accumulator, wrapped in the magic / version / CRC-64 envelope
+/// of [`crate::checkpoint`].
 ///
 /// Contract: [`decode_session`] of these bytes — in this process or
 /// another — yields a session whose replay of the remaining reveals is
@@ -876,7 +659,7 @@ fn build_with_backend<Arr>(
     mut restore: Option<&mut ByteReader<'_>>,
 ) -> Result<Box<dyn TenantSession>, CheckpointError>
 where
-    Arr: ArrCodec + Sync + Send + 'static,
+    Arr: ArrCodec + Send + 'static,
 {
     // The arrangement comes before the algorithm: constructors consume
     // it (and `DetClosest::with_backend` snapshots it, which is why the
@@ -898,62 +681,48 @@ where
     let rng = SmallRng::seed_from_u64(spec.seed);
     match (spec.policy, spec.topology) {
         (PolicyKind::Rand, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::SizeBiased),
-            )),
+            spec,
+            RandCliques::with_policy(arr, rng, MovePolicy::SizeBiased),
             restore,
         ),
         (PolicyKind::Fair, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::Fair),
-            )),
+            spec,
+            RandCliques::with_policy(arr, rng, MovePolicy::Fair),
             restore,
         ),
         (PolicyKind::SmallerMoves, Topology::Cliques) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandCliques::with_policy(arr, rng, MovePolicy::SmallerMoves),
-            )),
+            spec,
+            RandCliques::with_policy(arr, rng, MovePolicy::SmallerMoves),
             restore,
         ),
         (PolicyKind::Rand, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(
-                    arr,
-                    rng,
-                    MovePolicy::SizeBiased,
-                    RearrangePolicy::CostBiased,
-                ),
-            )),
+            spec,
+            RandLines::with_policies(
+                arr,
+                rng,
+                MovePolicy::SizeBiased,
+                RearrangePolicy::CostBiased,
+            ),
             restore,
         ),
         (PolicyKind::Fair, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(arr, rng, MovePolicy::Fair, RearrangePolicy::Fair),
-            )),
+            spec,
+            RandLines::with_policies(arr, rng, MovePolicy::Fair, RearrangePolicy::Fair),
             restore,
         ),
         (PolicyKind::SmallerMoves, Topology::Lines) => finish_tenant(
-            Batched(Session::build(
-                spec,
-                RandLines::with_policies(
-                    arr,
-                    rng,
-                    MovePolicy::SmallerMoves,
-                    RearrangePolicy::Cheapest,
-                ),
-            )),
+            spec,
+            RandLines::with_policies(
+                arr,
+                rng,
+                MovePolicy::SmallerMoves,
+                RearrangePolicy::Cheapest,
+            ),
             restore,
         ),
         (PolicyKind::Det, _) => finish_tenant(
-            Sequential(Session::build(
-                spec,
-                DetClosest::with_backend(arr, LopConfig::default()),
-            )),
+            spec,
+            DetClosest::with_backend(arr, LopConfig::default()),
             restore,
         ),
         (PolicyKind::Opt, _) => {
@@ -964,25 +733,27 @@ where
                     "policy opt without a replay target".to_string(),
                 ));
             };
-            finish_tenant(
-                Sequential(Session::build(spec, OptReplay::new(arr, target))),
-                restore,
-            )
+            finish_tenant(spec, OptReplay::new(arr, target), restore)
         }
     }
 }
 
-fn finish_tenant<T>(
-    mut tenant: T,
+/// Wraps `algorithm` in a session and, with a reader, restores the rest
+/// of the serialized state into it.
+fn finish_tenant<A>(
+    spec: SessionSpec,
+    algorithm: A,
     restore: Option<&mut ByteReader<'_>>,
 ) -> Result<Box<dyn TenantSession>, CheckpointError>
 where
-    T: RestoreBody + TenantSession + 'static,
+    A: OnlineMinla + PolicyState + Send + 'static,
+    A::Arr: ArrCodec + Send,
 {
+    let mut session = Session::build(spec, algorithm);
     if let Some(r) = restore {
-        tenant.restore_body(r)?;
+        session.restore_body(r)?;
     }
-    Ok(Box::new(tenant))
+    Ok(Box::new(session))
 }
 
 #[cfg(test)]
@@ -1028,7 +799,6 @@ mod tests {
                 7,
             ))
             .unwrap();
-            // Apply in ragged frames to exercise the batch pipeline.
             for frame in events.chunks(5) {
                 session.apply_events(frame).unwrap();
             }

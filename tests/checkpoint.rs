@@ -6,6 +6,8 @@
 //! even in another process — replays the remaining reveals
 //! **bit-identically** to the uninterrupted run: same RNG draws, same
 //! retained history, same final permutation, same exact cost totals.
+//! The uninterrupted run itself equals plain [`Simulation::run`] of the
+//! same algorithm and seed, however the reveals are split into frames.
 //! (The cross-process half lives in `crates/serve/tests/`, where the
 //! `mla-serve` binary is reachable; this suite proves the codec and the
 //! in-process half.)
@@ -16,11 +18,15 @@
 //! restore.
 
 use mla_adversary::{random_clique_instance, random_line_instance, MergeShape};
-use mla_graph::{RevealEvent, Topology};
-use mla_permutation::Permutation;
+use mla_core::{
+    DetClosest, MovePolicy, OnlineMinla, OptReplay, RandCliques, RandLines, RearrangePolicy,
+};
+use mla_graph::{Instance, RevealEvent, Topology};
+use mla_offline::LopConfig;
+use mla_permutation::{Arrangement, Permutation, SegmentArrangement};
 use mla_sim::{
     decode_session, encode_session, open_session, BackendKind, CheckpointError, PolicyKind,
-    RecordMode, SessionSpec,
+    RecordMode, RunOutcome, SessionSpec, Simulation,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -68,6 +74,55 @@ fn grid_spec(
     }
 }
 
+/// Plain [`Simulation::run`] of the algorithm `open_session(spec)` serves
+/// with, on the same seed: the reference engine a session must equal.
+fn reference_outcome(spec: &SessionSpec, events: &[RevealEvent]) -> RunOutcome {
+    match spec.backend {
+        BackendKind::Dense => reference_run(spec, events, Permutation::identity(spec.n)),
+        BackendKind::Segment => reference_run(spec, events, SegmentArrangement::identity(spec.n)),
+    }
+}
+
+fn reference_run<P: Arrangement>(spec: &SessionSpec, events: &[RevealEvent], arr: P) -> RunOutcome {
+    fn run(instance: Instance, algorithm: impl OnlineMinla) -> RunOutcome {
+        Simulation::new(instance, algorithm).run().unwrap()
+    }
+    let instance = Instance::new(spec.topology, spec.n, events.to_vec()).unwrap();
+    let rng = SmallRng::seed_from_u64(spec.seed);
+    let (moves, rearranges) = match spec.policy {
+        PolicyKind::Fair => (MovePolicy::Fair, RearrangePolicy::Fair),
+        PolicyKind::SmallerMoves => (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
+        _ => (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
+    };
+    match (spec.policy, spec.topology) {
+        (PolicyKind::Det, _) => run(
+            instance,
+            DetClosest::with_backend(arr, LopConfig::default()),
+        ),
+        (PolicyKind::Opt, _) => run(instance, OptReplay::new(arr, spec.target.clone().unwrap())),
+        (_, Topology::Cliques) => run(instance, RandCliques::with_policy(arr, rng, moves)),
+        (_, Topology::Lines) => run(
+            instance,
+            RandLines::with_policies(arr, rng, moves, rearranges),
+        ),
+    }
+}
+
+/// Splits `events` into frames whose sizes cycle through 1, 4, 2, 7, 3.
+fn mixed_frames(events: &[RevealEvent]) -> Vec<&[RevealEvent]> {
+    let mut frames = Vec::new();
+    let mut rest = events;
+    for size in [1, 4, 2, 7, 3].into_iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (frame, tail) = rest.split_at(size.min(rest.len()));
+        frames.push(frame);
+        rest = tail;
+    }
+    frames
+}
+
 /// Checkpoint after `events[..cut]`, restore from bytes, replay the
 /// remainder in ragged frames; the outcome must equal `want`.
 fn assert_prefix_replays(
@@ -81,8 +136,6 @@ fn assert_prefix_replays(
     let bytes = encode_session(first.as_ref());
     drop(first);
     let mut resumed = decode_session(&bytes).unwrap();
-    // Ragged frames exercise the batch executor's frame-partition
-    // invariance on the resumed side.
     for frame in events[cut..].chunks(3) {
         resumed.apply_events(frame).unwrap();
     }
@@ -96,8 +149,10 @@ fn assert_prefix_replays(
     );
 }
 
-/// The tentpole property over the whole grid: checkpoints at prefix 0,
-/// a few random interior prefixes, and n−1 all replay bit-identically.
+/// The tentpole property over the whole grid: a session fed 1-reveal or
+/// mixed-size frames equals the reference engine, and checkpoints at
+/// prefix 0, a few random interior prefixes, and n−1 all replay
+/// bit-identically.
 #[test]
 fn every_policy_topology_backend_restores_bit_identically_at_any_prefix() {
     let n = 18;
@@ -107,9 +162,21 @@ fn every_policy_topology_backend_restores_bit_identically_at_any_prefix() {
         for policy in POLICIES {
             for backend in BACKENDS {
                 let spec = grid_spec(topology, n, policy, backend, 23);
-                let mut uninterrupted = open_session(spec.clone()).unwrap();
-                uninterrupted.apply_events(&events).unwrap();
-                let want = uninterrupted.outcome();
+                let want = reference_outcome(&spec, &events);
+                let single: Vec<&[RevealEvent]> = events.chunks(1).collect();
+                for frames in [single, mixed_frames(&events)] {
+                    let mut uninterrupted = open_session(spec.clone()).unwrap();
+                    for frame in &frames {
+                        uninterrupted.apply_events(frame).unwrap();
+                    }
+                    assert_eq!(
+                        uninterrupted.outcome(),
+                        want,
+                        "{policy:?}/{topology:?}/{backend:?} session differs from \
+                         Simulation::run with {} frames",
+                        frames.len()
+                    );
+                }
 
                 let mut cuts = vec![0, events.len() - 1];
                 for _ in 0..3 {
