@@ -13,7 +13,7 @@
 //!
 //! The artifact `BENCH_merge.json` lands next to the other `BENCH_*`
 //! files (`MLA_BENCH_ARTIFACT_DIR`, default `target/bench-artifacts`).
-//! Set `MLA_BENCH_REQUIRE_SPEEDUP=<factor>` (CI does, with `2`) to fail
+//! Set `MLA_BENCH_REQUIRE_SPEEDUP=<factor>` (CI does, with `1.25`) to fail
 //! the run unless the lazy path beats the eager path by at least that
 //! factor on the largest clique cell.
 

@@ -101,39 +101,16 @@ impl<R: Rng, P: Arrangement> RandLines<R, P> {
 
     /// Rebuilds the merged path's target content into `scratch` without
     /// member lists: the forward target `x.nodes ++ z.nodes` is the
-    /// post-merge path read across the just-committed edge `(a, b)`, so
-    /// one two-sided adjacency walk outward from the joined endpoints
-    /// reconstructs it — no member scan, no canonical-endpoint search,
-    /// no intermediate allocation.
+    /// post-merge path read across the just-committed edge `(a, b)`
+    /// ([`LineState::path_across`](mla_graph::LineState::path_across)).
     ///
     /// `O(len)` — but only invoked when the rearranging option has
     /// positive cost, where the update itself is already `Ω(len)`.
     fn fill_target_from_state(&mut self, info: &MergeInfo, state: &GraphState, forward: bool) {
-        let a = info.x.joined();
-        let b = info.z.joined();
         let GraphState::Lines(lines) = state else {
             unreachable!("RandLines serves line reveals only");
         };
-        self.scratch.clear();
-        self.scratch.reserve(info.merged_len());
-        // The a-side walk yields X from its joined end outward, i.e. the
-        // snapshot order reversed; flip that prefix in place, then stream
-        // the b-side walk, which is Z in snapshot order already.
-        self.scratch.push(a);
-        let (mut prev, mut cur) = (b, a);
-        while let Some(next) = lines.next_along(cur, Some(prev)) {
-            self.scratch.push(next);
-            prev = cur;
-            cur = next;
-        }
-        self.scratch.reverse();
-        self.scratch.push(b);
-        let (mut prev, mut cur) = (a, b);
-        while let Some(next) = lines.next_along(cur, Some(prev)) {
-            self.scratch.push(next);
-            prev = cur;
-            cur = next;
-        }
+        lines.path_across(info.x.joined(), info.z.joined(), &mut self.scratch);
         debug_assert_eq!(self.scratch.len(), info.merged_len());
         if !forward {
             self.scratch.reverse();

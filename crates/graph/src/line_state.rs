@@ -133,8 +133,7 @@ impl LineState {
     /// One step of a path walk: the neighbor of `current` other than
     /// `prev`, if any. With `prev = None` this is the first neighbor —
     /// use it to start a walk from a degree-1 endpoint.
-    #[must_use]
-    pub fn next_along(&self, current: Node, prev: Option<Node>) -> Option<Node> {
+    fn next_along(&self, current: Node, prev: Option<Node>) -> Option<Node> {
         self.neighbors[current.index()]
             .iter()
             .filter(|&&u| u != NO_NEIGHBOR)
@@ -146,14 +145,33 @@ impl LineState {
     /// returning nodes in path order.
     fn walk_from(&self, start: Node) -> Vec<Node> {
         let mut order = vec![start];
-        let mut prev: Option<Node> = None;
+        self.extend_walk(start, None, &mut order);
+        order
+    }
+
+    /// Pushes the nodes after `start` on the walk that leaves `start`
+    /// away from `prev`, in walk order.
+    fn extend_walk(&self, start: Node, mut prev: Option<Node>, out: &mut Vec<Node>) {
         let mut current = start;
         while let Some(u) = self.next_along(current, prev) {
-            order.push(u);
+            out.push(u);
             prev = Some(current);
             current = u;
         }
-        order
+    }
+
+    /// Replaces `out` with the path through the just-joined edge
+    /// `(a, b)`, read from `a`'s far end to `b`'s far end: exactly the
+    /// merge's snapshot order `x.nodes ++ z.nodes` (see
+    /// [`LineState::apply`]). One two-sided walk outward from the edge,
+    /// `O(path length)`, with no member scan or endpoint search.
+    pub fn path_across(&self, a: Node, b: Node, out: &mut Vec<Node>) {
+        out.clear();
+        out.push(a);
+        self.extend_walk(a, Some(b), out);
+        out.reverse();
+        out.push(b);
+        self.extend_walk(b, Some(a), out);
     }
 
     /// All paths, each in path order (canonical orientation), in ascending
@@ -516,6 +534,10 @@ mod tests {
         // path_of canonicalizes from the lowest endpoint; both orders valid.
         let reversed: Vec<Node> = merged.iter().rev().copied().collect();
         assert!(actual == merged || actual == reversed);
+        // The walk across the joined edge rebuilds exactly x ++ z.
+        let mut across = vec![Node::new(5)];
+        state.path_across(Node::new(1), Node::new(4), &mut across);
+        assert_eq!(across, merged);
     }
 
     #[test]

@@ -459,12 +459,10 @@ impl GraphState {
                 .components()
                 .iter()
                 .all(|c| pi.contiguous_range(c).is_some()),
-            GraphState::Lines(s) => s.components_ordered().iter().all(|path| {
-                if pi.contiguous_range(path).is_none() {
-                    return false;
-                }
-                is_monotone_in(pi, path)
-            }),
+            GraphState::Lines(s) => s
+                .components_ordered()
+                .iter()
+                .all(|path| pi.path_range(path).is_some()),
         }
     }
 
@@ -475,9 +473,11 @@ impl GraphState {
     /// this validates just the two merging segments, in `O(|X| + |Z|)`
     /// instead of the full `O(n)` scan of [`GraphState::is_minla`].
     ///
-    /// * Cliques: the merged node set must be contiguous.
+    /// * Cliques: the merged node set must be contiguous
+    ///   ([`Arrangement::contiguous_range`]).
     /// * Lines: the merged path `x.nodes ++ z.nodes` must additionally
-    ///   read in path order, forward or reversed.
+    ///   read in path order, forward or reversed
+    ///   ([`Arrangement::path_range`]).
     ///
     /// With **lazy** snapshots the member lists are rebuilt from the
     /// graph state instead, so the call must happen *after* the merge was
@@ -491,54 +491,21 @@ impl GraphState {
     pub fn merge_keeps_minla<P: Arrangement + ?Sized>(&self, pi: &P, info: &MergeInfo) -> bool {
         if info.x.is_lazy() || info.z.is_lazy() {
             // Lazy snapshots carry no member lists, so the check rebuilds
-            // what it needs from the graph state. Distinct positions cover
-            // a contiguous block iff `max - min + 1 == len`, and a strictly
-            // monotone walk over an interval of positions must step by
-            // exactly ±1 — so the streaming envelope (lines) is as strong
-            // as the materialized contiguity + monotonicity passes it
-            // replaces.
+            // the merged component from the graph state with one walk and
+            // feeds it to the backend's range query, whose coalesced-block
+            // fast path costs O(len) slot reads plus a single tree descent
+            // — per-member `position_of` lookups would pay O(log n) each on
+            // the segment backend.
             let expected = info.merged_len();
             return match self {
                 GraphState::Cliques(s) => {
-                    // One member walk feeding `contiguous_range`, whose
-                    // coalesced-component fast path costs O(len) slot
-                    // comparisons plus a single tree descent — streaming
-                    // per-member `position_of` lookups would pay O(log n)
-                    // each on the segment backend.
                     let merged = s.component_nodes(info.x.joined());
                     merged.len() == expected && pi.contiguous_range(&merged).is_some()
                 }
                 GraphState::Lines(s) => {
-                    // The merged path is reverse(a-side walk) ++ b-side
-                    // walk around the just-joined edge (a, b). It is
-                    // monotone in `pi` iff every outward step on the a
-                    // side moves against the a→b position direction and
-                    // every step on the b side moves along it.
-                    let (a, b) = (info.x.joined(), info.z.joined());
-                    let (pa, pb) = (pi.position_of(a), pi.position_of(b));
-                    let mut len = 2usize;
-                    let mut min = pa.min(pb);
-                    let mut max = pa.max(pb);
-                    for (start, anchor, start_pos, outward_up) in
-                        [(a, b, pa, pa > pb), (b, a, pb, pb > pa)]
-                    {
-                        let mut prev = anchor;
-                        let mut cur = start;
-                        let mut last = start_pos;
-                        while let Some(next) = s.next_along(cur, Some(prev)) {
-                            let p = pi.position_of(next);
-                            if (p > last) != outward_up {
-                                return false;
-                            }
-                            min = min.min(p);
-                            max = max.max(p);
-                            len += 1;
-                            last = p;
-                            prev = cur;
-                            cur = next;
-                        }
-                    }
-                    len == expected && max - min + 1 == len
+                    let mut merged = Vec::with_capacity(expected);
+                    s.path_across(info.x.joined(), info.z.joined(), &mut merged);
+                    merged.len() == expected && pi.path_range(&merged).is_some()
                 }
             };
         }
@@ -549,24 +516,11 @@ impl GraphState {
             .chain(info.z.nodes().iter())
             .copied()
             .collect();
-        if pi.contiguous_range(&merged).is_none() {
-            return false;
-        }
         match self {
-            GraphState::Cliques(_) => true,
-            GraphState::Lines(_) => is_monotone_in(pi, &merged),
+            GraphState::Cliques(_) => pi.contiguous_range(&merged).is_some(),
+            GraphState::Lines(_) => pi.path_range(&merged).is_some(),
         }
     }
-}
-
-/// Returns `true` if the nodes of `path` appear in `pi` in exactly the
-/// given order or exactly the reversed order.
-fn is_monotone_in<P: Arrangement + ?Sized>(pi: &P, path: &[Node]) -> bool {
-    if path.len() <= 2 {
-        return true;
-    }
-    let positions: Vec<usize> = path.iter().map(|&v| pi.position_of(v)).collect();
-    positions.windows(2).all(|w| w[0] < w[1]) || positions.windows(2).all(|w| w[0] > w[1])
 }
 
 #[cfg(test)]
@@ -682,6 +636,22 @@ mod tests {
         assert!(lines.merge_keeps_minla(&reversed, &info));
         assert!(!lines.merge_keeps_minla(&scrambled, &info));
         assert!(!lines.is_minla(&scrambled));
+
+        // Lines, lazy snapshots: the path 0-1-2 coalesced into one segment
+        // must still read in path order, not merely be contiguous.
+        use mla_permutation::SegmentArrangement;
+        let mut lines = GraphState::new(Topology::Lines, 4);
+        lines.apply_with(ev(0, 1), SnapshotMode::Lazy).unwrap();
+        let info = lines.apply_with(ev(1, 2), SnapshotMode::Lazy).unwrap();
+        assert!(info.x.is_lazy() && info.z.is_lazy());
+        for (order, feasible) in [([1, 0, 2, 3], false), ([2, 1, 0, 3], true)] {
+            let mut arr =
+                SegmentArrangement::from_permutation(&Permutation::from_indices(&order).unwrap());
+            arr.coalesce_range(0..3);
+            assert_eq!(arr.segment_count(), 2);
+            assert_eq!(lines.merge_keeps_minla(&arr, &info), feasible, "{order:?}");
+            assert_eq!(lines.is_minla(&arr), feasible, "{order:?}");
+        }
     }
 
     #[test]

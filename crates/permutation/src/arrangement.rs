@@ -2,9 +2,10 @@
 //!
 //! Every online MinLA algorithm in this workspace manipulates a linear
 //! arrangement through the same small vocabulary: position/node lookups,
-//! the contiguity query behind the feasibility invariant, and the three
-//! block operations of the paper's update mechanics (move, reverse, swap),
-//! each priced in **adjacent transpositions**. This trait captures exactly
+//! the contiguity and path-order queries behind the feasibility
+//! invariant, and the three block operations of the paper's update
+//! mechanics (move, reverse, swap), each priced in **adjacent
+//! transpositions**. This trait captures exactly
 //! that vocabulary so the algorithms, the simulation engine and the
 //! experiments are generic over the storage layout:
 //!
@@ -81,9 +82,11 @@ pub trait Arrangement {
     /// [`contiguous_range`](Arrangement::contiguous_range) plus the
     /// block's reading direction: the second component is `true` iff
     /// `nodes[0]` sits at the range's start (the block reads in snapshot
-    /// order; singletons report `true`). This is the lines feasibility
-    /// primitive — backends can answer the orientation bit without a
-    /// second position lookup.
+    /// order; singletons report `true`). This is the lines locate
+    /// primitive: its callers trust the feasibility invariant and need
+    /// only the orientation bit, which backends can answer without a
+    /// second position lookup. [`path_range`](Arrangement::path_range)
+    /// is the one that verifies the order.
     ///
     /// # Panics
     ///
@@ -92,6 +95,23 @@ pub trait Arrangement {
         let range = self.contiguous_range(nodes)?;
         let forward = nodes.len() <= 1 || self.position_of(nodes[0]) == range.start;
         Some((range, forward))
+    }
+
+    /// If the nodes of `path` occupy contiguous positions **and** read in
+    /// exactly the given order or exactly its reverse, returns that
+    /// position range; otherwise `None`. This is the lines feasibility
+    /// primitive: an arrangement is a MinLA of a collection of paths iff
+    /// every path passes it. A repeated node never passes.
+    ///
+    /// The default costs one [`position_of`](Arrangement::position_of)
+    /// per node; the segment backend answers a path that is exactly one
+    /// segment from its node→offset map with a single rank walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any node is out of range.
+    fn path_range(&self, path: &[Node]) -> Option<Range<usize>> {
+        monotone_path_range(path, |v| self.position_of(v))
     }
 
     /// Resolves a coalesced component's block from a single member in
@@ -283,6 +303,30 @@ impl MergeOp {
     }
 }
 
+/// [`Arrangement::path_range`] from per-node positions, in one pass: the
+/// positions must move strictly in one direction (so they are distinct),
+/// and then they cover an interval iff its end points lie `len − 1` apart.
+pub(crate) fn monotone_path_range(
+    path: &[Node],
+    position_of: impl Fn(Node) -> usize,
+) -> Option<Range<usize>> {
+    let Some((&first, rest)) = path.split_first() else {
+        return Some(0..0);
+    };
+    let start = position_of(first);
+    let mut last = start;
+    let mut ascending = None;
+    for &v in rest {
+        let p = position_of(v);
+        if p == last || *ascending.get_or_insert(p > last) != (p > last) {
+            return None;
+        }
+        last = p;
+    }
+    let (lo, hi) = (start.min(last), start.max(last));
+    (hi - lo + 1 == path.len()).then_some(lo..hi + 1)
+}
+
 /// The [`move_block`](Arrangement::move_block) destination that lands
 /// `mover` flush against `stayer` on its own side.
 ///
@@ -394,6 +438,20 @@ mod tests {
         let before = pi.clone();
         Arrangement::coalesce_range(&mut pi, 0..2);
         assert_eq!(pi, before);
+    }
+
+    #[test]
+    fn path_range_requires_path_order() {
+        let pi = Permutation::from_indices(&[4, 2, 3, 0, 1]).unwrap();
+        let path = |ids: &[usize]| ids.iter().map(|&i| Node::new(i)).collect::<Vec<_>>();
+        assert_eq!(pi.path_range(&path(&[2, 3, 0])), Some(1..4));
+        assert_eq!(pi.path_range(&path(&[0, 3, 2])), Some(1..4));
+        assert_eq!(pi.path_range(&path(&[1])), Some(4..5));
+        assert_eq!(pi.path_range(&[]), Some(0..0));
+        // Contiguous but out of order, monotone but with a gap, repeated.
+        assert_eq!(pi.path_range(&path(&[3, 2, 0])), None);
+        assert_eq!(pi.path_range(&path(&[4, 3, 1])), None);
+        assert_eq!(pi.path_range(&path(&[2, 2])), None);
     }
 
     #[test]

@@ -724,6 +724,49 @@ impl SegmentArrangement {
         Some((range, forward))
     }
 
+    /// If the nodes of `path` occupy contiguous positions and read in the
+    /// given order or its reverse, returns that position range; otherwise
+    /// `None` — see [`Arrangement::path_range`].
+    ///
+    /// Fast path: when the path is exactly one segment (the steady state
+    /// for a coalesced line component) its order is read off the
+    /// node→offset map, so the check costs `O(|path|)` array reads plus
+    /// one `O(log n)` rank query; otherwise it falls back to one
+    /// `O(log n)` position lookup per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any node is out of range.
+    #[must_use]
+    pub fn path_range(&self, path: &[Node]) -> Option<Range<usize>> {
+        let Some(&first) = path.first() else {
+            return Some(0..0);
+        };
+        let slot = self.node_seg[first.index()];
+        if self.seg_len(slot) == path.len()
+            && path.iter().all(|&v| self.node_seg[v.index()] == slot)
+        {
+            // Inside one segment a position step is a storage-offset step
+            // (negated when the segment reads reversed), so the path is in
+            // order iff every offset step is the same +1 or −1.
+            let off = |v: &Node| self.node_off[v.index()];
+            let step = match path {
+                [a, b, ..] => off(b).wrapping_sub(off(a)),
+                _ => 1,
+            };
+            let in_order = (step == 1 || step == u32::MAX)
+                && path
+                    .windows(2)
+                    .all(|w| off(&w[1]) == off(&w[0]).wrapping_add(step));
+            if !in_order {
+                return None;
+            }
+            let start = self.seg_start(slot);
+            return Some(start..start + path.len());
+        }
+        crate::arrangement::monotone_path_range(path, |v| self.position_of(v))
+    }
+
     /// Completes one merge update in a single pass — see
     /// [`Arrangement::merge_move`] for the contract. The fast path (both
     /// blocks segment-exact, the steady state under coalesce hints)
@@ -1612,6 +1655,10 @@ impl Arrangement for SegmentArrangement {
 
     fn oriented_contiguous_range(&self, nodes: &[Node]) -> Option<(Range<usize>, bool)> {
         SegmentArrangement::oriented_contiguous_range(self, nodes)
+    }
+
+    fn path_range(&self, path: &[Node]) -> Option<Range<usize>> {
+        SegmentArrangement::path_range(self, path)
     }
 
     fn locate_component(&self, anchor: Node, len: usize) -> Option<(Range<usize>, usize)> {

@@ -29,7 +29,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use crate::arrangement::{Arrangement, MergeOp};
+use crate::arrangement::{monotone_path_range, Arrangement, MergeOp};
 use crate::node::Node;
 use crate::perm::Permutation;
 use crate::segment::SegmentArrangement;
@@ -219,6 +219,22 @@ impl Arrangement for ShardedArrangement {
         let range = self.contiguous_range(nodes)?;
         let forward = nodes.len() <= 1 || self.position_of(nodes[0]) == range.start;
         Some((range, forward))
+    }
+
+    fn path_range(&self, path: &[Node]) -> Option<Range<usize>> {
+        if path.is_empty() {
+            return Some(0..0);
+        }
+        let r = self.region_of(path[0].index());
+        if self.all_in_region(r, path) {
+            let base = self.bounds[r];
+            let local = self.to_local(r, path);
+            return self.regions[r]
+                .path_range(&local)
+                .map(|range| range.start + base..range.end + base);
+        }
+        // A path may run across a region boundary, as in contiguous_range.
+        monotone_path_range(path, |v| self.position_of(v))
     }
 
     fn locate_component(&self, anchor: Node, len: usize) -> Option<(Range<usize>, usize)> {

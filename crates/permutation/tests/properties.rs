@@ -403,24 +403,37 @@ proptest! {
     fn contiguous_range_agrees_across_backends((p, raw) in (1usize..20).prop_flat_map(|n| {
         (permutation(n), proptest::collection::vec(0usize..n, 0..8))
     })) {
-        // Distinct node subsets, including empty and full sets.
-        let mut nodes: Vec<Node> = raw.into_iter().map(Node::new).collect();
+        // Distinct node subsets, including empty and full sets. `path_range`
+        // reads order, so it sees the subset in drawn (unsorted) order.
+        let mut seen = vec![false; p.len()];
+        let path: Vec<Node> = raw
+            .into_iter()
+            .filter(|&i| !std::mem::replace(&mut seen[i], true))
+            .map(Node::new)
+            .collect();
+        let mut nodes = path.clone();
         nodes.sort_unstable();
-        nodes.dedup();
         let mut segment = SegmentArrangement::from_permutation(&p);
-        prop_assert_eq!(
-            segment.contiguous_range(&nodes),
-            p.contiguous_range(&nodes)
-        );
         let all: Vec<Node> = p.iter().copied().collect();
+        let all_reversed: Vec<Node> = all.iter().rev().copied().collect();
         prop_assert_eq!(segment.contiguous_range(&all), Some(0..p.len()));
         prop_assert_eq!(segment.contiguous_range(&[]), Some(0..0));
-        // Coalescing must never change the answer.
-        segment.coalesce_range(0..p.len());
-        prop_assert_eq!(
-            segment.contiguous_range(&nodes),
-            p.contiguous_range(&nodes)
-        );
+        // Coalescing must never change an answer.
+        for coalesced in [false, true] {
+            if coalesced {
+                segment.coalesce_range(0..p.len());
+            }
+            prop_assert_eq!(
+                segment.contiguous_range(&nodes),
+                p.contiguous_range(&nodes)
+            );
+            prop_assert_eq!(
+                Arrangement::path_range(&segment, &path),
+                Arrangement::path_range(&p, &path)
+            );
+            prop_assert_eq!(segment.path_range(&all), Some(0..p.len()));
+            prop_assert_eq!(segment.path_range(&all_reversed), Some(0..p.len()));
+        }
     }
 
     #[test]
@@ -471,8 +484,10 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
 
 /// Replays a merge schedule on `arr` (merges stay inside one region of
 /// `regions`, mirroring the sharded backend's region-local contract) and
-/// after **every** merge checks the slot-based `locate_component` against
-/// the full member walk, for every component and every possible anchor.
+/// after **every** merge, move and reverse checks the slot-based
+/// `locate_component` against the full member walk, for every component
+/// and every possible anchor, and `path_range` on each component read in
+/// position order, reversed, and with two adjacent interior nodes swapped.
 fn check_locate_under_merges<A: Arrangement>(
     arr: &mut A,
     regions: &[std::ops::Range<usize>],
@@ -492,6 +507,16 @@ fn check_locate_under_merges<A: Arrangement>(
             let walked = arr
                 .contiguous_range(members)
                 .expect("merged components stay contiguous");
+            let mut path = members.clone();
+            path.sort_by_key(|&v| arr.position_of(v));
+            assert_eq!(arr.path_range(&path), Some(walked.clone()));
+            path.reverse();
+            assert_eq!(arr.path_range(&path), Some(walked.clone()));
+            if path.len() >= 4 {
+                let mid = path.len() / 2;
+                path.swap(mid - 1, mid);
+                assert_eq!(arr.path_range(&path), None, "swapped interior pair");
+            }
             if !arr.supports_component_locate() {
                 continue;
             }

@@ -291,32 +291,12 @@ impl BatchPlanner {
     }
 
     /// Snapshot of the adaptive-window tuning state `(window, full_seals,
-    /// collapse_streak)` — what a checkpoint must persist so a restored
-    /// session resumes the same batch-size trajectory. The look-ahead
-    /// queue is deliberately **not** part of it: checkpoints are taken at
-    /// drained-queue points ([`BatchPlanner::is_empty`]), so queued
-    /// candidates never need to survive a process boundary.
+    /// collapse_streak)`. Session checkpoints (format version 1) carry a
+    /// fresh planner's value as an opaque field; nothing restores it,
+    /// since sessions serve on the sequential loop.
     #[must_use]
     pub fn tuning(&self) -> (usize, u32, u32) {
         (self.window, self.full_seals, self.collapse_streak)
-    }
-
-    /// Restores the adaptive-window tuning state captured by
-    /// [`BatchPlanner::tuning`]. Out-of-range values are clamped to the
-    /// planner's invariants (`1 ≤ window ≤ window_max`,
-    /// `collapse_streak ≤ MAX_COLLAPSE_STREAK`) rather than rejected —
-    /// tuning only steers performance, never correctness.
-    pub fn restore_tuning(&mut self, window: usize, full_seals: u32, collapse_streak: u32) {
-        self.window = window.clamp(1, self.window_max);
-        self.full_seals = full_seals;
-        self.collapse_streak = collapse_streak.min(MAX_COLLAPSE_STREAK);
-    }
-
-    /// Discards every queued candidate (used by the session layer to
-    /// drop speculative look-ahead after a failed apply, so the session
-    /// stays usable for queries and checkpointing).
-    pub fn clear_queue(&mut self) {
-        self.queue.clear();
     }
 
     /// Appends a reveal to the look-ahead queue.

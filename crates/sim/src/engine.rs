@@ -250,7 +250,10 @@ impl<A: OnlineMinla> Simulation<A> {
 
     /// Enables verification that the algorithm's arrangement is a MinLA of
     /// the revealed graph after every reveal. Incremental — `O(|X| + |Z|)`
-    /// per reveal, validating only the merged component.
+    /// per reveal, validating only the merged component through
+    /// [`Arrangement::contiguous_range`] (cliques) or
+    /// [`Arrangement::path_range`] (lines), whose one-segment fast paths
+    /// on the segment backend skip the per-member position lookups.
     #[must_use]
     pub fn check_feasibility(mut self, on: bool) -> Self {
         self.check_feasibility = on;
