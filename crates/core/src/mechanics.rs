@@ -487,6 +487,8 @@ mod tests {
         assert_eq!(orientation_of(&perm, &[Node::new(3)]), Orientation::Forward);
     }
 
+    // The scan that panics runs only in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "neither forward nor reversed")]
     fn orientation_panics_on_scramble() {

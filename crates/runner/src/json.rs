@@ -82,6 +82,7 @@ impl Json {
     /// [`JsonError`] with the byte offset of the first violation.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -175,7 +176,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(x) => out.push_str(&format_number(*x)),
-            Json::UInt(x) => out.push_str(&x.to_string()),
+            Json::UInt(x) => {
+                let _ = write!(out, "{x}");
+            }
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 write_sequence(out, indent, depth, '[', ']', items.len(), |out, i, d| {
@@ -228,21 +231,32 @@ fn write_sequence(
     out.push(close);
 }
 
+/// The bytes that end a verbatim run inside a JSON string: the quote, the
+/// backslash and the control bytes. The writer escapes exactly these and
+/// the parser stops at exactly these. All are ASCII, so a run that ends
+/// at one ends on a char boundary.
+fn ends_string_run(byte: u8) -> bool {
+    matches!(byte, b'"' | b'\\' | 0x00..=0x1F)
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(ends_string_run) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -343,6 +357,7 @@ impl std::error::Error for JsonError {}
 const MAX_PARSE_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -455,6 +470,19 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| ends_string_run(b))
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            // The run stops at an ASCII byte or the end of the input, so
+            // both ends are char boundaries of the `&str` input.
+            let verbatim = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(verbatim);
             let Some(byte) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -487,20 +515,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Consume one UTF-8 scalar; the input is a &str, so
-                    // the boundaries are valid by construction.
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -630,10 +645,35 @@ mod tests {
         );
     }
 
+    /// Characters that end a verbatim run, plus multi-byte scalars that
+    /// must never be split, each with its rendered form.
+    const RUN_SPECIALS: [(&str, &str); 6] = [
+        ("\"", "\\\""),
+        ("\\", "\\\\"),
+        ("\n", "\\n"),
+        ("\u{1}", "\\u0001"),
+        ("é", "é"),
+        ("😀", "😀"),
+    ];
+
+    /// `c` as the first, middle and last character of a 2 kB string.
+    fn long_run(c: &str) -> String {
+        let run = "ab".repeat(500);
+        format!("{c}{run}{c}{run}{c}")
+    }
+
     #[test]
     fn strings_are_escaped() {
-        let value = Json::Str("a\"b\\c\nd\u{1}".to_owned());
-        assert_eq!(value.render_compact(), "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let mut cases = vec![(
+            "a\"b\\c\nd\u{1}".to_owned(),
+            "\"a\\\"b\\\\c\\nd\\u0001\"".to_owned(),
+        )];
+        for (c, escaped) in RUN_SPECIALS {
+            cases.push((long_run(c), format!("\"{}\"", long_run(escaped))));
+        }
+        for (raw, rendered) in cases {
+            assert_eq!(Json::Str(raw).render_compact(), rendered);
+        }
     }
 
     #[test]
@@ -670,7 +710,8 @@ mod tests {
             .field("cost", u128::from(u64::MAX) + 7)
             .field("ratio", 0.75)
             .field("events", vec![0u64, 3, 1])
-            .field("nested", Json::object().field("k", "v\n\"q\""));
+            .field("nested", Json::object().field("k", "v\n\"q\""))
+            .field("runs", RUN_SPECIALS.map(|(c, _)| long_run(c)).to_vec());
         for rendered in [value.render_compact(), value.render_pretty()] {
             assert_eq!(Json::parse(&rendered).unwrap(), value, "{rendered}");
         }
@@ -697,27 +738,30 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_input_with_offsets() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "tru",
-            "01",
-            "1.",
-            "1e",
-            "\"abc",
-            "\"\\x\"",
-            "\"\\uD800\"",
-            "[}",
-            "{\"a\":1,}",
-            "1 2",
-            "nul",
-            "[1]]",
-            "\u{1}",
+        // A raw control byte after 2100 bytes of multi-byte run.
+        let deep = format!("\"{}\u{1}xyz\"", "é😀x".repeat(300));
+        for (bad, offset) in [
+            ("", 0),
+            ("{", 1),
+            ("[1,", 3),
+            ("{\"a\"}", 4),
+            ("tru", 0),
+            ("01", 0),
+            ("1.", 2),
+            ("1e", 2),
+            ("\"abc", 4),
+            ("\"\\x\"", 2),
+            ("\"\\uD800\"", 7),
+            ("[}", 1),
+            ("{\"a\":1,}", 7),
+            ("1 2", 2),
+            ("nul", 0),
+            ("[1]]", 3),
+            ("\u{1}", 0),
+            (deep.as_str(), 2101),
         ] {
             let err = Json::parse(bad).unwrap_err();
-            assert!(err.offset <= bad.len(), "{bad:?}: {err}");
+            assert_eq!(err.offset, offset, "{bad:?}: {err}");
         }
     }
 

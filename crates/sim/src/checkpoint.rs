@@ -16,7 +16,7 @@
 //!      0     8  magic  b"MLACKPT\n"
 //!      8     4  format version (currently 1)
 //!     12     8  body length in bytes
-//!     20     8  CRC-64/ECMA of the body
+//!     20     8  CRC-64/XZ of the body
 //!     28     …  body
 //! ```
 
