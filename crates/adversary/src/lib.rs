@@ -14,8 +14,7 @@
 //! * [`random_clique_instance`] / [`random_line_instance`] — random
 //!   workloads in four [`MergeShape`]s;
 //! * [`sharded_instance`] — multi-tenant workloads: merges confined to
-//!   contiguous node shards, round-robin interleaved — the span-local
-//!   structure the engine's batched parallel serving exploits;
+//!   contiguous node shards, round-robin interleaved;
 //! * [`StreamingWorkload`] — the same workloads as a lazy
 //!   [`RevealSource`](mla_graph::RevealSource): one merge generated per
 //!   pull, no event vector materialized (the `n = 10⁷+` path), with

@@ -7,15 +7,8 @@
 //! start contiguous in the identity arrangement and every merge update
 //! only mutates positions inside its own span, all activity of a shard
 //! stays inside the shard's position range forever — so reveals of
-//! *different* shards have disjoint spans by construction. That makes
-//! sharded workloads the canonical beneficiary of the engine's batched
-//! parallel serving ([`Simulation::parallel`]): consecutive reveals
-//! round-robin across shards seal into batches up to one per shard,
-//! while a uniform single-tenant workload (whose merge spans hull large
-//! stretches of the arrangement) degrades to the sequential loop.
-//!
-//! [`Simulation::parallel`]:
-//! ../mla_sim/struct.Simulation.html#method.parallel
+//! *different* shards have disjoint spans by construction, and each
+//! merge update moves blocks over a short, tenant-local gap.
 
 use mla_graph::{Instance, RevealEvent, Topology};
 use mla_permutation::Node;
@@ -25,11 +18,8 @@ use crate::random::{random_clique_instance, random_line_instance, MergeShape};
 
 /// The shard sizes [`sharded_instance`] uses for `n` nodes over `shards`
 /// shards: as equal as possible, the first `n % shards` shards one node
-/// larger, contiguous ranges covering `0..n` in order. This is the
-/// partition to hand to a region-partitioned arrangement backend
-/// (`ShardedArrangement::with_regions`) so its regions line up with the
-/// workload's tenancy — derive it from here instead of re-computing the
-/// split, so the two can never drift apart.
+/// larger, contiguous ranges covering `0..n` in order: shard `i` owns
+/// the `i`-th range.
 ///
 /// # Examples
 ///
@@ -60,8 +50,7 @@ pub fn shard_sizes(n: usize, shards: usize) -> Vec<usize> {
 ///
 /// Reveals of different shards touch disjoint node ranges, so an online
 /// algorithm starting from the identity arrangement serves them in
-/// disjoint position spans — the structure the batched parallel engine
-/// exploits.
+/// disjoint position spans.
 ///
 /// # Examples
 ///

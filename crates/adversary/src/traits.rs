@@ -22,19 +22,6 @@ pub trait Adversary {
     /// `current` is the online algorithm's arrangement *after* serving the
     /// previous reveal; `state` is the revealed graph so far.
     fn next(&mut self, current: &dyn Arrangement, state: &GraphState) -> Option<RevealEvent>;
-
-    /// Returns `true` if this adversary never inspects the online
-    /// algorithm's arrangement — its reveal sequence is fixed up front
-    /// (or by its own seed). The engine's batched parallel serving relies
-    /// on this: an oblivious sequence can be pulled several reveals ahead
-    /// of the serving frontier, while an adaptive adversary must see the
-    /// arrangement after every single reveal (batch window forced to 1,
-    /// which degenerates to the sequential loop).
-    ///
-    /// Defaults to `false` — adaptivity is the safe assumption.
-    fn is_oblivious(&self) -> bool {
-        false
-    }
 }
 
 /// An oblivious adversary replaying a fixed [`Instance`].
@@ -95,10 +82,6 @@ impl Adversary for Oblivious {
         self.cursor += event.is_some() as usize;
         event
     }
-
-    fn is_oblivious(&self) -> bool {
-        true
-    }
 }
 
 /// Bridges any streaming [`RevealSource`] into the engine's
@@ -157,10 +140,6 @@ impl<S: RevealSource> Adversary for SourceAdversary<S> {
 
     fn next(&mut self, _current: &dyn Arrangement, _state: &GraphState) -> Option<RevealEvent> {
         self.source.next_event()
-    }
-
-    fn is_oblivious(&self) -> bool {
-        true
     }
 }
 

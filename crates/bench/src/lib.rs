@@ -13,9 +13,8 @@
 //!   (`BENCH`-artifact-free);
 //! * `arrangement` — dense vs segment backend over full online runs
 //!   (`BENCH_arrangement.json`, CI speedup gate);
-//! * `parallel_serving` — intra-run batched parallel serving vs the
-//!   sequential reveal loop on a sharded clique campaign
-//!   (`BENCH_parallel.json`, CI scaling gate at `T = 4`).
+//! * `merge_throughput` — lazy vs eager merge snapshots on streamed runs
+//!   (`BENCH_merge.json`, CI speedup gate).
 //!
 //! Run `cargo bench --workspace`; results land in `target/criterion/`.
 

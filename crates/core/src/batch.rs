@@ -1,33 +1,27 @@
-//! The decide / plan / apply decomposition behind batched serving.
+//! The locate / decide / plan / apply decomposition of a merge update.
 //!
-//! A sequential [`OnlineMinla::serve`] interleaves three concerns:
-//! drawing randomness, locating the merging blocks and pricing the
-//! update, and mutating the arrangement. The engine's parallel serving
-//! path needs them apart, because each runs in a different phase of the
-//! batch pipeline:
+//! An [`OnlineMinla::serve`] call interleaves four concerns, which this
+//! module names apart:
 //!
-//! 1. **locate** ([`MergeLayout::locate`]) — pure `&Arrangement` reads,
-//!    performed for a whole window of reveals from worker threads;
+//! 1. **locate** ([`MergeLayout::locate`]) — pure `&Arrangement` reads:
+//!    where the two merging blocks sit and how they read;
 //! 2. **decide** ([`BatchServe::decide`]) — draws the merge's random
-//!    choices from the algorithm's RNG, strictly in reveal order (this is
-//!    what keeps batched runs bit-identical to sequential ones);
+//!    choices from the algorithm's RNG, in reveal order;
 //! 3. **plan** ([`BatchServe::build_plan`]) — a pure function from
-//!    snapshot + layout + decision to a priced [`MergePlan`], callable
-//!    from worker threads (it never touches the arrangement);
+//!    snapshot + layout + decision to a priced [`MergePlan`];
 //! 4. **apply** ([`BatchServe::apply_plan`]) — executes the plan as one
-//!    [`merge_move`](mla_permutation::Arrangement::merge_move), in reveal
-//!    order.
+//!    [`merge_move`](mla_permutation::Arrangement::merge_move).
 //!
-//! The sequential `serve` of [`RandCliques`](crate::RandCliques) and
-//! [`RandLines`](crate::RandLines) is implemented *through* this
-//! decomposition, so there is exactly one copy of the update logic and
-//! "batched ≡ sequential" holds by construction for the parts that do not
-//! depend on scheduling.
+//! [`RandCliques`](crate::RandCliques) implements its `serve` *through*
+//! [`BatchServe`], so the steps can also be called (and timed) one at a
+//! time with the same result. [`RandLines`](crate::RandLines) locates
+//! and decides the same way, then stages the rewritten path in a reused
+//! buffer inside `serve`.
 
 use std::ops::Range;
 
 use mla_graph::MergeInfo;
-use mla_permutation::{Arrangement, Node};
+use mla_permutation::Arrangement;
 
 use crate::mechanics::{rearrange_choices_pure, BlockLayout, Orientation, RearrangeChoices};
 use crate::report::UpdateReport;
@@ -48,10 +42,6 @@ pub struct MergeLayout {
 
 impl MergeLayout {
     /// Locates both components of `info` in `arr` (one oriented locate).
-    ///
-    /// Read-only: safe to call concurrently from worker threads for
-    /// merges whose spans are pairwise disjoint — or for any set of
-    /// merges, since reads never change the arrangement.
     ///
     /// # Panics
     ///
@@ -133,18 +123,6 @@ impl MergeLayout {
         }
     }
 
-    /// The half-open hull of positions this merge's update can touch: the
-    /// update moves one block to the other over the gap between them, so
-    /// every mutation stays inside `[min start, max end)`. Two merges
-    /// whose spans are disjoint therefore commute — the conflict relation
-    /// the batch planner is built on.
-    #[must_use]
-    pub fn span(&self) -> Range<usize> {
-        let start = self.layout.x_range.start.min(self.layout.z_range.start);
-        let end = self.layout.x_range.end.max(self.layout.z_range.end);
-        start..end
-    }
-
     /// The two rearranging options for this layout (lines), in closed
     /// form from sizes, sides and orientations.
     #[must_use]
@@ -170,38 +148,31 @@ pub struct MergeDecision {
     pub forward: bool,
 }
 
-/// A fully decided and priced merge update, ready to execute as one
-/// [`merge_move`](mla_permutation::Arrangement::merge_move).
+/// A fully decided and priced order-preserving merge update, ready to
+/// execute as one [`merge_move`](mla_permutation::Arrangement::merge_move).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergePlan {
     /// The block that travels over the gap.
     pub mover: Range<usize>,
     /// The block that stays put.
     pub stayer: Range<usize>,
-    /// The merged block's final content (position order), when the
-    /// rearranging part changes it; `None` for order-preserving merges.
-    pub target: Option<Vec<Node>>,
     /// The exact update cost, priced in closed form at planning time.
     pub report: UpdateReport,
 }
 
-/// Online algorithms whose `serve` decomposes into decide / plan / apply,
-/// making them eligible for the engine's batched parallel serving.
+/// Online algorithms whose `serve` decomposes into decide / plan / apply.
 ///
 /// The contract: for every reveal,
 /// `apply_plan(build_plan(info, locate(arr, info), decide(info, layout)))`
 /// must be observably identical to `serve(event, info, state)` — same RNG
-/// draws in the same order, same arrangement mutations, same reported
-/// cost. `RandCliques` and `RandLines` implement `serve` through exactly
-/// this pipeline.
+/// draws in the same order, same arrangement mutation, same reported
+/// cost. `RandCliques` implements `serve` through exactly this pipeline.
 pub trait BatchServe: OnlineMinla {
-    /// Draws this merge's random choices. Called strictly in reveal
-    /// order, whether the run is sequential or batched — the RNG stream
-    /// is part of the determinism contract.
+    /// Draws this merge's random choices, in reveal order — the RNG
+    /// stream is part of the determinism contract.
     fn decide(&mut self, info: &MergeInfo, layout: &MergeLayout) -> MergeDecision;
 
-    /// Pure plan construction: no `self`, no arrangement access — safe on
-    /// worker threads.
+    /// Pure plan construction: no `self`, no arrangement access.
     fn build_plan(info: &MergeInfo, layout: &MergeLayout, decision: MergeDecision) -> MergePlan;
 
     /// Mutable access to the arrangement, for [`BatchServe::apply_plan`].
@@ -211,64 +182,20 @@ pub trait BatchServe: OnlineMinla {
     /// report is the plan's closed-form price; debug builds verify the
     /// backend charged exactly that.
     fn apply_plan(&mut self, plan: MergePlan) -> UpdateReport {
-        let moving_cost =
-            self.arrangement_mut()
-                .merge_move(plan.mover, plan.stayer, plan.target.as_deref());
+        let moving_cost = self
+            .arrangement_mut()
+            .merge_move(plan.mover, plan.stayer, None);
         debug_assert_eq!(moving_cost, plan.report.moving_cost);
         plan.report
-    }
-}
-
-/// Fills `content` with the merged path's target content for the chosen
-/// orientation: `x.nodes ++ z.nodes` forward, or
-/// `reverse(z.nodes) ++ reverse(x.nodes)`. Shared by `RandLines`'
-/// batched plan construction (fresh buffer per plan — plans cross
-/// threads) and its sequential `serve` (reused scratch buffer).
-pub(crate) fn fill_line_target(content: &mut Vec<Node>, info: &MergeInfo, forward: bool) {
-    content.clear();
-    content.reserve(info.merged_len());
-    if forward {
-        content.extend(info.x.nodes().iter().copied());
-        content.extend(info.z.nodes().iter().copied());
-    } else {
-        content.extend(info.z.nodes().iter().rev().copied());
-        content.extend(info.x.nodes().iter().rev().copied());
-    }
-}
-
-/// Shared plan construction: mover/stayer split plus the moving part's
-/// closed-form price `|mover| × gap`; the caller supplies the rearranging
-/// part (lines) or none (cliques).
-pub(crate) fn plan_move(
-    layout: &MergeLayout,
-    x_moves: bool,
-    target: Option<Vec<Node>>,
-    rearranging_cost: u64,
-) -> MergePlan {
-    let gap = layout.layout.gap() as u64;
-    let (mover, stayer) = if x_moves {
-        (layout.layout.x_range.clone(), layout.layout.z_range.clone())
-    } else {
-        (layout.layout.z_range.clone(), layout.layout.x_range.clone())
-    };
-    let report = UpdateReport {
-        moving_cost: mover.len() as u64 * gap,
-        rearranging_cost,
-    };
-    MergePlan {
-        mover,
-        stayer,
-        target,
-        report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RandCliques, RandLines};
+    use crate::RandCliques;
     use mla_graph::{GraphState, RevealEvent, Topology};
-    use mla_permutation::{Permutation, SegmentArrangement};
+    use mla_permutation::{Node, Permutation, SegmentArrangement};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -279,17 +206,17 @@ mod tests {
     /// Drives one algorithm with `serve` and an identically seeded twin
     /// through the decide / plan / apply pipeline; both must agree on
     /// every report and on the final arrangement.
-    fn check_decomposition<A, F>(topology: Topology, n: usize, make: F)
+    fn check_decomposition<A, F>(n: usize, make: F)
     where
         A: BatchServe,
         F: Fn() -> A,
     {
+        let topology = Topology::Cliques;
         let mut served_state = GraphState::new(topology, n);
         let mut planned_state = GraphState::new(topology, n);
         let mut serve_alg = make();
         let mut plan_alg = make();
-        // A chain keeps both topologies valid and exercises non-trivial
-        // gaps, orientations and rearrangements.
+        // A chain exercises non-trivial gaps.
         for i in 1..n {
             let event = ev(i - 1, i);
             let info = served_state.apply(event).unwrap();
@@ -299,7 +226,7 @@ mod tests {
             let decision = plan_alg.decide(&info, &layout);
             let plan = A::build_plan(&info, &layout, decision);
             let b = plan_alg.apply_plan(plan);
-            assert_eq!(a, b, "{topology:?} step {i}");
+            assert_eq!(a, b, "step {i}");
             assert!(planned_state.is_minla(plan_alg.arrangement()));
         }
         assert_eq!(
@@ -309,40 +236,21 @@ mod tests {
     }
 
     /// The decomposed pipeline must reproduce `serve` exactly, RNG stream
-    /// included, on both topologies and backends. Random starting
-    /// arrangements make the gaps, orientations and rearrangements
-    /// non-trivial.
+    /// included, on both backends. Random starting arrangements make the
+    /// gaps non-trivial.
     #[test]
     fn decomposition_matches_serve() {
         for seed in 0..5 {
             let pi0 = Permutation::random(16, &mut SmallRng::seed_from_u64(seed));
-            check_decomposition(Topology::Cliques, 16, || {
+            check_decomposition(16, || {
                 RandCliques::new(
                     SegmentArrangement::from_permutation(&pi0),
                     SmallRng::seed_from_u64(11 + seed),
                 )
             });
-            check_decomposition(Topology::Cliques, 16, || {
+            check_decomposition(16, || {
                 RandCliques::new(pi0.clone(), SmallRng::seed_from_u64(11 + seed))
             });
-            check_decomposition(Topology::Lines, 16, || {
-                RandLines::new(
-                    SegmentArrangement::from_permutation(&pi0),
-                    SmallRng::seed_from_u64(11 + seed),
-                )
-            });
-            check_decomposition(Topology::Lines, 16, || {
-                RandLines::new(pi0.clone(), SmallRng::seed_from_u64(11 + seed))
-            });
         }
-    }
-
-    #[test]
-    fn span_is_the_hull_of_both_blocks() {
-        let mut state = GraphState::new(Topology::Cliques, 8);
-        let info = state.apply(ev(1, 6)).unwrap();
-        let arr = Permutation::identity(8);
-        let layout = MergeLayout::locate(&arr, &info);
-        assert_eq!(layout.span(), 1..7);
     }
 }

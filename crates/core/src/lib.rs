@@ -22,12 +22,9 @@
 //! snapshots to the algorithm, which updates its arrangement and returns
 //! the exact cost in adjacent transpositions.
 //!
-//! The randomized algorithms additionally implement [`BatchServe`] — the
-//! decide / plan / apply decomposition of `serve` (module [`batch`]) that
-//! the engine's batched parallel executor schedules across worker
-//! threads: RNG draws stay in reveal order, plan construction is pure,
-//! and span-disjoint merge updates commute, so batched runs are
-//! bit-identical to sequential ones.
+//! [`RandCliques`] additionally implements [`BatchServe`] — the decide /
+//! plan / apply decomposition of its `serve` (module [`batch`]), whose
+//! steps can be called one at a time with the same result.
 //!
 //! Every algorithm is generic over the
 //! [`Arrangement`](mla_permutation::Arrangement) backend: the dense

@@ -5,7 +5,7 @@ use mla_graph::{GraphState, MergeInfo, RevealEvent, Topology};
 use mla_permutation::{Arrangement, Permutation};
 use rand::Rng;
 
-use crate::batch::{plan_move, BatchServe, MergeDecision, MergeLayout, MergePlan};
+use crate::batch::{BatchServe, MergeDecision, MergeLayout, MergePlan};
 use crate::policies::MovePolicy;
 use crate::report::UpdateReport;
 use crate::traits::OnlineMinla;
@@ -110,9 +110,8 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandCliques<R, P> {
     fn serve(&mut self, _event: RevealEvent, info: &MergeInfo, state: &GraphState) -> UpdateReport {
         debug_assert_eq!(state.topology(), Topology::Cliques);
         // One locate, then the whole update — move + coalesce — as a
-        // single backend operation, via the shared decide / plan / apply
-        // decomposition (the batched engine runs the same three calls in
-        // separate pipeline phases).
+        // single backend operation, via the decide / plan / apply
+        // decomposition.
         let layout = MergeLayout::locate(&self.perm, info);
         let decision = self.decide(info, &layout);
         let plan = Self::build_plan(info, &layout, decision);
@@ -152,8 +151,22 @@ impl<R: Rng, P: Arrangement> BatchServe for RandCliques<R, P> {
 
     fn build_plan(_info: &MergeInfo, layout: &MergeLayout, decision: MergeDecision) -> MergePlan {
         // Cliques have no rearranging part: any contiguous layout of a
-        // clique is a MinLA, so the update is the moving part alone.
-        plan_move(layout, decision.x_moves, None, 0)
+        // clique is a MinLA, so the update is the moving part alone,
+        // priced `|mover| × gap`.
+        let (mover, stayer) = if decision.x_moves {
+            (layout.layout.x_range.clone(), layout.layout.z_range.clone())
+        } else {
+            (layout.layout.z_range.clone(), layout.layout.x_range.clone())
+        };
+        let report = UpdateReport {
+            moving_cost: mover.len() as u64 * layout.layout.gap() as u64,
+            rearranging_cost: 0,
+        };
+        MergePlan {
+            mover,
+            stayer,
+            report,
+        }
     }
 
     fn arrangement_mut(&mut self) -> &mut P {

@@ -5,9 +5,7 @@ use mla_graph::{GraphState, MergeInfo, RevealEvent, Topology};
 use mla_permutation::{Arrangement, Permutation};
 use rand::Rng;
 
-use crate::batch::{
-    fill_line_target, plan_move, BatchServe, MergeDecision, MergeLayout, MergePlan,
-};
+use crate::batch::{MergeDecision, MergeLayout};
 use crate::mechanics::RearrangeChoices;
 use crate::policies::{MovePolicy, RearrangePolicy};
 use crate::rand_cliques::x_moves;
@@ -99,6 +97,30 @@ impl<R: Rng, P: Arrangement> RandLines<R, P> {
         (self.move_policy, self.rearrange_policy)
     }
 
+    /// Draws this merge's random choices. Draw order matters for seed
+    /// reproducibility: the move coin first, then (total cost
+    /// permitting) the rearrange coin.
+    fn decide(&mut self, info: &MergeInfo, layout: &MergeLayout) -> MergeDecision {
+        let x_moves = x_moves(&mut self.rng, self.move_policy, info.x.len(), info.z.len());
+        let forward = self.pick_forward(&layout.choices(info));
+        MergeDecision { x_moves, forward }
+    }
+
+    /// Fills `scratch` with the merged path's target content from the
+    /// eager snapshots: `x.nodes ++ z.nodes` forward, or
+    /// `reverse(z.nodes) ++ reverse(x.nodes)`.
+    fn fill_target_from_snapshots(&mut self, info: &MergeInfo, forward: bool) {
+        self.scratch.clear();
+        self.scratch.reserve(info.merged_len());
+        if forward {
+            self.scratch.extend(info.x.nodes().iter().copied());
+            self.scratch.extend(info.z.nodes().iter().copied());
+        } else {
+            self.scratch.extend(info.z.nodes().iter().rev().copied());
+            self.scratch.extend(info.x.nodes().iter().rev().copied());
+        }
+    }
+
     /// Rebuilds the merged path's target content into `scratch` without
     /// member lists: the forward target `x.nodes ++ z.nodes` is the
     /// post-merge path read across the just-committed edge `(a, b)`
@@ -162,12 +184,8 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandLines<R, P> {
         // sizes, orientations and sides — none changed by the moving
         // part — so both parts are decided up front and the whole update
         // executes as a single backend operation: the merged path's final
-        // content is known in closed form from the snapshots. Same
-        // locate / decide semantics as the batched engine's pipeline
-        // (`BatchServe`), but with the target staged in the reused
-        // `scratch` buffer: the sequential loop never allocates per
-        // merge, while `build_plan` must own its buffer because plans
-        // cross threads.
+        // content is known in closed form from the snapshots, and is
+        // staged in the reused `scratch` buffer, so no merge allocates.
         let layout = MergeLayout::locate(&self.perm, info);
         let decision = self.decide(info, &layout);
         let option = {
@@ -185,7 +203,7 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandLines<R, P> {
             if info.x.is_lazy() || info.z.is_lazy() {
                 self.fill_target_from_state(info, state, decision.forward);
             } else {
-                fill_line_target(&mut self.scratch, info, decision.forward);
+                self.fill_target_from_snapshots(info, decision.forward);
             }
             Some(self.scratch.as_slice())
         } else {
@@ -224,40 +242,6 @@ impl<P: Arrangement> crate::snapshot::PolicyState for RandLines<rand::rngs::Smal
     ) -> Result<(), mla_permutation::codec::CodecError> {
         self.rng = rand::rngs::SmallRng::from_state(crate::snapshot::read_rng_state(r)?);
         Ok(())
-    }
-}
-
-impl<R: Rng, P: Arrangement> BatchServe for RandLines<R, P> {
-    fn decide(&mut self, info: &MergeInfo, layout: &MergeLayout) -> MergeDecision {
-        // Draw order matters for seed reproducibility: the move coin
-        // first, then (total cost permitting) the rearrange coin —
-        // exactly the order sequential serving has always used.
-        let x_moves = x_moves(&mut self.rng, self.move_policy, info.x.len(), info.z.len());
-        let forward = self.pick_forward(&layout.choices(info));
-        MergeDecision { x_moves, forward }
-    }
-
-    fn build_plan(info: &MergeInfo, layout: &MergeLayout, decision: MergeDecision) -> MergePlan {
-        let choices = layout.choices(info);
-        let option = if decision.forward {
-            choices.forward
-        } else {
-            choices.reversed
-        };
-        // A free option means every required op is a no-op (singleton
-        // reversals), i.e. the post-move content already reads as the
-        // target — skip the bulk rewrite so the backend's cheap
-        // order-preserving fold applies.
-        let target = (option.cost > 0).then(|| {
-            let mut content = Vec::new();
-            fill_line_target(&mut content, info, decision.forward);
-            content
-        });
-        plan_move(layout, decision.x_moves, target, option.cost)
-    }
-
-    fn arrangement_mut(&mut self) -> &mut P {
-        &mut self.perm
     }
 }
 

@@ -7,7 +7,7 @@
 //! * [`wants_lazy_info`] — size-only [`MergeInfo`] snapshots for
 //!   policies that decide without member lists (the merge hot path);
 //! * [`BatchServe`](crate::BatchServe) — the decide / plan / apply
-//!   split the batched parallel executor drives.
+//!   split of a clique merge update, callable one step at a time.
 //!
 //! [`serve`]: OnlineMinla::serve
 //! [`wants_lazy_info`]: OnlineMinla::wants_lazy_info

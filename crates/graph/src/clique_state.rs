@@ -57,14 +57,6 @@ impl CliqueState {
         self.dsu.same_set(a, b)
     }
 
-    /// A representative node identifying `v`'s clique: two nodes share a
-    /// clique iff their representatives are equal. Stable between
-    /// mutations only.
-    #[must_use]
-    pub fn component_id(&self, v: Node) -> Node {
-        self.dsu.find_immutable(v)
-    }
-
     /// Nodes of the clique containing `v` (arbitrary order).
     #[must_use]
     pub fn component_nodes(&self, v: Node) -> Vec<Node> {
@@ -103,9 +95,7 @@ impl CliqueState {
 
     /// Validates a merge reveal and snapshots the two cliques it would
     /// merge, **without** mutating the state. This is the read-only half
-    /// of [`CliqueState::apply`]: it is safe to call from several threads
-    /// at once (the batched engine peeks a whole window of reveals in
-    /// parallel before committing any of them).
+    /// of [`CliqueState::apply`].
     ///
     /// # Errors
     ///

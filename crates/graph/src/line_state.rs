@@ -69,14 +69,6 @@ impl LineState {
         self.dsu.same_set(a, b)
     }
 
-    /// A representative node identifying `v`'s path: two nodes share a
-    /// path iff their representatives are equal. Stable between
-    /// mutations only.
-    #[must_use]
-    pub fn component_id(&self, v: Node) -> Node {
-        self.dsu.find_immutable(v)
-    }
-
     /// Degree of `v` in the current graph (0, 1 or 2).
     #[must_use]
     pub fn degree(&self, v: Node) -> usize {
@@ -211,9 +203,7 @@ impl LineState {
 
     /// Validates an edge reveal and snapshots the two paths it would join,
     /// **without** mutating the state — the read-only half of
-    /// [`LineState::apply`], safe to call from several threads at once
-    /// (the batched engine peeks a whole window of reveals in parallel
-    /// before committing any of them).
+    /// [`LineState::apply`].
     ///
     /// # Errors
     ///
@@ -344,7 +334,12 @@ impl LineState {
         r: &mut mla_permutation::codec::ByteReader<'_>,
     ) -> Result<Self, mla_permutation::codec::CodecError> {
         use mla_permutation::codec::CodecError;
-        let n = r.count(u32::MAX as usize, "line-state node")?;
+        // Two 4-byte neighbor slots per node: bounding the count by the
+        // input left makes a short body fail before the allocation.
+        let n = r.count(
+            (u32::MAX as usize).min(r.remaining() / 8),
+            "line-state node",
+        )?;
         let mut neighbors = Vec::with_capacity(n);
         for v in 0..n {
             let mut slots = [NO_NEIGHBOR, NO_NEIGHBOR];

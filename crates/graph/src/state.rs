@@ -244,17 +244,6 @@ impl GraphState {
         }
     }
 
-    /// A representative node identifying `v`'s component: two nodes share
-    /// a component iff their representatives are equal. Only stable
-    /// between mutations.
-    #[must_use]
-    pub fn component_id(&self, v: Node) -> Node {
-        match self {
-            GraphState::Cliques(s) => s.component_id(v),
-            GraphState::Lines(s) => s.component_id(v),
-        }
-    }
-
     /// Nodes of the component containing `v`. For lines, in path order
     /// (canonical orientation); for cliques, arbitrary order.
     #[must_use]
@@ -305,10 +294,7 @@ impl GraphState {
 
     /// Validates one reveal and snapshots the two components it would
     /// merge, without mutating the state. This is the read-only half of
-    /// [`GraphState::apply`] — it only reads `&self`, so a batch of
-    /// reveals against the same state can be peeked from worker threads
-    /// concurrently (the engine's parallel serving path does exactly
-    /// that, then commits the non-conflicting prefix in reveal order).
+    /// [`GraphState::apply`]; [`GraphState::commit`] is the other.
     ///
     /// # Errors
     ///

@@ -182,9 +182,8 @@ impl UnionFind {
     ///
     /// Exactness matters for the determinism contract: member-walk order
     /// feeds the eager component snapshots the algorithms rearrange from,
-    /// and root identity feeds planner cache keys, so a restore must
-    /// reproduce the arrays bit-for-bit rather than any equivalent
-    /// partition.
+    /// so a restore must reproduce the arrays bit-for-bit rather than any
+    /// equivalent partition.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         mla_permutation::codec::put_len(out, self.len());
         for &p in &self.parent {
@@ -211,7 +210,12 @@ impl UnionFind {
         r: &mut mla_permutation::codec::ByteReader<'_>,
     ) -> Result<Self, mla_permutation::codec::CodecError> {
         use mla_permutation::codec::CodecError;
-        let n = r.count(u32::MAX as usize, "union-find node")?;
+        // Three 4-byte entries per node: bounding the count by the input
+        // left makes a short body fail before the allocations.
+        let n = r.count(
+            (u32::MAX as usize).min(r.remaining() / 12),
+            "union-find node",
+        )?;
         let mut parent = Vec::with_capacity(n);
         let mut next = Vec::with_capacity(n);
         let mut size = Vec::with_capacity(n);

@@ -254,53 +254,6 @@ pub trait Arrangement {
     ///
     /// Panics if `range` is out of bounds or the lengths differ.
     fn write_merged_block(&mut self, range: Range<usize>, content: &[Node]);
-
-    /// Applies a batch of **span-disjoint** merge updates, returning each
-    /// update's moving cost in op order. Observably equivalent to calling
-    /// [`merge_move`](Arrangement::merge_move) for each op in order — and
-    /// that is exactly the default implementation; `threads` is a hint
-    /// that partitioned backends
-    /// ([`ShardedArrangement`](crate::ShardedArrangement)) use to execute
-    /// ops of different partitions on worker threads. Because the spans
-    /// are disjoint, the ops commute, so any execution order yields the
-    /// identical arrangement.
-    ///
-    /// The caller guarantees pairwise-disjoint spans (the engine's batch
-    /// planner seals exactly such batches); backends need not re-check.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`merge_move`](Arrangement::merge_move) does for any op.
-    fn apply_merge_batch(&mut self, ops: Vec<MergeOp>, threads: usize) -> Vec<u64> {
-        let _ = threads;
-        ops.into_iter()
-            .map(|op| self.merge_move(op.mover, op.stayer, op.target.as_deref()))
-            .collect()
-    }
-}
-
-/// One decided merge update — the arguments of one
-/// [`Arrangement::merge_move`] call, owned so batches can be shipped to
-/// worker threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeOp {
-    /// The block that travels over the gap.
-    pub mover: Range<usize>,
-    /// The block that stays put.
-    pub stayer: Range<usize>,
-    /// Final merged content (position order) when the rearranging part
-    /// changes it; `None` for order-preserving merges.
-    pub target: Option<Vec<Node>>,
-}
-
-impl MergeOp {
-    /// The half-open hull of positions this op mutates.
-    #[must_use]
-    pub fn span(&self) -> Range<usize> {
-        let start = self.mover.start.min(self.stayer.start);
-        let end = self.mover.end.max(self.stayer.end);
-        start..end
-    }
 }
 
 /// [`Arrangement::path_range`] from per-node positions, in one pass: the

@@ -14,13 +14,7 @@
 //!   `O(n log n)` Kendall tau distance;
 //! * [`SegmentArrangement`] — the **segment** backend: an ordered list of
 //!   component segments over an implicit-key treap, `O(log n)` block
-//!   splices with closed-form costs — the large-`n` workhorse (`Sync`:
-//!   worker threads may locate blocks through `&self` concurrently);
-//! * [`ShardedArrangement`] — the **partitioned** backend: one
-//!   independent segment treap per fixed contiguous region, shallower
-//!   walks plus partitioned-write batch execution
-//!   ([`Arrangement::apply_merge_batch`] over [`MergeOp`]s) for
-//!   multi-tenant workloads whose merges never cross regions;
+//!   splices with closed-form costs — the large-`n` workhorse;
 //! * inversion counting ([`count_inversions`], [`FenwickTree`]);
 //! * pair-set utilities mirroring the paper's `L_π` notation
 //!   ([`concordant_pairs`], [`internal_concordant_pairs`],
@@ -56,13 +50,9 @@ mod node;
 mod pairs;
 mod perm;
 mod segment;
-pub mod shadow;
-mod sharded;
 
-pub use arrangement::{Arrangement, MergeOp};
+pub use arrangement::Arrangement;
 pub use error::PermutationError;
-pub use shadow::ShadowLog;
-pub use sharded::ShardedArrangement;
 
 /// The maximum node count either arrangement backend can address.
 ///

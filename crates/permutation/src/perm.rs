@@ -229,7 +229,9 @@ impl Permutation {
     pub fn decode_from(
         r: &mut crate::codec::ByteReader<'_>,
     ) -> Result<Self, crate::codec::CodecError> {
-        let n = r.count(crate::MAX_NODES, "permutation node")?;
+        // Each node is a 4-byte entry: bounding the count by the input
+        // left makes a short body fail before the allocation.
+        let n = r.count(crate::MAX_NODES.min(r.remaining() / 4), "permutation node")?;
         let mut indices = Vec::with_capacity(n);
         for _ in 0..n {
             indices.push(r.u32()? as usize);

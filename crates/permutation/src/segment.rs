@@ -34,9 +34,9 @@
 //! constructors reject larger node counts up front instead of silently
 //! truncating those fields.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use crate::arrangement::Arrangement;
 use crate::inversions::count_inversions;
@@ -52,131 +52,46 @@ const NIL: u32 = u32::MAX;
 /// few KB of empty capacity.
 const POOL_CAP: usize = 64;
 
-/// One seqlock-published "this range is exactly this segment" fact.
-/// `version == u64::MAX` means never written.
-#[derive(Debug)]
-struct MemoSlot {
-    /// Sequence word: even = stable, odd = a publish is in progress.
-    seq: AtomicU64,
-    /// Arrangement version the fact was recorded at.
-    version: AtomicU64,
-    /// The range's start position.
-    start: AtomicU64,
-    /// Packed `len << 32 | slot` (both bounded by the `u32` capacity).
-    len_slot: AtomicU64,
-}
-
-impl MemoSlot {
-    fn empty() -> Self {
-        MemoSlot {
-            seq: AtomicU64::new(0),
-            version: AtomicU64::new(u64::MAX),
-            start: AtomicU64::new(0),
-            len_slot: AtomicU64::new(0),
-        }
-    }
+/// One verified "the range `start..start + len` is exactly segment
+/// `slot`" fact, recorded at arrangement `version`.
+#[derive(Debug, Clone, Copy)]
+struct MemoFact {
+    version: u64,
+    start: usize,
+    len: u32,
+    slot: u32,
 }
 
 /// The last two verified range→segment facts (the two blocks a merge
 /// update locates), so the update itself needs no rediscovery walks.
 ///
-/// Published through a two-entry **seqlock** over plain atomics: readers
-/// and writers never block each other. The previous `Mutex` + `try_lock`
-/// scheme kept the type `Sync` but serialized every recall through one
-/// lock word and dropped facts whenever peeks contended; here contention
-/// costs at most a missed cache entry. Torn reads are impossible — a
-/// reader re-checks the sequence word after reading the fields and
-/// simply misses on any concurrent publish, which is always safe: the
-/// memo is a pure cache, consulted only at the version it was recorded
-/// (any mutation bumps the version through `&mut self`).
-#[derive(Debug)]
+/// A pure cache written through `&self` (locates are reads): a fact is
+/// consulted only at the version it was recorded, and every mutation
+/// bumps the version through `&mut self`.
+#[derive(Debug, Clone, Default)]
 struct SegMemo {
-    entries: [MemoSlot; 2],
-    /// Rotating write cursor: alternating publishes overwrite the older
-    /// entry, preserving the keep-the-last-two semantics.
-    cursor: AtomicUsize,
+    entries: [Cell<Option<MemoFact>>; 2],
+    /// Alternating write cursor: each publish overwrites the older
+    /// entry, keeping the last two facts.
+    cursor: Cell<usize>,
 }
 
 impl SegMemo {
-    fn empty() -> Self {
-        SegMemo {
-            entries: [MemoSlot::empty(), MemoSlot::empty()],
-            cursor: AtomicUsize::new(0),
-        }
+    fn publish(&self, fact: MemoFact) {
+        let idx = self.cursor.get();
+        self.cursor.set(idx ^ 1);
+        self.entries[idx].set(Some(fact));
     }
 
-    /// Publishes a fact; skips (never blocks) under contention.
-    fn publish(&self, version: u64, start: usize, len: u32, slot: u32) {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed) & 1;
-        let entry = &self.entries[idx];
-        let seq = entry.seq.load(Ordering::Relaxed);
-        if seq & 1 == 1 {
-            return;
-        }
-        if entry
-            .seq
-            .compare_exchange(
-                seq,
-                seq.wrapping_add(1),
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        entry.version.store(version, Ordering::Relaxed);
-        entry.start.store(start as u64, Ordering::Relaxed);
-        entry
-            .len_slot
-            .store((u64::from(len) << 32) | u64::from(slot), Ordering::Relaxed);
-        entry.seq.store(seq.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Looks up a fact for `range` recorded at `version`; misses (rather
-    /// than blocks) on concurrent publishes.
+    /// The slot of a fact for `range` recorded at `version`, if any.
     fn recall(&self, version: u64, range: &Range<usize>) -> Option<u32> {
-        for entry in &self.entries {
-            let Some((fact_version, start, len_slot)) = Self::read_entry(entry) else {
-                continue;
-            };
-            if fact_version == version
-                && start as usize == range.start
-                && (len_slot >> 32) as usize == range.len()
-            {
-                return Some(len_slot as u32);
-            }
-        }
-        None
-    }
-
-    /// Seqlock read of one entry: `None` on a concurrent publish.
-    fn read_entry(entry: &MemoSlot) -> Option<(u64, u64, u64)> {
-        let seq = entry.seq.load(Ordering::Acquire);
-        if seq & 1 == 1 {
-            return None;
-        }
-        let version = entry.version.load(Ordering::Relaxed);
-        let start = entry.start.load(Ordering::Relaxed);
-        let len_slot = entry.len_slot.load(Ordering::Relaxed);
-        fence(Ordering::Acquire);
-        (entry.seq.load(Ordering::Relaxed) == seq).then_some((version, start, len_slot))
-    }
-
-    /// A point-in-time copy (for `Clone`); entries caught mid-publish
-    /// come out empty, which only costs a possible rediscovery walk.
-    fn snapshot(&self) -> SegMemo {
-        let copy = SegMemo::empty();
-        for (i, entry) in self.entries.iter().enumerate() {
-            if let Some((version, start, len_slot)) = Self::read_entry(entry) {
-                copy.entries[i].version.store(version, Ordering::Relaxed);
-                copy.entries[i].start.store(start, Ordering::Relaxed);
-                copy.entries[i].len_slot.store(len_slot, Ordering::Relaxed);
-            }
-        }
-        copy.cursor
-            .store(self.cursor.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy
+        self.entries.iter().find_map(|entry| {
+            let fact = entry.get()?;
+            (fact.version == version
+                && fact.start == range.start
+                && fact.len as usize == range.len())
+            .then_some(fact.slot)
+        })
     }
 }
 
@@ -291,10 +206,7 @@ pub struct SegmentArrangement {
     /// Mutation counter: bumped before every structural change so the
     /// range memo below can be trusted only between mutations.
     version: u64,
-    /// Seqlock-published range→segment facts; keeps the whole
-    /// arrangement `Sync` without a lock: the engine's batched serving
-    /// path locates a window of merges from worker threads through
-    /// `&self` reads.
+    /// The last two located range→segment facts.
     memo: SegMemo,
 }
 
@@ -311,7 +223,7 @@ impl Clone for SegmentArrangement {
             node_off: self.node_off.clone(),
             prio_counter: self.prio_counter,
             version: self.version,
-            memo: self.memo.snapshot(),
+            memo: self.memo.clone(),
         }
     }
 }
@@ -368,7 +280,7 @@ impl SegmentArrangement {
             node_off: vec![0; n],
             prio_counter: 0,
             version: 0,
-            memo: SegMemo::empty(),
+            memo: SegMemo::default(),
         };
         let slots: Vec<u32> = nodes.map(|v| arr.alloc_seg(vec![v], false)).collect();
         debug_assert_eq!(slots.len(), n, "builder must supply exactly n nodes");
@@ -973,9 +885,12 @@ impl SegmentArrangement {
         r: &mut crate::codec::ByteReader<'_>,
     ) -> Result<Self, crate::codec::CodecError> {
         use crate::codec::CodecError;
-        let n = r.count(crate::MAX_NODES, "arrangement node")?;
+        // Counts that size an allocation are bounded by what the rest of
+        // the input can hold (a node is a 4-byte entry, a segment at
+        // least 13 bytes), so a short body fails before allocating.
+        let n = r.count(crate::MAX_NODES.min(r.remaining() / 4), "arrangement node")?;
         let prio_counter = r.u64()?;
-        let seg_count = r.count(n, "segment")?;
+        let seg_count = r.count(n.min(r.remaining() / 13), "segment")?;
         let mut arr = SegmentArrangement {
             tree: SegTree::with_capacity(n),
             content: Vec::with_capacity(seg_count),
@@ -986,14 +901,14 @@ impl SegmentArrangement {
             node_off: vec![0; n],
             prio_counter: 0,
             version: 0,
-            memo: SegMemo::empty(),
+            memo: SegMemo::default(),
         };
         let mut seen = vec![false; n];
         let mut covered = 0usize;
         let mut slots = Vec::with_capacity(seg_count);
         for _ in 0..seg_count {
             let reversed = r.bool("segment reversal")?;
-            let len = r.count(n - covered, "segment length")?;
+            let len = r.count((n - covered).min(r.remaining() / 4), "segment length")?;
             if len == 0 {
                 return Err(CodecError::invalid("empty segment in arrangement"));
             }
@@ -1374,16 +1289,18 @@ impl SegmentArrangement {
         self.version = self.version.wrapping_add(1);
     }
 
-    /// Records a verified range→segment fact for the current version
-    /// through the seqlock: under cross-thread contention the fact is
-    /// simply not recorded (the memo is a pure cache).
+    /// Records a verified range→segment fact for the current version.
     fn remember_segment(&self, start: usize, len: usize, slot: u32) {
         let Ok(len) = u32::try_from(len) else { return };
-        self.memo.publish(self.version, start, len, slot);
+        self.memo.publish(MemoFact {
+            version: self.version,
+            start,
+            len,
+            slot,
+        });
     }
 
-    /// Looks up a remembered, still-valid range→segment fact. Misses
-    /// (rather than blocks) on concurrent publishes.
+    /// Looks up a remembered, still-valid range→segment fact.
     fn recall_segment(&self, range: &Range<usize>) -> Option<u32> {
         self.memo.recall(self.version, range)
     }
@@ -2034,35 +1951,5 @@ mod tests {
         assert_eq!(range, 2..6);
         assert_eq!(arr.node_at(anchor_pos), Node::new(5));
         assert_eq!(anchor_pos, 2);
-    }
-
-    #[test]
-    fn range_memo_is_safe_under_concurrent_readers() {
-        // The seqlock memo must never serve a torn entry: every recall hit
-        // used by the exact-segment fast path has to name the segment that
-        // actually covers the queried range. Hammer it from many readers.
-        let n = 64usize;
-        let mut arr = SegmentArrangement::identity(n);
-        for block in 0..n / 8 {
-            arr.coalesce_range(block * 8..(block + 1) * 8);
-        }
-        let arr = &arr;
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                scope.spawn(move || {
-                    for round in 0..200 {
-                        let block = (t * 7 + round) % (n / 8);
-                        let start = block * 8;
-                        let anchor = arr.node_at(start + round % 8);
-                        let (range, anchor_pos) = arr.locate_component(anchor, 8).unwrap();
-                        assert_eq!(range, start..start + 8);
-                        assert_eq!(arr.node_at(anchor_pos), anchor);
-                        let members: Vec<Node> = (start..start + 8).map(Node::new).collect();
-                        assert_eq!(arr.contiguous_range(&members), Some(start..start + 8));
-                    }
-                });
-            }
-        });
-        assert!(arr.check_consistent());
     }
 }

@@ -447,15 +447,12 @@ proptest! {
 
 // ---- lazy locate: slot-based locate vs the full member walk ------------
 
-use mla_permutation::ShardedArrangement;
-
 /// Raw schedule picks, resolved against the live component list at
-/// execution time: `(region_pick, first_pick, second_pick,
-/// reverse_target, shuffle_pick)`. Between merges, `shuffle_pick`
-/// optionally moves a whole component elsewhere in its region or
-/// reverses it in place — the other two block operations an algorithm
-/// run interleaves with merges.
-type MergePick = (usize, usize, usize, bool, usize);
+/// execution time: `(first_pick, second_pick, reverse_target,
+/// shuffle_pick)`. Between merges, `shuffle_pick` optionally moves a
+/// whole component elsewhere or reverses it in place — the other two
+/// block operations an algorithm run interleaves with merges.
+type MergePick = (usize, usize, bool, usize);
 
 /// Strategy: an initial permutation plus a raw merge schedule. The picks
 /// are drawn as plain integers (the component list shrinks as merges
@@ -471,7 +468,6 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
                     (
                         next(1 << 16, &mut rng),
                         next(1 << 16, &mut rng),
-                        next(1 << 16, &mut rng),
                         next(2, &mut rng) == 0,
                         next(1 << 16, &mut rng),
                     )
@@ -482,28 +478,16 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
     })
 }
 
-/// Replays a merge schedule on `arr` (merges stay inside one region of
-/// `regions`, mirroring the sharded backend's region-local contract) and
-/// after **every** merge, move and reverse checks the slot-based
-/// `locate_component` against the full member walk, for every component
-/// and every possible anchor, and `path_range` on each component read in
-/// position order, reversed, and with two adjacent interior nodes swapped.
-fn check_locate_under_merges<A: Arrangement>(
-    arr: &mut A,
-    regions: &[std::ops::Range<usize>],
-    picks: &[MergePick],
-) {
-    // Components per region, each a member list in arbitrary order.
-    let mut comps: Vec<Vec<Vec<Node>>> = regions
-        .iter()
-        .map(|r| {
-            r.clone()
-                .map(|pos| vec![arr.node_at(pos)])
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let check_all = |arr: &A, comps: &[Vec<Vec<Node>>]| {
-        for members in comps.iter().flatten() {
+/// Replays a merge schedule on `arr` and after **every** merge, move and
+/// reverse checks the slot-based `locate_component` against the full
+/// member walk, for every component and every possible anchor, and
+/// `path_range` on each component read in position order, reversed, and
+/// with two adjacent interior nodes swapped.
+fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
+    // Each component is a member list in arbitrary order.
+    let mut comps: Vec<Vec<Node>> = (0..arr.len()).map(|pos| vec![arr.node_at(pos)]).collect();
+    let check_all = |arr: &A, comps: &[Vec<Node>]| {
+        for members in comps {
             let walked = arr
                 .contiguous_range(members)
                 .expect("merged components stay contiguous");
@@ -533,60 +517,56 @@ fn check_locate_under_merges<A: Arrangement>(
         }
     };
     check_all(arr, &comps);
-    for &(region_pick, first_pick, second_pick, reverse, shuffle_pick) in picks {
-        let region = region_pick % comps.len();
+    for &(first_pick, second_pick, reverse, shuffle_pick) in picks {
         // Interleave the other two whole-block operations a run uses:
-        // move a component to a random spot in its region, or reverse
-        // it in place. Neither may break a later locate.
-        if !comps[region].is_empty() {
-            let c = shuffle_pick % comps[region].len();
-            let range = arr
-                .contiguous_range(&comps[region][c])
-                .expect("component is contiguous");
-            let region_span = regions[region].clone();
-            match shuffle_pick % 3 {
-                0 => {
-                    // Valid destinations land flush against another
-                    // component (or the region start) — anything else
-                    // would split a block and break the contiguity
-                    // invariant the locate contract rests on.
-                    let mut dests = vec![region_span.start];
-                    for (j, other) in comps[region].iter().enumerate() {
-                        if j == c {
-                            continue;
-                        }
-                        let rc = arr
-                            .contiguous_range(other)
-                            .expect("component is contiguous");
-                        dests.push(if rc.start > range.start {
-                            rc.end - range.len()
-                        } else {
-                            rc.end
-                        });
+        // move a component to a random spot, or reverse it in place.
+        // Neither may break a later locate.
+        let c = shuffle_pick % comps.len();
+        let range = arr
+            .contiguous_range(&comps[c])
+            .expect("component is contiguous");
+        match shuffle_pick % 3 {
+            0 => {
+                // Valid destinations land flush against another
+                // component (or the start) — anything else would split a
+                // block and break the contiguity invariant the locate
+                // contract rests on.
+                let mut dests = vec![0];
+                for (j, other) in comps.iter().enumerate() {
+                    if j == c {
+                        continue;
                     }
-                    let dest = dests[first_pick % dests.len()];
-                    arr.move_block(range, dest);
+                    let rc = arr
+                        .contiguous_range(other)
+                        .expect("component is contiguous");
+                    dests.push(if rc.start > range.start {
+                        rc.end - range.len()
+                    } else {
+                        rc.end
+                    });
                 }
-                1 => {
-                    arr.reverse_block(range);
-                }
-                _ => {}
+                let dest = dests[first_pick % dests.len()];
+                arr.move_block(range, dest);
             }
-            check_all(arr, &comps);
+            1 => {
+                arr.reverse_block(range);
+            }
+            _ => {}
         }
-        if comps[region].len() < 2 {
+        check_all(arr, &comps);
+        if comps.len() < 2 {
             continue;
         }
-        let a = first_pick % comps[region].len();
-        let mut b = second_pick % comps[region].len();
+        let a = first_pick % comps.len();
+        let mut b = second_pick % comps.len();
         if b == a {
-            b = (b + 1) % comps[region].len();
+            b = (b + 1) % comps.len();
         }
         let mover = arr
-            .contiguous_range(&comps[region][a])
+            .contiguous_range(&comps[a])
             .expect("component is contiguous");
         let stayer = arr
-            .contiguous_range(&comps[region][b])
+            .contiguous_range(&comps[b])
             .expect("component is contiguous");
         // Half the merges rewrite the merged block reversed, so reversed
         // segments (and reversed-orientation locates) are exercised too.
@@ -600,9 +580,9 @@ fn check_locate_under_merges<A: Arrangement>(
             pool
         });
         arr.merge_move(mover, stayer, target.as_deref());
-        let absorbed = std::mem::take(&mut comps[region][a]);
-        comps[region][b].extend(absorbed);
-        comps[region].swap_remove(a);
+        let absorbed = std::mem::take(&mut comps[a]);
+        comps[b].extend(absorbed);
+        comps.swap_remove(a);
         check_all(arr, &comps);
     }
 }
@@ -610,28 +590,10 @@ fn check_locate_under_merges<A: Arrangement>(
 proptest! {
     #[test]
     fn segment_locate_matches_full_walk_under_merge_fuzz((start, picks) in merge_schedule()) {
-        let n = start.len();
         let mut segment = SegmentArrangement::from_permutation(&start);
         prop_assert!(segment.supports_component_locate());
-        check_locate_under_merges(&mut segment, std::slice::from_ref(&(0..n)), &picks);
+        check_locate_under_merges(&mut segment, &picks);
         prop_assert!(segment.check_consistent());
-    }
-
-    #[test]
-    fn sharded_locate_matches_full_walk_under_merge_fuzz((start, picks) in merge_schedule()) {
-        // Two regions (the sharded contract: merges are region-local); the
-        // initial order inside each region is the identity.
-        let n = start.len();
-        let mid = n / 2;
-        let regions: Vec<std::ops::Range<usize>> = if mid == 0 {
-            std::iter::once(0..n).collect()
-        } else {
-            vec![0..mid, mid..n]
-        };
-        let sizes: Vec<usize> = regions.iter().map(std::iter::ExactSizeIterator::len).collect();
-        let mut sharded = ShardedArrangement::with_regions(&sizes);
-        prop_assert!(sharded.supports_component_locate());
-        check_locate_under_merges(&mut sharded, &regions, &picks);
     }
 
     #[test]
@@ -641,11 +603,10 @@ proptest! {
         // the default locate must answer `None` — which
         // `check_locate_under_merges` skips over while still replaying
         // the identical merge schedule.
-        let n = start.len();
         let mut dense = start.clone();
         prop_assert!(!Arrangement::supports_component_locate(&dense));
         prop_assert_eq!(Arrangement::locate_component(&dense, dense.node_at(0), 1), None);
-        check_locate_under_merges(&mut dense, std::slice::from_ref(&(0..n)), &picks);
+        check_locate_under_merges(&mut dense, &picks);
     }
 }
 

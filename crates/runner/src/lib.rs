@@ -2,10 +2,9 @@
 //!
 //! Deterministic parallel run-campaign subsystem for the workspace: a
 //! std-only work-stealing thread pool behind a [`Campaign`] API (and the
-//! raw scoped-batch primitive [`run_indexed`], which also powers the
-//! simulation engine's intra-run batch phases), the [`SeedSequence`]
-//! splitter that gives every run an independent, reproducible seed
-//! stream, and a JSON artifact store
+//! raw scoped-batch primitive [`run_indexed`] it runs on), the
+//! [`SeedSequence`] splitter that gives every run an independent,
+//! reproducible seed stream, and a JSON artifact store
 //! ([`RunSink`] / [`CampaignReport`] / [`ArtifactStore`]) that persists
 //! per-run costs, per-experiment tables and environment metadata.
 //!

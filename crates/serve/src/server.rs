@@ -674,6 +674,7 @@ pub fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mla_permutation::codec::put_u64;
 
     fn ok(response: &Json) -> bool {
         response.get("ok").and_then(Json::as_bool) == Some(true)
@@ -853,6 +854,54 @@ mod tests {
         let mut flipped = good.clone();
         flipped[good.len() / 2] ^= 0x10;
         assert!(fresh.restore_bytes(&flipped).is_err());
+    }
+
+    #[test]
+    fn restore_frame_with_a_crafted_node_count_is_refused() {
+        let mut server = Server::new(2, 1);
+        let opened = open_tenant(&mut server, "t0", 8);
+        assert!(ok(&opened), "{opened:?}");
+        let served = continue_response(server.handle(&request(
+            "{\"op\":\"reveals\",\"tenant\":\"t0\",\"events\":[[0,1],[2,3]]}",
+        )));
+        assert!(ok(&served), "{served:?}");
+        let before = continue_response(server.handle(&request("{\"op\":\"tenants\"}")));
+        // One validly sealed session whose spec and segment arrangement
+        // declare `u32::MAX` nodes in zero segments.
+        let huge = u32::MAX as usize;
+        let mut session = Vec::new();
+        SessionSpec::new(
+            Topology::Cliques,
+            huge,
+            PolicyKind::Rand,
+            BackendKind::Segment,
+            1,
+        )
+        .encode_into(&mut session);
+        put_len(&mut session, huge);
+        put_u64(&mut session, 0);
+        put_len(&mut session, 0);
+        let blob = checkpoint::seal(&session);
+        let mut body = Vec::new();
+        put_len(&mut body, 1);
+        put_len(&mut body, 1);
+        body.push(b'x');
+        put_len(&mut body, 0);
+        put_len(&mut body, blob.len());
+        body.extend_from_slice(&blob);
+        let frame = format!(
+            "{{\"op\":\"restore\",\"bytes\":\"{}\"}}",
+            encode_hex(&checkpoint::seal(&body))
+        );
+        let refused = continue_response(server.handle(&request(&frame)));
+        assert!(!ok(&refused), "{refused:?}");
+        assert_eq!(code(&refused), "checkpoint");
+        let after = continue_response(server.handle(&request("{\"op\":\"tenants\"}")));
+        assert_eq!(before, after, "the tenant table must stay untouched");
+        let next = continue_response(server.handle(&request(
+            "{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":0,\"b\":2}",
+        )));
+        assert!(ok(&next), "{next:?}");
     }
 
     #[test]

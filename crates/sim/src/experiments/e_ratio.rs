@@ -332,8 +332,17 @@ mod tests {
     use super::*;
     use crate::experiment::Scale;
 
+    /// Both tests run `CertifiedRatio`, which writes `BENCH_ratio.json`
+    /// into the directory the process-wide `MLA_BENCH_ARTIFACT_DIR`
+    /// names. Holding this lock keeps one test's write from truncating
+    /// the file while the other reads it.
+    static ARTIFACT_WRITES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn tiny_run_is_certified_and_within_the_gate() {
+        let _writes = ARTIFACT_WRITES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let ctx = ExperimentContext::new(Scale::Tiny, 23);
         let tables = CertifiedRatio.run(&ctx).unwrap();
         assert_eq!(tables.len(), 1);
@@ -355,6 +364,9 @@ mod tests {
 
     #[test]
     fn artifact_is_emitted() {
+        let _writes = ARTIFACT_WRITES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("mla-eratio-artifact-test");
         std::env::set_var("MLA_BENCH_ARTIFACT_DIR", &dir);
         let ctx = ExperimentContext::new(Scale::Tiny, 5);

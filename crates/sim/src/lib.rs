@@ -7,12 +7,9 @@
 //!   algorithm, verifying the MinLA feasibility invariant after every
 //!   reveal and accounting exact costs; per-event recording is full,
 //!   windowed ([`Simulation::record_window`]) or off;
-//! * [`Simulation::parallel`] — the batched parallel executor: the
-//!   [`batch`] conflict-detection layer ([`BatchPlanner`] /
-//!   [`ConflictGraph`]) groups consecutive reveals into maximal batches
-//!   of span-disjoint merges and serves each batch across worker
-//!   threads, bit-identically to the sequential loop for every thread
-//!   count;
+//! * [`Session`] / [`TenantSession`] — long-lived serving sessions on
+//!   the same reveal step as [`Simulation::run`], checkpointable at any
+//!   point ([`encode_session`] / [`decode_session`]);
 //! * [`OnlineStats`] / [`harmonic`] — measurement utilities;
 //! * [`Table`] — plain-text/CSV experiment output;
 //! * [`all_experiments`] — the registry reproducing every theorem, lemma
@@ -53,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod checkpoint;
 mod engine;
 mod error;
@@ -63,9 +59,8 @@ pub mod session;
 mod stats;
 mod table;
 
-pub use batch::{conflict_graph_allocations, BatchPlanner, ConflictGraph, PlannedReveal};
 pub use checkpoint::CheckpointError;
-pub use engine::{ParallelSimulation, RunOutcome, Simulation};
+pub use engine::{RunOutcome, Simulation};
 pub use error::SimError;
 pub use experiment::{all_experiments, find_experiment, Experiment, ExperimentContext, Scale};
 pub use session::{

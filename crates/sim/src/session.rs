@@ -11,9 +11,10 @@
 //! Three layers:
 //!
 //! * [`Session<A>`] — the typed engine. Every policy serves a frame one
-//!   reveal at a time through [`Session::apply`], the exact loop body of
-//!   [`Simulation::run`], so a daemon's outcome is bit-identical to an
-//!   engine run however the reveals are split into frames.
+//!   reveal at a time through [`Session::apply`], the same reveal step
+//!   [`Simulation::run`] loops over, so a daemon's outcome is
+//!   bit-identical to an engine run however the reveals are split into
+//!   frames.
 //! * [`TenantSession`] — the object-safe facade a multi-tenant server
 //!   stores: apply / query / checkpoint without knowing the concrete
 //!   policy × backend type.
@@ -31,16 +32,15 @@ use mla_core::{
     DetClosest, MovePolicy, OnlineMinla, OptReplay, PolicyState, RandCliques, RandLines,
     RearrangePolicy, UpdateReport,
 };
-use mla_graph::{GraphState, RevealEvent, SnapshotMode, Topology};
+use mla_graph::{GraphState, RevealEvent, Topology};
 use mla_offline::LopConfig;
 use mla_permutation::codec::{put_bool, put_len, put_u32, put_u64, put_u8, ByteReader, CodecError};
 use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement, MAX_NODES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::batch::BatchPlanner;
 use crate::checkpoint::{self, CheckpointError};
-use crate::engine::{Recorder, RunOutcome, DEFAULT_BATCH_WINDOW};
+use crate::engine::{Recorder, RevealStep, RunOutcome};
 use crate::error::SimError;
 
 // ---- spec ----
@@ -350,20 +350,17 @@ impl ArrCodec for SegmentArrangement {
 /// state can be checkpointed at any point between calls.
 pub struct Session<A: OnlineMinla> {
     spec: SessionSpec,
-    state: GraphState,
-    algorithm: A,
-    recorder: Recorder,
-    /// Snapshot mode of the serve path (the engine rule: lazy iff
-    /// algorithm and backend agree).
-    mode: SnapshotMode,
-    full_scan: bool,
-    /// Checkpoint format version 1 ends with the batch planner's tuning
-    /// `(window, full_seals, collapse_streak)`. Sessions serve on the
-    /// sequential loop and never read it; it is carried unchanged from
-    /// decode to encode so that a version-1 checkpoint re-encodes byte
-    /// for byte.
+    step: RevealStep<A>,
+    /// Checkpoint format version 1 ends with the tuning triple
+    /// `(window, full_seals, collapse_streak)` of a since-removed batch
+    /// planner. Nothing reads it; it is carried unchanged from decode to
+    /// encode so that a version-1 checkpoint re-encodes byte for byte.
     planner_tuning: (usize, u32, u32),
 }
+
+/// The planner tuning a fresh session writes: what the removed planner
+/// reported before serving anything.
+const FRESH_PLANNER_TUNING: (usize, u32, u32) = (64, 0, 0);
 
 /// The [`Recorder`] mode `(full, window)` of a [`RecordMode`].
 fn recorder_mode(record: RecordMode) -> (bool, Option<usize>) {
@@ -378,7 +375,7 @@ impl<A: OnlineMinla> std::fmt::Debug for Session<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("spec", &self.spec)
-            .field("steps", &self.recorder.step())
+            .field("steps", &self.step.recorder.step())
             .finish_non_exhaustive()
     }
 }
@@ -389,26 +386,23 @@ impl<A: OnlineMinla> Session<A> {
     /// [`open_session`] for the spec-driven construction that guarantees
     /// it.
     fn build(spec: SessionSpec, algorithm: A) -> Self {
-        let mode =
-            if algorithm.wants_lazy_info() && algorithm.arrangement().supports_component_locate() {
-                SnapshotMode::Lazy
-            } else {
-                SnapshotMode::Eager
-            };
         let (full, window) = recorder_mode(spec.record);
-        Session {
-            state: GraphState::new(spec.topology, spec.n),
-            recorder: Recorder::new(full, window),
-            mode,
-            full_scan: cfg!(debug_assertions),
-            planner_tuning: BatchPlanner::new(DEFAULT_BATCH_WINDOW).tuning(),
+        let step = RevealStep::new(
+            GraphState::new(spec.topology, spec.n),
             algorithm,
+            Recorder::new(full, window),
+            false,
+        )
+        .check_feasibility(spec.check_feasibility, cfg!(debug_assertions));
+        Session {
             spec,
+            step,
+            planner_tuning: FRESH_PLANNER_TUNING,
         }
     }
 
-    /// Serves one reveal — the exact body of
-    /// [`Simulation::run`](crate::Simulation::run)'s loop.
+    /// Serves one reveal — the step
+    /// [`Simulation::run`](crate::Simulation::run) loops over.
     ///
     /// # Errors
     ///
@@ -416,22 +410,7 @@ impl<A: OnlineMinla> Session<A> {
     /// [`SimError::FeasibilityViolation`] if checking is enabled and the
     /// algorithm breaks the invariant.
     pub fn apply(&mut self, event: RevealEvent) -> Result<UpdateReport, SimError> {
-        let info = self.state.apply_with(event, self.mode)?;
-        let report = self.algorithm.serve(event, &info, &self.state);
-        if self.spec.check_feasibility {
-            let feasible = self
-                .state
-                .merge_keeps_minla(self.algorithm.arrangement(), &info)
-                && (!self.full_scan || self.state.is_minla(self.algorithm.arrangement()));
-            if !feasible {
-                return Err(SimError::FeasibilityViolation {
-                    step: self.recorder.step() + 1,
-                    algorithm: self.algorithm.name().to_owned(),
-                });
-            }
-        }
-        self.recorder.record(event, report);
-        Ok(report)
+        self.step.apply(event)
     }
 }
 
@@ -454,15 +433,15 @@ where
                 self.spec.n
             )));
         }
-        self.state = state;
-        self.algorithm.restore_state(r)?;
+        self.step.state = state;
+        self.step.algorithm.restore_state(r)?;
         let recorder = Recorder::decode_from(r, self.spec.n)?;
         if recorder.mode() != recorder_mode(self.spec.record) {
             return Err(CheckpointError::malformed(
                 "recorder mode disagrees with the session spec".to_string(),
             ));
         }
-        self.recorder = recorder;
+        self.step.recorder = recorder;
         self.planner_tuning = (r.count(usize::MAX, "planner window")?, r.u32()?, r.u32()?);
         Ok(())
     }
@@ -538,19 +517,19 @@ where
     }
 
     fn algorithm_name(&self) -> String {
-        self.algorithm.name().to_owned()
+        self.step.algorithm.name().to_owned()
     }
 
     fn steps(&self) -> usize {
-        self.recorder.step()
+        self.step.recorder.step()
     }
 
     fn moving_cost(&self) -> u128 {
-        self.recorder.moving_cost()
+        self.step.recorder.moving_cost()
     }
 
     fn rearranging_cost(&self) -> u128 {
-        self.recorder.rearranging_cost()
+        self.step.recorder.rearranging_cost()
     }
 
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError> {
@@ -569,23 +548,25 @@ where
                 self.spec.n
             )));
         }
-        Ok(self.algorithm.arrangement().position_of(node))
+        Ok(self.step.algorithm.arrangement().position_of(node))
     }
 
     fn outcome(&self) -> RunOutcome {
-        self.recorder
-            .outcome_snapshot(self.algorithm.arrangement().to_permutation())
+        self.step
+            .recorder
+            .outcome_snapshot(self.step.algorithm.arrangement().to_permutation())
     }
 
     fn encode(&self) -> Vec<u8> {
+        let step = &self.step;
         let mut body = Vec::new();
         self.spec.encode_into(&mut body);
         // The arrangement precedes the graph state: the decoder needs it
         // first to construct the algorithm it then restores into.
-        self.algorithm.arrangement().encode_arr(&mut body);
-        self.state.encode_into(&mut body);
-        self.algorithm.encode_state_into(&mut body);
-        self.recorder.encode_into(&mut body);
+        step.algorithm.arrangement().encode_arr(&mut body);
+        step.state.encode_into(&mut body);
+        step.algorithm.encode_state_into(&mut body);
+        step.recorder.encode_into(&mut body);
         let (window, full_seals, collapse_streak) = self.planner_tuning;
         put_len(&mut body, window);
         put_u32(&mut body, full_seals);
@@ -863,6 +844,31 @@ mod tests {
             SessionSpec::new(Topology::Cliques, 4, PolicyKind::Opt, BackendKind::Dense, 1)
                 .target(Permutation::identity(3));
         assert!(open_session(short_target).is_err());
+    }
+
+    #[test]
+    fn fresh_checkpoints_end_with_the_fresh_planner_tuning() {
+        // Version-1 bodies end with the planner tuning, written as
+        // `put_len(64)`, `put_u32(0)`, `put_u32(0)` by a fresh session.
+        let spec = SessionSpec::new(
+            Topology::Cliques,
+            6,
+            PolicyKind::Rand,
+            BackendKind::Segment,
+            1,
+        );
+        let session = open_session(spec).unwrap();
+        let sealed = encode_session(session.as_ref());
+        let body = checkpoint::open(&sealed).unwrap();
+        let mut tail = Vec::new();
+        put_len(&mut tail, 64);
+        put_u32(&mut tail, 0);
+        put_u32(&mut tail, 0);
+        assert!(
+            body.ends_with(&tail),
+            "body tail {:?}",
+            &body[body.len() - 16..]
+        );
     }
 
     #[test]

@@ -78,12 +78,7 @@ pub mod prelude {
         series_parallel_minla, verify_certificate, Certificate, CertificateError, IntervalModel,
         LopConfig, LopStrategy, OptBounds, OracleResult, SpForest,
     };
-    pub use mla_permutation::{
-        Arrangement, Node, Permutation, SegmentArrangement, ShardedArrangement,
-    };
+    pub use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement};
     pub use mla_runner::{ArtifactStore, Campaign, CampaignReport, RunSink, SeedSequence};
-    pub use mla_sim::{
-        harmonic, BatchPlanner, ConflictGraph, OnlineStats, ParallelSimulation, RunOutcome,
-        SimError, Simulation, Table,
-    };
+    pub use mla_sim::{harmonic, OnlineStats, RunOutcome, SimError, Simulation, Table};
 }

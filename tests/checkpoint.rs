@@ -23,10 +23,11 @@ use mla_core::{
 };
 use mla_graph::{Instance, RevealEvent, Topology};
 use mla_offline::LopConfig;
+use mla_permutation::codec::{put_len, put_u32, put_u64, put_u8};
 use mla_permutation::{Arrangement, Permutation, SegmentArrangement};
 use mla_sim::{
-    decode_session, encode_session, open_session, BackendKind, CheckpointError, PolicyKind,
-    RecordMode, RunOutcome, SessionSpec, Simulation,
+    checkpoint, decode_session, encode_session, open_session, BackendKind, CheckpointError,
+    PolicyKind, RecordMode, RunOutcome, SessionSpec, Simulation,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -280,6 +281,45 @@ fn every_truncation_prefix_is_a_structured_error() {
     let good = golden_checkpoint();
     for cut in 0..good.len() {
         assert!(decode_session(&good[..cut]).is_err(), "prefix {cut}");
+    }
+}
+
+/// Validly sealed bodies whose node counts promise far more entries than
+/// the bytes that follow: each must fail with a structured error before
+/// anything is allocated for the promised count.
+#[test]
+fn counts_beyond_the_remaining_bytes_are_rejected_before_allocating() {
+    let huge = u32::MAX as usize;
+    let spec = |n: usize, backend: BackendKind| {
+        let mut body = Vec::new();
+        SessionSpec::new(Topology::Cliques, n, PolicyKind::Rand, backend, 1).encode_into(&mut body);
+        body
+    };
+    // A dense arrangement declaring `u32::MAX` nodes, then nothing; a
+    // segment one declaring `u32::MAX` nodes in zero segments.
+    let mut dense = spec(huge, BackendKind::Dense);
+    put_len(&mut dense, huge);
+    let mut segment = spec(huge, BackendKind::Segment);
+    put_len(&mut segment, huge);
+    put_u64(&mut segment, 0);
+    put_len(&mut segment, 0);
+    // A valid one-node session whose union-find declares `u32::MAX`
+    // nodes.
+    let mut union_find = spec(1, BackendKind::Dense);
+    put_len(&mut union_find, 1);
+    put_u32(&mut union_find, 0);
+    put_u8(&mut union_find, 0); // cliques graph state
+    put_len(&mut union_find, huge);
+    for (label, body) in [
+        ("dense", dense),
+        ("segment", segment),
+        ("union-find", union_find),
+    ] {
+        let err = decode_session(&checkpoint::seal(&body)).expect_err(label);
+        assert!(
+            matches!(err, CheckpointError::Malformed { .. }),
+            "{label}: {err:?}"
+        );
     }
 }
 

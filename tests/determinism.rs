@@ -267,23 +267,25 @@ fn workload_generation_is_seed_deterministic() {
 // full-scan feasibility cross-check is off and the incremental check
 // stands alone.
 
-fn assert_backend_equivalence<D, S>(topology: Topology, n: usize, dense: D, segment: S)
+fn assert_backend_equivalence<D, S>(instance: &Instance, dense: D, segment: S)
 where
     D: OnlineMinla<Arr = Permutation> + 'static,
     S: OnlineMinla<Arr = SegmentArrangement> + 'static,
 {
-    let instance = fixed_instance(topology, n);
-    let dense_outcome = run_once(&instance, dense);
+    let dense_outcome = run_once(instance, dense);
     // Full-scan cross-check even in release: jump algorithms replace the
     // whole arrangement, which the incremental check alone cannot vet.
-    let segment_outcome = Simulation::new(instance, segment)
+    let segment_outcome = Simulation::new(instance.clone(), segment)
         .check_feasibility(true)
         .check_feasibility_full(true)
         .run()
-        .expect("fixed instance is valid");
+        .expect("instance is valid");
     assert_eq!(
-        dense_outcome, segment_outcome,
-        "backends diverged ({topology:?}, n = {n})"
+        dense_outcome,
+        segment_outcome,
+        "backends diverged ({:?}, n = {})",
+        instance.topology(),
+        instance.n()
     );
 }
 
@@ -291,8 +293,7 @@ where
 fn rand_cliques_backends_agree() {
     let n = 32;
     assert_backend_equivalence(
-        Topology::Cliques,
-        n,
+        &fixed_instance(Topology::Cliques, n),
         RandCliques::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED)),
         RandCliques::new(
             SegmentArrangement::identity(n),
@@ -305,8 +306,7 @@ fn rand_cliques_backends_agree() {
 fn rand_lines_backends_agree() {
     let n = 32;
     assert_backend_equivalence(
-        Topology::Lines,
-        n,
+        &fixed_instance(Topology::Lines, n),
         RandLines::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED)),
         RandLines::new(
             SegmentArrangement::identity(n),
@@ -320,8 +320,7 @@ fn det_closest_backends_agree() {
     let n = 12;
     for topology in [Topology::Cliques, Topology::Lines] {
         assert_backend_equivalence(
-            topology,
-            n,
+            &fixed_instance(topology, n),
             DetClosest::new(Permutation::identity(n), LopConfig::default()),
             DetClosest::with_backend(SegmentArrangement::identity(n), LopConfig::default()),
         );
@@ -340,8 +339,7 @@ fn opt_replay_backends_agree() {
             .expect("sizes match")
             .upper_perm;
         assert_backend_equivalence(
-            topology,
-            n,
+            &instance,
             OptReplay::new(pi0, target.clone()),
             OptReplay::new(SegmentArrangement::identity(n), target),
         );
@@ -399,268 +397,71 @@ fn segment_backend_campaigns_are_thread_count_invariant() {
     }
 }
 
-/// One sequential/batched run pair for every (algorithm policy ×
-/// topology × backend) cell: the batched parallel executor must return a
-/// bit-identical [`RunOutcome`] — costs, per-event reports, events and
-/// final permutation — for every worker count.
+/// The backends also agree on the oracle-tractable workload families
+/// (interval, series-parallel, tree merge-sequences).
 #[test]
-fn parallel_serving_is_bit_identical_for_every_thread_count() {
-    fn check<A, F>(label: &str, instance: &Instance, make: F)
-    where
-        A: BatchServe + 'static,
-        A::Arr: Sync,
-        F: Fn() -> A,
-    {
-        let sequential = Simulation::new(instance.clone(), make())
-            .run()
-            .expect("valid instance");
-        for threads in [1usize, 4, 8] {
-            let parallel = Simulation::new(instance.clone(), make())
-                .parallel(threads)
-                .run()
-                .expect("valid instance");
-            assert_eq!(
-                sequential, parallel,
-                "{label} diverged from sequential at T={threads}"
-            );
-        }
-    }
-
-    let n = 64;
-    let cliques = fixed_instance(Topology::Cliques, n);
-    let lines = fixed_instance(Topology::Lines, n);
-    let policies = [
-        (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
-        (MovePolicy::Fair, RearrangePolicy::Fair),
-        (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
-    ];
-    for (move_policy, rearrange_policy) in policies {
-        check("cliques/dense", &cliques, || {
-            RandCliques::with_policy(
-                Permutation::identity(n),
-                SmallRng::seed_from_u64(COIN_SEED),
-                move_policy,
-            )
-        });
-        check("cliques/segment", &cliques, || {
-            RandCliques::with_policy(
-                SegmentArrangement::identity(n),
-                SmallRng::seed_from_u64(COIN_SEED),
-                move_policy,
-            )
-        });
-        check("cliques/sharded", &cliques, || {
-            RandCliques::with_policy(
-                ShardedArrangement::identity(n),
-                SmallRng::seed_from_u64(COIN_SEED),
-                move_policy,
-            )
-        });
-        check("lines/dense", &lines, || {
-            RandLines::with_policies(
-                Permutation::identity(n),
-                SmallRng::seed_from_u64(COIN_SEED),
-                move_policy,
-                rearrange_policy,
-            )
-        });
-        check("lines/segment", &lines, || {
-            RandLines::with_policies(
-                SegmentArrangement::identity(n),
-                SmallRng::seed_from_u64(COIN_SEED),
-                move_policy,
-                rearrange_policy,
-            )
-        });
-    }
-}
-
-/// Sharded (multi-tenant) campaigns exercise real multi-merge batches —
-/// the config the parallel bench gates on. Sequential, one-worker and
-/// multi-worker runs must agree on every backend, and the sharded
-/// backend must agree with the global segment backend.
-#[test]
-fn parallel_serving_on_sharded_campaigns_is_thread_count_invariant() {
-    let n = 96;
-    let shards = 8;
-    let sizes = mla::adversary::shard_sizes(n, shards);
-    for topology in [Topology::Cliques, Topology::Lines] {
-        let mut rng = SmallRng::seed_from_u64(WORKLOAD_SEED);
-        let instance = sharded_instance(topology, n, shards, MergeShape::Uniform, &mut rng);
-        fn run<A>(sim: Simulation<A>, threads: Option<usize>) -> Result<RunOutcome, SimError>
-        where
-            A: BatchServe + 'static,
-            A::Arr: Sync,
-        {
-            match threads {
-                None => sim.run(),
-                Some(t) => sim.parallel(t).run(),
-            }
-        }
-        let outcome = |threads: Option<usize>, sharded_backend: bool| {
-            let arrangement = if sharded_backend {
-                ShardedArrangement::with_regions(&sizes)
-            } else {
-                ShardedArrangement::identity(n)
-            };
-            match topology {
-                Topology::Cliques => run(
-                    Simulation::new(
-                        instance.clone(),
-                        RandCliques::new(arrangement, SmallRng::seed_from_u64(COIN_SEED)),
-                    ),
-                    threads,
-                )
-                .expect("valid instance"),
-                Topology::Lines => run(
-                    Simulation::new(
-                        instance.clone(),
-                        RandLines::new(arrangement, SmallRng::seed_from_u64(COIN_SEED)),
-                    ),
-                    threads,
-                )
-                .expect("valid instance"),
-            }
-        };
-        let reference = outcome(None, true);
-        assert_eq!(
-            reference,
-            outcome(None, false),
-            "{topology:?}: region-partitioned backend diverged from single-region"
-        );
-        for threads in [1usize, 4, 8] {
-            assert_eq!(
-                reference,
-                outcome(Some(threads), true),
-                "{topology:?}: sharded campaign diverged at T={threads}"
-            );
-        }
-    }
-}
-
-/// Conflict-dense uniform campaigns: single-tenant uniform workloads are
-/// the batched executor's worst case — merge spans hull most of the
-/// arrangement, batches collapse to size 1 and the planner parks at
-/// window 1 (the zero-cost degraded mode). The parked pipeline must stay
-/// bit-identical to the sequential loop for `T ∈ {1, 4, 8}` on both
-/// topologies and both tree-backed backends, with full per-event
-/// recording compared.
-#[test]
-fn conflict_dense_uniform_campaigns_are_thread_count_invariant() {
-    let n = 512;
-    for topology in [Topology::Cliques, Topology::Lines] {
-        for seed in 0..2u64 {
-            let mut rng = SmallRng::seed_from_u64(WORKLOAD_SEED ^ seed);
-            let instance = match topology {
-                Topology::Cliques => random_clique_instance(n, MergeShape::Uniform, &mut rng),
-                Topology::Lines => random_line_instance(n, MergeShape::Uniform, &mut rng),
-            };
-
-            fn check<A, F>(label: &str, instance: &Instance, make: F)
-            where
-                A: BatchServe + 'static,
-                A::Arr: Sync,
-                F: Fn() -> A,
-            {
-                let sequential = Simulation::new(instance.clone(), make())
-                    .run()
-                    .expect("valid instance");
-                for threads in [1usize, 4, 8] {
-                    let parallel = Simulation::new(instance.clone(), make())
-                        .parallel(threads)
-                        .run()
-                        .expect("valid instance");
-                    assert_eq!(
-                        sequential, parallel,
-                        "{label}: conflict-dense uniform campaign diverged at T={threads}"
-                    );
-                }
-            }
-
-            match topology {
-                Topology::Cliques => {
-                    check("cliques/segment", &instance, || {
-                        RandCliques::new(
-                            SegmentArrangement::identity(n),
-                            SmallRng::seed_from_u64(COIN_SEED ^ seed),
-                        )
-                    });
-                    check("cliques/sharded", &instance, || {
-                        RandCliques::new(
-                            ShardedArrangement::identity(n),
-                            SmallRng::seed_from_u64(COIN_SEED ^ seed),
-                        )
-                    });
-                }
-                Topology::Lines => {
-                    check("lines/segment", &instance, || {
-                        RandLines::new(
-                            SegmentArrangement::identity(n),
-                            SmallRng::seed_from_u64(COIN_SEED ^ seed),
-                        )
-                    });
-                    check("lines/sharded", &instance, || {
-                        RandLines::new(
-                            ShardedArrangement::identity(n),
-                            SmallRng::seed_from_u64(COIN_SEED ^ seed),
-                        )
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// The batched parallel executor stays bit-identical on the
-/// oracle-tractable workload families (interval, series-parallel, tree
-/// merge-sequences) for every worker count and arrangement backend.
-#[test]
-fn family_workloads_are_thread_count_invariant() {
+fn family_workloads_agree_across_backends() {
     let n = 64;
     let root = SeedSequence::new(WORKLOAD_SEED);
     for family in TopologyFamily::all() {
         let mut source = FamilyWorkload::new(family, n, &root);
         let instance = mla::graph::collect_instance(&mut source).expect("valid family stream");
-
-        fn check<A, F>(label: &str, instance: &Instance, make: F)
-        where
-            A: BatchServe + 'static,
-            A::Arr: Sync,
-            F: Fn() -> A,
-        {
-            let sequential = Simulation::new(instance.clone(), make()).run().unwrap();
-            for threads in [1usize, 4, 8] {
-                let parallel = Simulation::new(instance.clone(), make())
-                    .parallel(threads)
-                    .run()
-                    .unwrap();
-                assert_eq!(sequential, parallel, "{label} diverged at T={threads}");
-            }
-        }
-
+        let coins = || SmallRng::seed_from_u64(COIN_SEED);
         match family.topology() {
-            Topology::Cliques => {
-                check(family.label(), &instance, || {
-                    RandCliques::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED))
-                });
-                check(family.label(), &instance, || {
-                    RandCliques::new(
-                        SegmentArrangement::identity(n),
-                        SmallRng::seed_from_u64(COIN_SEED),
-                    )
-                });
-            }
-            Topology::Lines => {
-                check(family.label(), &instance, || {
-                    RandLines::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED))
-                });
-                check(family.label(), &instance, || {
-                    RandLines::new(
-                        SegmentArrangement::identity(n),
-                        SmallRng::seed_from_u64(COIN_SEED),
-                    )
-                });
-            }
+            Topology::Cliques => assert_backend_equivalence(
+                &instance,
+                RandCliques::new(Permutation::identity(n), coins()),
+                RandCliques::new(SegmentArrangement::identity(n), coins()),
+            ),
+            Topology::Lines => assert_backend_equivalence(
+                &instance,
+                RandLines::new(Permutation::identity(n), coins()),
+                RandLines::new(SegmentArrangement::identity(n), coins()),
+            ),
         }
+    }
+}
+
+/// A recording window keeps exactly the trailing `k` reports and events
+/// of the fully recorded run; totals and the final permutation do not
+/// change.
+#[test]
+fn record_window_keeps_the_trailing_reports() {
+    let n = 64;
+    let instance = fixed_instance(Topology::Cliques, n);
+    let run = |window: Option<usize>| {
+        let mut sim = Simulation::new(
+            instance.clone(),
+            RandCliques::new(SegmentArrangement::identity(n), SmallRng::seed_from_u64(2)),
+        );
+        if let Some(k) = window {
+            sim = sim.record_window(k);
+        }
+        sim.run().expect("valid instance")
+    };
+    let full = run(None);
+    assert!(full.events_recorded && full.recorded_window.is_none());
+    for k in [0usize, 1, 7, 1000] {
+        let windowed = run(Some(k));
+        let kept = k.min(full.per_event.len());
+        assert!(!windowed.events_recorded);
+        assert_eq!(windowed.recorded_window, Some(k));
+        assert_eq!(windowed.total_cost, full.total_cost);
+        assert_eq!(windowed.final_perm, full.final_perm);
+        assert_eq!(
+            windowed.per_event,
+            full.per_event[full.per_event.len() - kept..],
+            "window {k} kept the wrong reports"
+        );
+        assert_eq!(
+            windowed.events,
+            full.events[full.events.len() - kept..],
+            "window {k} kept the wrong events"
+        );
+        // Partial event logs cannot replay as an instance.
+        assert!(matches!(
+            windowed.to_instance(Topology::Cliques, n),
+            Err(SimError::EventsNotRecorded)
+        ));
     }
 }

@@ -153,43 +153,6 @@ fn lazy_merge_info_is_bit_identical_to_eager_for_every_policy() {
     }
 }
 
-/// Same contract through the batched parallel executor on the sharded
-/// backend: the lazy clique path must not perturb outcomes at any
-/// thread count.
-#[test]
-fn lazy_merge_info_is_bit_identical_to_eager_in_parallel() {
-    let n = 64;
-    let shards = 8;
-    for seed in 0..3u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let instance =
-            sharded_instance(Topology::Cliques, n, shards, MergeShape::Uniform, &mut rng);
-        let sizes: Vec<usize> = vec![n / shards; shards];
-        let run = |eager: bool, threads: usize| {
-            Simulation::new(
-                instance.clone(),
-                RandCliques::new(
-                    ShardedArrangement::with_regions(&sizes),
-                    SmallRng::seed_from_u64(seed ^ 0xC),
-                ),
-            )
-            .check_feasibility(true)
-            .eager_snapshots(eager)
-            .parallel(threads)
-            .run()
-            .expect("sharded clique run stays feasible")
-        };
-        let sequential = run(true, 1);
-        for threads in [1usize, 4] {
-            assert_eq!(
-                sequential,
-                run(false, threads),
-                "lazy parallel run diverged (seed {seed}, T = {threads})"
-            );
-        }
-    }
-}
-
 #[test]
 fn det_maintains_invariants_and_anchors_to_pi0() {
     for topology in [Topology::Cliques, Topology::Lines] {
