@@ -20,7 +20,7 @@ use mla_adversary::{random_clique_instance, random_line_instance, MergeShape};
 use mla_core::{RandCliques, RandLines};
 use mla_graph::{Instance, Topology};
 use mla_permutation::{Permutation, SegmentArrangement};
-use mla_runner::{format_number, Campaign, Json, SeedSequence};
+use mla_runner::{format_number, write_bench_artifact, Campaign, Json, SeedSequence};
 use mla_sim::Simulation;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -140,15 +140,6 @@ fn measure_cells() -> Vec<Cell> {
 }
 
 fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
-    // `cargo bench` runs with the crate as CWD, so anchor the default at
-    // the workspace target directory.
-    let dir = std::env::var("MLA_BENCH_ARTIFACT_DIR").unwrap_or_else(|_| {
-        format!(
-            "{}/../../target/bench-artifacts",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::create_dir_all(&dir).expect("create artifact directory");
     let rows = cells
         .iter()
         .map(|cell| {
@@ -171,9 +162,7 @@ fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
             "dense vs segment arrangement backend, full online runs",
         )
         .field("cells", Json::Array(rows));
-    let path = std::path::Path::new(&dir).join("BENCH_arrangement.json");
-    std::fs::write(&path, report.render_pretty()).expect("write artifact");
-    path
+    write_bench_artifact("BENCH_arrangement", &report).expect("write artifact")
 }
 
 fn bench_arrangement_backends(c: &mut Criterion) {

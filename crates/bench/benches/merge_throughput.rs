@@ -24,7 +24,7 @@ use mla_adversary::{MergeShape, StreamingWorkload};
 use mla_core::{RandCliques, RandLines};
 use mla_graph::Topology;
 use mla_permutation::SegmentArrangement;
-use mla_runner::{format_number, Json, SeedSequence};
+use mla_runner::{format_number, write_bench_artifact, Json, SeedSequence};
 use mla_sim::{RunOutcome, Simulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -118,13 +118,6 @@ fn measure_cell(topology: Topology, n: usize) -> Cell {
 }
 
 fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
-    let dir = std::env::var("MLA_BENCH_ARTIFACT_DIR").unwrap_or_else(|_| {
-        format!(
-            "{}/../../target/bench-artifacts",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::create_dir_all(&dir).expect("create artifact directory");
     let rows = cells
         .iter()
         .map(|cell| {
@@ -153,9 +146,7 @@ fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
             "merge hot path: eager member-walk snapshots vs lazy O(log n) locate, streamed reveals",
         )
         .field("cells", Json::Array(rows));
-    let path = std::path::Path::new(&dir).join("BENCH_merge.json");
-    std::fs::write(&path, report.render_pretty()).expect("write artifact");
-    path
+    write_bench_artifact("BENCH_merge", &report).expect("write artifact")
 }
 
 fn bench_merge_throughput(c: &mut Criterion) {

@@ -15,13 +15,14 @@
 //! [`RandCliques`](crate::RandCliques) implements its `serve` *through*
 //! [`BatchServe`], so the steps can also be called (and timed) one at a
 //! time with the same result. [`RandLines`](crate::RandLines) locates
-//! and decides the same way, then stages the rewritten path in a reused
-//! buffer inside `serve`.
+//! and decides the same way inside `serve`, then hands the chosen
+//! rearranging option's reverse/swap bits to the same single
+//! `merge_move`.
 
 use std::ops::Range;
 
 use mla_graph::MergeInfo;
-use mla_permutation::Arrangement;
+use mla_permutation::{Arrangement, MergeOrder};
 
 use crate::mechanics::{rearrange_choices_pure, BlockLayout, Orientation, RearrangeChoices};
 use crate::report::UpdateReport;
@@ -182,9 +183,9 @@ pub trait BatchServe: OnlineMinla {
     /// report is the plan's closed-form price; debug builds verify the
     /// backend charged exactly that.
     fn apply_plan(&mut self, plan: MergePlan) -> UpdateReport {
-        let moving_cost = self
-            .arrangement_mut()
-            .merge_move(plan.mover, plan.stayer, None);
+        let moving_cost =
+            self.arrangement_mut()
+                .merge_move(plan.mover, plan.stayer, MergeOrder::KEEP);
         debug_assert_eq!(moving_cost, plan.report.moving_cost);
         plan.report
     }

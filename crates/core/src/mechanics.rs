@@ -1,13 +1,14 @@
-//! Shared update mechanics: locating component blocks, the moving part
-//! (Figure 1) and the rearranging part (Figure 2).
+//! Shared update mechanics: locating the two merging component blocks,
+//! their orientations, and the rearranging part of a lines update
+//! (Figure 2) priced in closed form.
 //!
-//! Both randomized algorithms and all baselines are built from these
-//! primitives, so their cost accounting is identical by construction:
-//! every primitive returns the exact number of adjacent transpositions it
-//! performed.
+//! The update itself — the moving part (Figure 1) and the rearranging
+//! part — runs as one [`Arrangement::merge_move`], which takes the chosen
+//! [`RearrangeOption`]'s reverse/swap bits as a
+//! [`MergeOrder`].
 
 use mla_graph::ComponentSnapshot;
-use mla_permutation::{Arrangement, Node};
+use mla_permutation::{Arrangement, MergeOrder, Node};
 
 /// Positions of the two merging components in the current permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,51 +96,6 @@ impl BlockLayout {
     }
 }
 
-/// Executes the moving part: the chosen component travels over the gap so
-/// the two components become adjacent (preserving internal orders and
-/// which side each component ends up on). Returns the cost
-/// `|mover| × gap`.
-///
-/// # Panics
-///
-/// Panics if a component is not contiguous.
-pub fn execute_move<P: Arrangement + ?Sized>(
-    perm: &mut P,
-    x: &ComponentSnapshot,
-    z: &ComponentSnapshot,
-    x_moves: bool,
-) -> u64 {
-    let layout = BlockLayout::locate(perm, x, z);
-    execute_move_located(perm, &layout, x_moves)
-}
-
-/// The moving part against an already-located layout (the hot path: one
-/// [`BlockLayout::locate`] per merge update, threaded through the moving,
-/// rearranging and coalescing stages).
-pub fn execute_move_located<P: Arrangement + ?Sized>(
-    perm: &mut P,
-    layout: &BlockLayout,
-    x_moves: bool,
-) -> u64 {
-    if layout.gap() == 0 {
-        return 0;
-    }
-    let (mover, stay_range) = if x_moves {
-        (layout.x_range.clone(), layout.z_range.clone())
-    } else {
-        (layout.z_range.clone(), layout.x_range.clone())
-    };
-    let mover_is_left = mover.start < stay_range.start;
-    let dest = if mover_is_left {
-        // Shift right so the mover ends where the stayer begins.
-        stay_range.start - mover.len()
-    } else {
-        // Shift left so the mover starts where the stayer ends.
-        stay_range.end
-    };
-    perm.move_block(mover, dest)
-}
-
 /// The current orientation of a component block relative to its snapshot
 /// path order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,6 +171,26 @@ pub struct RearrangeOption {
     pub swap: bool,
     /// Total cost of this option in adjacent transpositions.
     pub cost: u64,
+}
+
+impl RearrangeOption {
+    /// This option's block operations for
+    /// [`merge_move`](Arrangement::merge_move), whose blocks are the mover
+    /// and the stayer: `X` is the mover iff `x_moves`. The swap needs no
+    /// mapping, because the moving part keeps both blocks on their sides.
+    #[must_use]
+    pub(crate) fn merge_order(&self, x_moves: bool) -> MergeOrder {
+        let (reverse_mover, reverse_stayer) = if x_moves {
+            (self.reverse_x, self.reverse_z)
+        } else {
+            (self.reverse_z, self.reverse_x)
+        };
+        MergeOrder {
+            reverse_mover,
+            reverse_stayer,
+            swap: self.swap,
+        }
+    }
 }
 
 /// The two rearranging options for the merged line: reach the forward
@@ -342,84 +318,11 @@ pub fn rearrange_choices_pure(
     choices
 }
 
-/// Applies a rearranging option. Returns the exact cost (always equals
-/// `option.cost`).
-///
-/// # Panics
-///
-/// Panics if the blocks are not adjacent.
-pub fn execute_rearrange<P: Arrangement + ?Sized>(
-    perm: &mut P,
-    x: &ComponentSnapshot,
-    z: &ComponentSnapshot,
-    option: RearrangeOption,
-) -> u64 {
-    let layout = BlockLayout::locate(perm, x, z);
-    execute_rearrange_located(perm, &layout, option)
-}
-
-/// Applies a rearranging option against an already-located layout.
-/// Returns the exact cost (always equals `option.cost`).
-///
-/// # Panics
-///
-/// Panics if the blocks are not adjacent.
-pub fn execute_rearrange_located<P: Arrangement + ?Sized>(
-    perm: &mut P,
-    layout: &BlockLayout,
-    option: RearrangeOption,
-) -> u64 {
-    assert_eq!(
-        layout.gap(),
-        0,
-        "blocks must be adjacent before rearranging"
-    );
-    let mut cost = 0u64;
-    if option.reverse_x {
-        cost += perm.reverse_block(layout.x_range.clone());
-    }
-    if option.reverse_z {
-        cost += perm.reverse_block(layout.z_range.clone());
-    }
-    if option.swap {
-        let (left, right) = if layout.x_is_left() {
-            (layout.x_range.clone(), layout.z_range.clone())
-        } else {
-            (layout.z_range.clone(), layout.x_range.clone())
-        };
-        cost += perm.swap_adjacent_blocks(left, right);
-    }
-    debug_assert_eq!(cost, option.cost);
-    cost
-}
-
-/// Tells the arrangement backend that the just-merged components `X` and
-/// `Z` now form one block (they are adjacent after the moving — and, for
-/// lines, rearranging — part). A pure structural hint: segment backends
-/// compact the two component segments into one so that the *next* merge
-/// touching this component locates it in a single `O(log n)` splice; the
-/// dense backend ignores it. Call once at the end of every `serve`.
-///
-/// # Panics
-///
-/// Panics if a component is not contiguous or the blocks are not
-/// adjacent — the merge update did not run to completion.
-pub fn coalesce_merged<P: Arrangement + ?Sized>(
-    perm: &mut P,
-    x: &ComponentSnapshot,
-    z: &ComponentSnapshot,
-) {
-    let layout = BlockLayout::locate(perm, x, z);
-    assert_eq!(layout.gap(), 0, "blocks must be adjacent before coalescing");
-    let start = layout.x_range.start.min(layout.z_range.start);
-    let end = layout.x_range.end.max(layout.z_range.end);
-    perm.coalesce_range(start..end);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mla_permutation::{Permutation, SegmentArrangement};
+    use std::ops::Range;
 
     fn snapshot(indices: &[usize]) -> ComponentSnapshot {
         let nodes: Vec<Node> = indices.iter().map(|&i| Node::new(i)).collect();
@@ -446,31 +349,64 @@ mod tests {
         let _ = BlockLayout::locate(&perm, &x, &z);
     }
 
-    #[test]
-    fn execute_move_brings_adjacent_both_directions() {
-        // X = {0,1} at left, Z = {4,5} at right, gap {2,3}.
-        let base = Permutation::identity(6);
-        let x = snapshot(&[0, 1]);
-        let z = snapshot(&[4, 5]);
-
-        let mut right = base.clone();
-        let cost = execute_move(&mut right, &x, &z, true);
-        assert_eq!(cost, 4); // |X|=2 over gap 2
-        assert_eq!(right.to_index_vec(), vec![2, 3, 0, 1, 4, 5]);
-
-        let mut left = base.clone();
-        let cost = execute_move(&mut left, &x, &z, false);
-        assert_eq!(cost, 4);
-        assert_eq!(left.to_index_vec(), vec![0, 1, 4, 5, 2, 3]);
+    /// Runs one `merge_move` from `start` on the dense backend and on the
+    /// segment backend — once with both blocks already one segment each
+    /// (the fast path), once from singleton segments (the primitive
+    /// fallback). All three must agree on the cost and the layout, and
+    /// the segment backend must end with the merged block as one segment.
+    /// Returns the cost and the layout.
+    fn merge_on_both(
+        start: &[usize],
+        mover: Range<usize>,
+        stayer: Range<usize>,
+        order: MergeOrder,
+    ) -> (u64, Vec<usize>) {
+        let base = Permutation::from_indices(start).unwrap();
+        let mut dense = base.clone();
+        let cost = Arrangement::merge_move(&mut dense, mover.clone(), stayer.clone(), order);
+        for coalesced in [true, false] {
+            let mut segment = SegmentArrangement::from_permutation(&base);
+            if coalesced {
+                segment.coalesce_range(mover.clone());
+                segment.coalesce_range(stayer.clone());
+            }
+            let segment_cost = segment.merge_move(mover.clone(), stayer.clone(), order);
+            assert_eq!(segment_cost, cost, "coalesced blocks: {coalesced}");
+            assert_eq!(
+                segment.to_permutation(),
+                dense,
+                "coalesced blocks: {coalesced}"
+            );
+            let merged_len = mover.len() + stayer.len();
+            let (range, _) = segment
+                .locate_component(base.node_at(stayer.start), merged_len)
+                .expect("the merged block is one segment");
+            assert_eq!(range.len(), merged_len);
+        }
+        (cost, dense.to_index_vec())
     }
 
     #[test]
-    fn execute_move_zero_gap_is_free() {
-        let mut perm = Permutation::identity(4);
-        let x = snapshot(&[0, 1]);
-        let z = snapshot(&[2, 3]);
-        assert_eq!(execute_move(&mut perm, &x, &z, true), 0);
-        assert_eq!(perm.to_index_vec(), vec![0, 1, 2, 3]);
+    fn merge_move_brings_adjacent_both_directions() {
+        // X = {0,1} at left, Z = {4,5} at right, gap {2,3}; |X| = 2
+        // crosses a gap of 2 either way.
+        let start = [0, 1, 2, 3, 4, 5];
+        assert_eq!(
+            merge_on_both(&start, 0..2, 4..6, MergeOrder::KEEP),
+            (4, vec![2, 3, 0, 1, 4, 5])
+        );
+        assert_eq!(
+            merge_on_both(&start, 4..6, 0..2, MergeOrder::KEEP),
+            (4, vec![0, 1, 4, 5, 2, 3])
+        );
+    }
+
+    #[test]
+    fn merge_move_zero_gap_is_free() {
+        assert_eq!(
+            merge_on_both(&[0, 1, 2, 3], 0..2, 2..4, MergeOrder::KEEP),
+            (0, vec![0, 1, 2, 3])
+        );
     }
 
     #[test]
@@ -522,51 +458,62 @@ mod tests {
     }
 
     #[test]
-    fn execute_rearrange_reaches_targets() {
+    fn merge_order_reaches_both_figure2_targets() {
+        // Every start layout of two adjacent 2-paths, either block moving:
+        // each option's bits reach its target at exactly its price.
         let x = ComponentSnapshot::eager(vec![Node::new(0), Node::new(1)], Node::new(1));
         let z = ComponentSnapshot::eager(vec![Node::new(2), Node::new(3)], Node::new(2));
-        for start in [
-            vec![1usize, 0, 2, 3],
-            vec![0, 1, 2, 3],
-            vec![2, 3, 1, 0],
-            vec![3, 2, 0, 1],
-        ] {
+        for start in [[1usize, 0, 2, 3], [0, 1, 2, 3], [2, 3, 1, 0], [3, 2, 0, 1]] {
             let base = Permutation::from_indices(&start).unwrap();
+            let layout = BlockLayout::locate(&base, &x, &z);
             let choices = rearrange_choices(&base, &x, &z);
-            let mut fwd = base.clone();
-            let cost = execute_rearrange(&mut fwd, &x, &z, choices.forward);
-            assert_eq!(cost, choices.forward.cost, "start {start:?}");
-            assert_eq!(fwd.to_index_vec(), vec![0, 1, 2, 3], "start {start:?}");
-            let mut rev = base.clone();
-            let cost = execute_rearrange(&mut rev, &x, &z, choices.reversed);
-            assert_eq!(cost, choices.reversed.cost, "start {start:?}");
-            assert_eq!(rev.to_index_vec(), vec![3, 2, 1, 0], "start {start:?}");
+            for (option, target) in [
+                (choices.forward, vec![0, 1, 2, 3]),
+                (choices.reversed, vec![3, 2, 1, 0]),
+            ] {
+                for x_moves in [true, false] {
+                    let (mover, stayer) = if x_moves {
+                        (layout.x_range.clone(), layout.z_range.clone())
+                    } else {
+                        (layout.z_range.clone(), layout.x_range.clone())
+                    };
+                    let order = option.merge_order(x_moves);
+                    let (cost, after) = merge_on_both(&start, mover, stayer, order);
+                    assert_eq!(cost, 0, "the blocks are adjacent");
+                    assert_eq!(after, target, "start {start:?}, X moves: {x_moves}");
+                    let after = Permutation::from_indices(&after).unwrap();
+                    assert_eq!(
+                        base.kendall_distance(&after),
+                        option.cost,
+                        "start {start:?}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn mechanics_are_backend_agnostic() {
-        // The full merge update — move, rearrange, coalesce — must behave
-        // identically on the dense and segment backends.
+    fn merge_update_is_backend_agnostic() {
+        // A whole lines update — move over a gap, rearrange, coalesce —
+        // priced the same on both backends and landing on the same layout
+        // (`merge_on_both` compares the backends).
         let x = ComponentSnapshot::eager(vec![Node::new(0), Node::new(1)], Node::new(1));
         let z = ComponentSnapshot::eager(vec![Node::new(4), Node::new(5)], Node::new(4));
-        let mut dense = Permutation::from_indices(&[1, 0, 2, 3, 4, 5]).unwrap();
-        let mut segment = SegmentArrangement::from_permutation(&dense);
-        let dense_move = execute_move(&mut dense, &x, &z, true);
-        let segment_move = execute_move(&mut segment, &x, &z, true);
-        assert_eq!(dense_move, segment_move);
-        let dense_choices = rearrange_choices(&dense, &x, &z);
-        let segment_choices = rearrange_choices(&segment, &x, &z);
-        assert_eq!(dense_choices, segment_choices);
-        let dense_cost = execute_rearrange(&mut dense, &x, &z, dense_choices.forward);
-        let segment_cost = execute_rearrange(&mut segment, &x, &z, segment_choices.forward);
-        assert_eq!(dense_cost, segment_cost);
-        coalesce_merged(&mut dense, &x, &z);
-        coalesce_merged(&mut segment, &x, &z);
-        assert_eq!(segment.to_permutation(), dense);
-        // After the coalesce hint the merged component is one segment.
-        let merged: Vec<Node> = x.nodes().iter().chain(z.nodes().iter()).copied().collect();
-        assert!(segment.contiguous_range(&merged).is_some());
+        let start = [1, 0, 2, 3, 4, 5];
+        let dense = Permutation::from_indices(&start).unwrap();
+        let segment = SegmentArrangement::from_permutation(&dense);
+        let layout = BlockLayout::locate(&dense, &x, &z);
+        let choices = rearrange_choices_located(&dense, &layout, &x, &z);
+        assert_eq!(
+            rearrange_choices_located(&segment, &BlockLayout::locate(&segment, &x, &z), &x, &z),
+            choices
+        );
+        let order = choices.forward.merge_order(true);
+        let (cost, after) = merge_on_both(&start, layout.x_range, layout.z_range, order);
+        assert_eq!(cost, 4);
+        assert_eq!(after, vec![2, 3, 0, 1, 4, 5]);
+        let after = Permutation::from_indices(&after).unwrap();
+        assert_eq!(dense.kendall_distance(&after), cost + choices.forward.cost);
     }
 
     #[test]

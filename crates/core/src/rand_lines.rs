@@ -11,7 +11,6 @@ use crate::policies::{MovePolicy, RearrangePolicy};
 use crate::rand_cliques::x_moves;
 use crate::report::UpdateReport;
 use crate::traits::OnlineMinla;
-use mla_permutation::Node;
 
 /// `Rand` for lines: each update has two parts (Section 4.1).
 ///
@@ -51,8 +50,6 @@ pub struct RandLines<R, P = Permutation> {
     move_policy: MovePolicy,
     rearrange_policy: RearrangePolicy,
     name: &'static str,
-    /// Reused buffer for each sequential merge's target path content.
-    scratch: Vec<Node>,
 }
 
 impl<R: Rng, P: Arrangement> RandLines<R, P> {
@@ -87,7 +84,6 @@ impl<R: Rng, P: Arrangement> RandLines<R, P> {
             move_policy,
             rearrange_policy,
             name,
-            scratch: Vec::new(),
         }
     }
 
@@ -104,48 +100,6 @@ impl<R: Rng, P: Arrangement> RandLines<R, P> {
         let x_moves = x_moves(&mut self.rng, self.move_policy, info.x.len(), info.z.len());
         let forward = self.pick_forward(&layout.choices(info));
         MergeDecision { x_moves, forward }
-    }
-
-    /// Fills `scratch` with the merged path's target content from the
-    /// eager snapshots: `x.nodes ++ z.nodes` forward, or
-    /// `reverse(z.nodes) ++ reverse(x.nodes)`.
-    fn fill_target_from_snapshots(&mut self, info: &MergeInfo, forward: bool) {
-        self.scratch.clear();
-        self.scratch.reserve(info.merged_len());
-        if forward {
-            self.scratch.extend(info.x.nodes().iter().copied());
-            self.scratch.extend(info.z.nodes().iter().copied());
-        } else {
-            self.scratch.extend(info.z.nodes().iter().rev().copied());
-            self.scratch.extend(info.x.nodes().iter().rev().copied());
-        }
-    }
-
-    /// Rebuilds the merged path's target content into `scratch` without
-    /// member lists: the forward target `x.nodes ++ z.nodes` is the
-    /// post-merge path read across the just-committed edge `(a, b)`
-    /// ([`LineState::path_across`](mla_graph::LineState::path_across)).
-    ///
-    /// `O(len)` — but only invoked when the rearranging option has
-    /// positive cost, where the update itself is already `Ω(len)`.
-    fn fill_target_from_state(&mut self, info: &MergeInfo, state: &GraphState, forward: bool) {
-        let GraphState::Lines(lines) = state else {
-            unreachable!("RandLines serves line reveals only");
-        };
-        lines.path_across(info.x.joined(), info.z.joined(), &mut self.scratch);
-        debug_assert_eq!(self.scratch.len(), info.merged_len());
-        if !forward {
-            self.scratch.reverse();
-        }
-        #[cfg(debug_assertions)]
-        if let (Some(xs), Some(zs)) = (info.x.shadow_nodes(), info.z.shadow_nodes()) {
-            let expect: Vec<Node> = if forward {
-                xs.iter().chain(zs.iter()).copied().collect()
-            } else {
-                zs.iter().rev().chain(xs.iter().rev()).copied().collect()
-            };
-            debug_assert_eq!(self.scratch, expect, "lazy target reconstruction mismatch");
-        }
     }
 
     /// Chooses between the two rearranging options under the configured
@@ -183,9 +137,8 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandLines<R, P> {
         // One locate per merge. The rearranging choices depend only on
         // sizes, orientations and sides — none changed by the moving
         // part — so both parts are decided up front and the whole update
-        // executes as a single backend operation: the merged path's final
-        // content is known in closed form from the snapshots, and is
-        // staged in the reused `scratch` buffer, so no merge allocates.
+        // executes as a single backend operation, the chosen option's
+        // reverse/swap bits riding along with the move.
         let layout = MergeLayout::locate(&self.perm, info);
         let decision = self.decide(info, &layout);
         let option = {
@@ -196,25 +149,13 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandLines<R, P> {
                 choices.reversed
             }
         };
-        // A free option means every required op is a no-op (singleton
-        // reversals) — skip the bulk rewrite so the backend's cheap
-        // order-preserving fold applies.
-        let target = if option.cost > 0 {
-            if info.x.is_lazy() || info.z.is_lazy() {
-                self.fill_target_from_state(info, state, decision.forward);
-            } else {
-                self.fill_target_from_snapshots(info, decision.forward);
-            }
-            Some(self.scratch.as_slice())
-        } else {
-            None
-        };
         let (mover, stayer) = if decision.x_moves {
-            (layout.layout.x_range.clone(), layout.layout.z_range.clone())
+            (layout.layout.x_range, layout.layout.z_range)
         } else {
-            (layout.layout.z_range.clone(), layout.layout.x_range.clone())
+            (layout.layout.z_range, layout.layout.x_range)
         };
-        let moving_cost = self.perm.merge_move(mover, stayer, target);
+        let order = option.merge_order(decision.x_moves);
+        let moving_cost = self.perm.merge_move(mover, stayer, order);
         UpdateReport {
             moving_cost,
             rearranging_cost: option.cost,
@@ -223,16 +164,14 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandLines<R, P> {
 
     fn wants_lazy_info(&self) -> bool {
         // Decisions need only sizes and orientations, both available
-        // lazily; the rare rewritten target is rebuilt from the
-        // post-merge graph state in `fill_target_from_state`.
+        // lazily, and the update only the reverse/swap bits: member lists
+        // are never read.
         true
     }
 }
 
 impl<P: Arrangement> crate::snapshot::PolicyState for RandLines<rand::rngs::SmallRng, P> {
     fn encode_state_into(&self, out: &mut Vec<u8>) {
-        // `scratch` is a transient buffer rebuilt inside every serve —
-        // not state.
         crate::snapshot::put_rng_state(out, self.rng.to_state());
     }
 

@@ -10,9 +10,7 @@
 //!
 //! The contract mirrors the rest of the checkpoint stack: restoring the
 //! policy state and replaying the remaining reveals must be
-//! bit-identical to never having stopped. Transient scratch buffers
-//! (e.g. `RandLines`' target buffer, rebuilt from scratch inside every
-//! serve) are deliberately *not* state and are not encoded.
+//! bit-identical to never having stopped.
 
 use mla_permutation::codec::{ByteReader, CodecError};
 

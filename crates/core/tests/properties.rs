@@ -3,9 +3,9 @@
 //! and seeds.
 
 use mla_core::{DetClosest, MovePolicy, OnlineMinla, RandCliques, RandLines, RearrangePolicy};
-use mla_graph::{GraphState, RevealEvent, Topology};
+use mla_graph::{GraphState, RevealEvent, SnapshotMode, Topology};
 use mla_offline::LopConfig;
-use mla_permutation::{Arrangement, Node, Permutation};
+use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,19 +42,29 @@ fn random_events(topology: Topology, n: usize, seed: u64) -> Vec<RevealEvent> {
     events
 }
 
-/// Drives an algorithm through a workload, asserting the two fundamental
-/// invariants per reveal. Returns (total cost, final permutation).
+/// Drives an algorithm through a workload the way the engine does —
+/// `peek_with` under the engine's snapshot rule (lazy iff the algorithm
+/// wants lazy snapshots and its backend can locate components), then
+/// `commit`, then `serve` — asserting the two fundamental invariants per
+/// reveal: the reported cost is the Kendall distance traveled, and the
+/// arrangement stays a MinLA. Returns (total cost, final permutation).
 fn drive<A: OnlineMinla>(
     topology: Topology,
     n: usize,
     events: &[RevealEvent],
     mut alg: A,
 ) -> (u64, Permutation) {
+    let mode = if alg.wants_lazy_info() && alg.arrangement().supports_component_locate() {
+        SnapshotMode::Lazy
+    } else {
+        SnapshotMode::Eager
+    };
     let mut state = GraphState::new(topology, n);
     let mut total = 0u64;
     for &event in events {
         let before = alg.arrangement().to_permutation();
-        let info = state.apply(event).unwrap();
+        let info = state.peek_with(event, mode).unwrap();
+        state.commit(event);
         let report = alg.serve(event, &info, &state);
         assert_eq!(
             report.total(),
@@ -79,11 +89,16 @@ proptest! {
         let events = random_events(Topology::Cliques, n, w_seed);
         let mut rng = SmallRng::seed_from_u64(p_seed);
         let pi0 = Permutation::random(n, &mut rng);
+        let coins = || SmallRng::seed_from_u64(a_seed);
         for policy in [MovePolicy::SizeBiased, MovePolicy::Fair, MovePolicy::SmallerMoves] {
-            let alg = RandCliques::with_policy(pi0.clone(), SmallRng::seed_from_u64(a_seed), policy);
+            let alg = RandCliques::with_policy(pi0.clone(), coins(), policy);
             let (total, final_perm) = drive(Topology::Cliques, n, &events, alg);
             // Trajectory cost dominates the end-to-end distance.
             prop_assert!(pi0.kendall_distance(&final_perm) <= total);
+            // The segment backend on lazy snapshots: the production path.
+            let arr = SegmentArrangement::from_permutation(&pi0);
+            let segment = drive(Topology::Cliques, n, &events, RandCliques::with_policy(arr, coins(), policy));
+            prop_assert_eq!(segment, (total, final_perm));
         }
     }
 
@@ -92,14 +107,18 @@ proptest! {
         let events = random_events(Topology::Lines, n, w_seed);
         let mut rng = SmallRng::seed_from_u64(p_seed);
         let pi0 = Permutation::random(n, &mut rng);
+        let coins = || SmallRng::seed_from_u64(a_seed);
         for (mp, rp) in [
             (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
             (MovePolicy::Fair, RearrangePolicy::Fair),
             (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
         ] {
-            let alg = RandLines::with_policies(pi0.clone(), SmallRng::seed_from_u64(a_seed), mp, rp);
+            let alg = RandLines::with_policies(pi0.clone(), coins(), mp, rp);
             let (total, final_perm) = drive(Topology::Lines, n, &events, alg);
             prop_assert!(pi0.kendall_distance(&final_perm) <= total);
+            let arr = SegmentArrangement::from_permutation(&pi0);
+            let segment = drive(Topology::Lines, n, &events, RandLines::with_policies(arr, coins(), mp, rp));
+            prop_assert_eq!(segment, (total, final_perm));
         }
     }
 
@@ -163,7 +182,6 @@ proptest! {
 // ---- backend equivalence: every algorithm, both topologies -------------
 
 use mla_core::OptReplay;
-use mla_permutation::SegmentArrangement;
 
 /// Drives the same algorithm on both backends through the same reveals,
 /// asserting bit-identical update reports and arrangements at every step.

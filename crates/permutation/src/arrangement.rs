@@ -211,49 +211,86 @@ pub trait Arrangement {
     /// path of every online algorithm, so backends can specialize it:
     ///
     /// 1. **Moving part**: the `mover` block travels over the gap to sit
-    ///    flush against `stayer` (exactly [`move_block`] semantics with
-    ///    the destination derived from the two ranges; the stayer does
-    ///    not move). Returns that cost, `mover.len() × gap`.
-    /// 2. **Rearranging part** (lines): if `target` is given, the merged
-    ///    block's content becomes `target` — which must be a permutation
-    ///    of the two blocks' nodes. The caller accounts this part's cost
-    ///    in closed form (see the mechanics' rearrange choices).
+    ///    flush against `stayer` on its own side (exactly [`move_block`]
+    ///    with the destination derived from the two ranges; the stayer
+    ///    does not move).
+    /// 2. **Rearranging part** (lines, the paper's Figure 2): the block
+    ///    operations `order` selects — reverse the mover's block, reverse
+    ///    the stayer's block, then swap the two adjacent blocks. The
+    ///    caller prices this part in closed form (see the mechanics'
+    ///    rearrange choices); [`MergeOrder::KEEP`] skips it.
     /// 3. **Coalesce hint**: as [`coalesce_range`] over the merged range.
     ///
-    /// Observably identical to the equivalent primitive-op sequence —
-    /// the backend-equivalence property tests pin this down.
+    /// Returns the moving part's cost, `mover.len() × gap`.
+    ///
+    /// The default runs exactly these primitive operations in this order;
+    /// an override must be observably identical to it — the
+    /// backend-equivalence property tests pin this down.
     ///
     /// [`move_block`]: Arrangement::move_block
     /// [`coalesce_range`]: Arrangement::coalesce_range
     ///
     /// # Panics
     ///
-    /// Panics if the ranges overlap or are out of bounds, or if
-    /// `target`'s length is not the blocks' combined length.
-    fn merge_move(
-        &mut self,
-        mover: Range<usize>,
-        stayer: Range<usize>,
-        target: Option<&[Node]>,
-    ) -> u64 {
-        let dest = merge_move_dest(&mover, &stayer);
-        let cost = self.move_block(mover.clone(), dest);
-        let merged = dest.min(stayer.start)..(dest + mover.len()).max(stayer.end);
-        if let Some(content) = target {
-            self.write_merged_block(merged.clone(), content);
-        }
-        self.coalesce_range(merged);
-        cost
+    /// Panics if the ranges overlap or are out of bounds.
+    fn merge_move(&mut self, mover: Range<usize>, stayer: Range<usize>, order: MergeOrder) -> u64 {
+        primitive_merge_move(self, mover, stayer, order)
     }
+}
 
-    /// Bulk-overwrites the (contiguous) block at `range` with `content`,
-    /// a permutation of its current nodes — the primitive behind
-    /// [`merge_move`](Arrangement::merge_move)'s rearranging part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or the lengths differ.
-    fn write_merged_block(&mut self, range: Range<usize>, content: &[Node]);
+/// The rearranging part of a merge update as the paper's Figure 2 states
+/// it: three block operations on the two blocks once they are adjacent,
+/// applied in field order. Every choice keeps both blocks' nodes together
+/// and each block in its own or its reversed reading order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeOrder {
+    /// Reverse the mover's block (cost `C(|mover|, 2)`).
+    pub reverse_mover: bool,
+    /// Reverse the stayer's block (cost `C(|stayer|, 2)`).
+    pub reverse_stayer: bool,
+    /// Swap the two adjacent blocks (cost `|mover|·|stayer|`).
+    pub swap: bool,
+}
+
+impl MergeOrder {
+    /// No rearranging part: both blocks keep their reading orders and
+    /// sides (every clique merge).
+    pub const KEEP: MergeOrder = MergeOrder {
+        reverse_mover: false,
+        reverse_stayer: false,
+        swap: false,
+    };
+}
+
+/// [`Arrangement::merge_move`] as its primitive operations: the trait
+/// default, and the segment backend's fallback for blocks that are not one
+/// segment each.
+pub(crate) fn primitive_merge_move<A: Arrangement + ?Sized>(
+    arr: &mut A,
+    mover: Range<usize>,
+    stayer: Range<usize>,
+    order: MergeOrder,
+) -> u64 {
+    let dest = merge_move_dest(&mover, &stayer);
+    let cost = arr.move_block(mover.clone(), dest);
+    let moved = dest..dest + mover.len();
+    if order.reverse_mover {
+        arr.reverse_block(moved.clone());
+    }
+    if order.reverse_stayer {
+        arr.reverse_block(stayer.clone());
+    }
+    let (left, right) = if mover.start < stayer.start {
+        (moved, stayer)
+    } else {
+        (stayer, moved)
+    };
+    let merged = left.start..right.end;
+    if order.swap {
+        arr.swap_adjacent_blocks(left, right);
+    }
+    arr.coalesce_range(merged);
+    cost
 }
 
 /// [`Arrangement::path_range`] from per-node positions, in one pass: the
@@ -348,10 +385,6 @@ impl Arrangement for Permutation {
 
     fn to_permutation(&self) -> Permutation {
         self.clone()
-    }
-
-    fn write_merged_block(&mut self, range: Range<usize>, content: &[Node]) {
-        self.write_block(range, content);
     }
 }
 

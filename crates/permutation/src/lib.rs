@@ -7,7 +7,8 @@
 //! * [`Node`] — dense node identifiers, distinct from positions;
 //! * [`Arrangement`] — the backend-agnostic arrangement abstraction: the
 //!   lookup, contiguity and block-operation vocabulary every online MinLA
-//!   algorithm uses, priced in adjacent transpositions;
+//!   algorithm uses, priced in adjacent transpositions, with
+//!   [`MergeOrder`] naming a merge update's rearranging part;
 //! * [`Permutation`] — the **dense** backend: a linear arrangement with
 //!   `O(1)` bidirectional lookups, block move / reverse / swap operations
 //!   that return their exact cost in adjacent transpositions, and
@@ -51,7 +52,7 @@ mod pairs;
 mod perm;
 mod segment;
 
-pub use arrangement::Arrangement;
+pub use arrangement::{Arrangement, MergeOrder};
 pub use error::PermutationError;
 
 /// The maximum node count either arrangement backend can address.

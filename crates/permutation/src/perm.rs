@@ -445,43 +445,6 @@ impl Permutation {
         cost
     }
 
-    /// Overwrites the block at `range` with `content` — the bulk state
-    /// transition behind a merge update's rearranging part, whose final
-    /// block content is known in closed form. `content` must be a
-    /// permutation of the nodes currently occupying `range`; positions
-    /// outside the block are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or the lengths differ. Debug
-    /// builds additionally verify that `content` is a permutation of the
-    /// block's current nodes.
-    pub fn write_block(&mut self, range: std::ops::Range<usize>, content: &[Node]) {
-        assert!(
-            range.end <= self.len(),
-            "block {range:?} out of bounds for length {}",
-            self.len()
-        );
-        assert_eq!(
-            range.len(),
-            content.len(),
-            "content length {} does not match block {range:?}",
-            content.len()
-        );
-        debug_assert!(
-            {
-                let mut old: Vec<Node> = self.pos_to_node[range.clone()].to_vec();
-                let mut new: Vec<Node> = content.to_vec();
-                old.sort_unstable();
-                new.sort_unstable();
-                old == new
-            },
-            "content must be a permutation of the block's nodes"
-        );
-        self.pos_to_node[range.clone()].copy_from_slice(content);
-        self.refresh_positions(range.start, range.end);
-    }
-
     /// Kendall's tau distance to `other`: the number of node pairs ordered
     /// differently, which equals the minimum number of adjacent
     /// transpositions transforming one arrangement into the other.

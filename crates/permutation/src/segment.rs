@@ -38,7 +38,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
-use crate::arrangement::Arrangement;
+use crate::arrangement::{Arrangement, MergeOrder};
 use crate::inversions::count_inversions;
 use crate::node::Node;
 use crate::perm::Permutation;
@@ -466,8 +466,7 @@ impl SegmentArrangement {
         // tree restructuring, subtree sizes unchanged (the range memo
         // stays valid: boundaries are untouched).
         if let Some(slot) = self.exact_segment(&range) {
-            let seg = &mut self.content[slot as usize];
-            seg.reversed = !seg.reversed;
+            self.flip_seg(slot);
             return cost;
         }
         self.bump_version();
@@ -684,17 +683,18 @@ impl SegmentArrangement {
     /// blocks segment-exact, the steady state under coalesce hints)
     /// unlinks the mover's tree node and folds its content into the
     /// stayer's segment: ~5 tree walks per merge instead of the ~13 the
-    /// primitive-op sequence costs.
+    /// primitive-op sequence costs. A reversal in `order` flips that
+    /// segment's lazy orientation flag, and the swap only picks the side
+    /// of the stayer the mover folds onto.
     ///
     /// # Panics
     ///
-    /// Panics if the ranges overlap or are out of bounds, or if
-    /// `target`'s length is not the blocks' combined length.
+    /// Panics if the ranges overlap or are out of bounds.
     pub fn merge_move(
         &mut self,
         mover: Range<usize>,
         stayer: Range<usize>,
-        target: Option<&[Node]>,
+        order: MergeOrder,
     ) -> u64 {
         let dest = crate::arrangement::merge_move_dest(&mover, &stayer);
         assert!(
@@ -702,93 +702,26 @@ impl SegmentArrangement {
             "blocks {mover:?}/{stayer:?} out of bounds for length {}",
             self.len()
         );
-        if let Some(content) = target {
-            assert_eq!(
-                content.len(),
-                mover.len() + stayer.len(),
-                "target length must equal the blocks' combined length"
-            );
-        }
+        // Empty or unaligned blocks take the primitive sequence.
+        let (Some(mover_slot), Some(stayer_slot)) =
+            (self.exact_segment(&mover), self.exact_segment(&stayer))
+        else {
+            return crate::arrangement::primitive_merge_move(self, mover, stayer, order);
+        };
         let gap = dest.abs_diff(mover.start);
         let cost = (mover.len() as u64) * (gap as u64);
-        let mover_is_left = mover.start < stayer.start;
-        if mover.is_empty() || stayer.is_empty() {
-            // Degenerate blocks: fall back to the primitive sequence.
-            let moved = self.move_block(mover.clone(), dest);
-            debug_assert_eq!(moved, cost);
-            let merged = dest.min(stayer.start)..(dest + mover.len()).max(stayer.end);
-            if let Some(content) = target {
-                self.write_merged_block(merged.clone(), content);
-            }
-            self.coalesce_range(merged);
-            return cost;
-        }
-        let mover_exact = self.exact_segment(&mover);
-        let stayer_exact = self.exact_segment(&stayer);
-        let (Some(mover_slot), Some(stayer_slot)) = (mover_exact, stayer_exact) else {
-            let moved = self.move_block(mover.clone(), dest);
-            debug_assert_eq!(moved, cost);
-            let merged = dest.min(stayer.start)..(dest + mover.len()).max(stayer.end);
-            if let Some(content) = target {
-                self.write_merged_block(merged.clone(), content);
-            }
-            self.coalesce_range(merged);
-            return cost;
-        };
         self.bump_version();
         self.unlink_seg(mover_slot);
-        match target {
-            Some(content) => {
-                // Rearranged merge: the merged block's content is known in
-                // closed form — overwrite the stayer segment wholesale,
-                // reusing its buffer.
-                self.free_seg(mover_slot);
-                self.replace_seg_content(stayer_slot, content);
-            }
-            None => {
-                // Order-preserving merge: fold the mover's content into
-                // the stayer at the junction side.
-                self.fold_into_seg(stayer_slot, mover_slot, mover_is_left);
-            }
+        if order.reverse_mover {
+            self.flip_seg(mover_slot);
         }
+        if order.reverse_stayer {
+            self.flip_seg(stayer_slot);
+        }
+        let mover_is_left = mover.start < stayer.start;
+        self.fold_into_seg(stayer_slot, mover_slot, mover_is_left != order.swap);
         self.recompute_sizes_upward(stayer_slot);
         cost
-    }
-
-    /// Bulk-overwrites the block at `range` with `content` — see
-    /// [`Arrangement::write_merged_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or the lengths differ.
-    pub fn write_merged_block(&mut self, range: Range<usize>, content: &[Node]) {
-        assert!(
-            range.end <= self.len(),
-            "block {range:?} out of bounds for length {}",
-            self.len()
-        );
-        assert_eq!(
-            range.len(),
-            content.len(),
-            "content length {} does not match block {range:?}",
-            content.len()
-        );
-        if range.is_empty() {
-            return;
-        }
-        let exact = self.exact_segment(&range);
-        self.bump_version();
-        if let Some(slot) = exact {
-            self.replace_seg_content(slot, content);
-            self.recompute_sizes_upward(slot);
-            return;
-        }
-        let (before, block, after) = self.extract(range);
-        self.free_subtree(block);
-        let fresh = self.alloc_seg(content.to_vec(), false);
-        let joined = self.merge(before, fresh);
-        let root = self.merge(joined, after);
-        self.set_root(root);
     }
 
     /// Resolves a coalesced component's block from one member in
@@ -1192,8 +1125,7 @@ impl SegmentArrangement {
         debug_assert_ne!(block, NIL);
         let i = block as usize;
         if self.tree.left[i] == NIL && self.tree.right[i] == NIL {
-            let seg = &mut self.content[i];
-            seg.reversed = !seg.reversed;
+            self.flip_seg(block);
             return block;
         }
         let mut order = self.take_buffer(self.sub(block));
@@ -1438,8 +1370,7 @@ impl SegmentArrangement {
     }
 
     /// Installs `content` as `slot`'s storage (forward order), syncing the
-    /// node maps and recycling the displaced buffer. The owned-buffer
-    /// sibling of `replace_seg_content`.
+    /// node maps and recycling the displaced buffer.
     fn install_seg_content(&mut self, slot: u32, content: Vec<Node>) {
         for (off, v) in content.iter().enumerate() {
             self.node_seg[v.index()] = slot;
@@ -1451,19 +1382,14 @@ impl SegmentArrangement {
         self.sync_len(slot);
     }
 
-    /// Overwrites a (linked) segment's content in place, forward order,
-    /// reusing its buffer. Subtree sizes are NOT fixed up — callers do
-    /// that.
-    fn replace_seg_content(&mut self, slot: u32, content: &[Node]) {
-        for (off, v) in content.iter().enumerate() {
-            self.node_seg[v.index()] = slot;
-            self.node_off[v.index()] = off as u32;
+    /// Reverses segment `slot`'s reading order by flipping its lazy flag.
+    /// A singleton keeps its flag: reversing it is a no-op, as in
+    /// [`reverse_block`](Self::reverse_block).
+    fn flip_seg(&mut self, slot: u32) {
+        if self.seg_len(slot) > 1 {
+            let seg = &mut self.content[slot as usize];
+            seg.reversed = !seg.reversed;
         }
-        let c = &mut self.content[slot as usize];
-        c.nodes.clear();
-        c.nodes.extend_from_slice(content);
-        c.reversed = false;
-        self.sync_len(slot);
     }
 
     /// Folds the content of detached segment `other` into linked segment
@@ -1586,17 +1512,8 @@ impl Arrangement for SegmentArrangement {
         true
     }
 
-    fn merge_move(
-        &mut self,
-        mover: Range<usize>,
-        stayer: Range<usize>,
-        target: Option<&[Node]>,
-    ) -> u64 {
-        SegmentArrangement::merge_move(self, mover, stayer, target)
-    }
-
-    fn write_merged_block(&mut self, range: Range<usize>, content: &[Node]) {
-        SegmentArrangement::write_merged_block(self, range, content);
+    fn merge_move(&mut self, mover: Range<usize>, stayer: Range<usize>, order: MergeOrder) -> u64 {
+        SegmentArrangement::merge_move(self, mover, stayer, order)
     }
 }
 

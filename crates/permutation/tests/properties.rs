@@ -186,7 +186,7 @@ proptest! {
 
 // ---- backend equivalence: SegmentArrangement vs dense Permutation ------
 
-use mla_permutation::{Arrangement, SegmentArrangement};
+use mla_permutation::{Arrangement, MergeOrder, SegmentArrangement};
 
 /// One randomly generated arrangement operation.
 #[derive(Debug, Clone)]
@@ -203,20 +203,21 @@ enum Op {
     },
     Coalesce(std::ops::Range<usize>),
     Assign(Vec<usize>),
-    /// The composite merge update; `pattern` (a permutation of the two
-    /// blocks' combined length) selects the rearranging target from the
-    /// state at execution time.
+    /// The composite merge update.
     MergeMove {
         mover: std::ops::Range<usize>,
         stayer: std::ops::Range<usize>,
-        pattern: Option<Vec<usize>>,
+        order: MergeOrder,
     },
-    /// Bulk block-content overwrite, `pattern` relative to the block's
-    /// nodes at execution time.
-    WriteBlock {
-        range: std::ops::Range<usize>,
-        pattern: Vec<usize>,
-    },
+}
+
+/// The merge order whose three bits are the low bits of `bits`.
+fn merge_order_of(bits: usize) -> MergeOrder {
+    MergeOrder {
+        reverse_mover: bits & 1 != 0,
+        reverse_stayer: bits & 2 != 0,
+        swap: bits & 4 != 0,
+    }
 }
 
 /// A random permutation of `0..len` drawn from the strategy RNG.
@@ -245,7 +246,7 @@ fn op_sequence() -> impl Strategy<Value = (Permutation, Vec<Op>)> {
             let count = next(40, &mut rng);
             let mut ops = Vec::with_capacity(count);
             for _ in 0..count {
-                ops.push(match next(17, &mut rng) {
+                ops.push(match next(15, &mut rng) {
                     0..=3 => {
                         let start = next(n + 1, &mut rng);
                         let end = start + next(n - start + 1, &mut rng);
@@ -274,7 +275,7 @@ fn op_sequence() -> impl Strategy<Value = (Permutation, Vec<Op>)> {
                     12 => Op::Assign(pattern_of(n, next, &mut rng)),
                     13 | 14 if n >= 2 => {
                         // Two disjoint non-empty blocks; mover on a random
-                        // side; rearranging target on a coin flip.
+                        // side; each rearranging bit on a coin flip.
                         let mut cuts = [
                             next(n + 1, &mut rng),
                             next(n + 1, &mut rng),
@@ -299,21 +300,11 @@ fn op_sequence() -> impl Strategy<Value = (Permutation, Vec<Op>)> {
                             } else {
                                 (second, first)
                             };
-                            let pattern = (next(2, &mut rng) == 0)
-                                .then(|| pattern_of(mover.len() + stayer.len(), next, &mut rng));
                             Op::MergeMove {
                                 mover,
                                 stayer,
-                                pattern,
+                                order: merge_order_of(next(8, &mut rng)),
                             }
-                        }
-                    }
-                    15 | 16 => {
-                        let start = next(n + 1, &mut rng);
-                        let end = start + next(n - start + 1, &mut rng);
-                        Op::WriteBlock {
-                            range: start..end,
-                            pattern: pattern_of(end - start, next, &mut rng),
                         }
                     }
                     _ => Op::Coalesce(0..n),
@@ -352,38 +343,10 @@ proptest! {
                     let target = Permutation::from_indices(&indices).expect("valid shuffle");
                     (Arrangement::assign(&mut dense, &target), segment.assign(&target))
                 }
-                Op::MergeMove {
-                    mover,
-                    stayer,
-                    pattern,
-                } => {
-                    // The rearranging target is a pattern-shuffle of the
-                    // two blocks' current nodes.
-                    let target: Option<Vec<Node>> = pattern.map(|pattern| {
-                        let pool: Vec<Node> = mover
-                            .clone()
-                            .chain(stayer.clone())
-                            .map(|p| dense.node_at(p))
-                            .collect();
-                        pattern.iter().map(|&i| pool[i]).collect()
-                    });
-                    (
-                        Arrangement::merge_move(
-                            &mut dense,
-                            mover.clone(),
-                            stayer.clone(),
-                            target.as_deref(),
-                        ),
-                        segment.merge_move(mover, stayer, target.as_deref()),
-                    )
-                }
-                Op::WriteBlock { range, pattern } => {
-                    let pool: Vec<Node> = range.clone().map(|p| dense.node_at(p)).collect();
-                    let content: Vec<Node> = pattern.iter().map(|&i| pool[i]).collect();
-                    Arrangement::write_merged_block(&mut dense, range.clone(), &content);
-                    segment.write_merged_block(range, &content);
-                    (0, 0)
-                }
+                Op::MergeMove { mover, stayer, order } => (
+                    Arrangement::merge_move(&mut dense, mover.clone(), stayer.clone(), order),
+                    segment.merge_move(mover, stayer, order),
+                ),
             };
             prop_assert_eq!(dense_cost, segment_cost, "cost diverged on {:?}", operation);
             prop_assert_eq!(&segment.to_permutation(), &dense, "layout diverged on {:?}", operation);
@@ -448,11 +411,11 @@ proptest! {
 // ---- lazy locate: slot-based locate vs the full member walk ------------
 
 /// Raw schedule picks, resolved against the live component list at
-/// execution time: `(first_pick, second_pick, reverse_target,
+/// execution time: `(first_pick, second_pick, merge_order,
 /// shuffle_pick)`. Between merges, `shuffle_pick` optionally moves a
 /// whole component elsewhere or reverses it in place — the other two
 /// block operations an algorithm run interleaves with merges.
-type MergePick = (usize, usize, bool, usize);
+type MergePick = (usize, usize, MergeOrder, usize);
 
 /// Strategy: an initial permutation plus a raw merge schedule. The picks
 /// are drawn as plain integers (the component list shrinks as merges
@@ -468,7 +431,7 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
                     (
                         next(1 << 16, &mut rng),
                         next(1 << 16, &mut rng),
-                        next(2, &mut rng) == 0,
+                        merge_order_of(next(8, &mut rng)),
                         next(1 << 16, &mut rng),
                     )
                 })
@@ -517,7 +480,7 @@ fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
         }
     };
     check_all(arr, &comps);
-    for &(first_pick, second_pick, reverse, shuffle_pick) in picks {
+    for &(first_pick, second_pick, order, shuffle_pick) in picks {
         // Interleave the other two whole-block operations a run uses:
         // move a component to a random spot, or reverse it in place.
         // Neither may break a later locate.
@@ -568,18 +531,9 @@ fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
         let stayer = arr
             .contiguous_range(&comps[b])
             .expect("component is contiguous");
-        // Half the merges rewrite the merged block reversed, so reversed
-        // segments (and reversed-orientation locates) are exercised too.
-        let target: Option<Vec<Node>> = reverse.then(|| {
-            let mut pool: Vec<Node> = mover
-                .clone()
-                .chain(stayer.clone())
-                .map(|p| arr.node_at(p))
-                .collect();
-            pool.reverse();
-            pool
-        });
-        arr.merge_move(mover, stayer, target.as_deref());
+        // Random reverse/swap bits, so reversed segments (and
+        // reversed-orientation locates) are exercised too.
+        arr.merge_move(mover, stayer, order);
         let absorbed = std::mem::take(&mut comps[a]);
         comps[b].extend(absorbed);
         comps.swap_remove(a);

@@ -268,6 +268,33 @@ impl ArtifactStore {
     }
 }
 
+/// Writes a benchmark baseline as `<id>.json`, pretty-printed, into the
+/// benchmark-artifact directory — `MLA_BENCH_ARTIFACT_DIR` if set, else
+/// the workspace's `target/bench-artifacts` wherever the process runs
+/// from — creating the directory first. Returns the written path.
+///
+/// # Errors
+///
+/// Propagates directory-creation and file-write failures, with the
+/// failing path in the message.
+pub fn write_bench_artifact(id: &str, report: &Json) -> io::Result<PathBuf> {
+    let dir = std::env::var_os("MLA_BENCH_ARTIFACT_DIR").map_or_else(
+        || {
+            // This crate sits at `<workspace>/crates/runner`.
+            let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+            let workspace = manifest.ancestors().nth(2).unwrap_or(manifest);
+            workspace.join("target/bench-artifacts")
+        },
+        PathBuf::from,
+    );
+    let path = dir.join(format!("{id}.json"));
+    let located =
+        |at: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", at.display()));
+    std::fs::create_dir_all(&dir).map_err(|e| located(&dir, e))?;
+    std::fs::write(&path, report.render_pretty()).map_err(|e| located(&path, e))?;
+    Ok(path)
+}
+
 /// `git describe --always --dirty` of the repository containing the
 /// process's working directory, if git and a repository are available.
 ///

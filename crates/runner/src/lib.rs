@@ -47,8 +47,8 @@ mod seed;
 pub mod wire;
 
 pub use artifact::{
-    git_describe, strip_meta_lines, ArtifactStore, CampaignReport, ReportMeta, RunRecord, RunSink,
-    TableData,
+    git_describe, strip_meta_lines, write_bench_artifact, ArtifactStore, CampaignReport,
+    ReportMeta, RunRecord, RunSink, TableData,
 };
 pub use campaign::{resolve_threads, Campaign, RunSpec};
 pub use json::{format_number, Json, JsonError};

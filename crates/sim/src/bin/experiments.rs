@@ -25,7 +25,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use mla_runner::{
-    git_describe, resolve_threads, ArtifactStore, CampaignReport, ReportMeta, RunSink,
+    git_describe, resolve_threads, write_bench_artifact, ArtifactStore, CampaignReport, ReportMeta,
+    RunSink,
 };
 use mla_sim::{all_experiments, find_experiment, Experiment, ExperimentContext, Scale};
 
@@ -278,11 +279,6 @@ fn run_scale_smoke(n: usize, seed: u64) {
 
     // BENCH_scale.json next to BENCH_arrangement.json, so CI tracks the
     // E-SCALE regime's timing trajectory across PRs.
-    let dir = std::env::var("MLA_BENCH_ARTIFACT_DIR")
-        .unwrap_or_else(|_| "target/bench-artifacts".to_owned());
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        die(&format!("cannot create {dir}: {e}"));
-    }
     let report = Json::object()
         .field("id", "BENCH_scale")
         .field(
@@ -292,10 +288,8 @@ fn run_scale_smoke(n: usize, seed: u64) {
         .field("seed", seed)
         .field("peak_rss_mb", peak.map_or(Json::Null, Json::Number))
         .field("cells", Json::Array(cells));
-    let path = std::path::Path::new(&dir).join("BENCH_scale.json");
-    if let Err(e) = std::fs::write(&path, report.render_pretty()) {
-        die(&format!("cannot write {}: {e}", path.display()));
-    }
+    let path = write_bench_artifact("BENCH_scale", &report)
+        .unwrap_or_else(|e| die(&format!("cannot write BENCH_scale.json: {e}")));
     println!("[scale artifact: {}]", path.display());
 
     // Hard memory ceiling (CI): fail loudly instead of silently swapping.

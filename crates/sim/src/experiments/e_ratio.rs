@@ -30,7 +30,7 @@ use mla_offline::{
     IntervalModel, OracleResult, SpForest,
 };
 use mla_permutation::Permutation;
-use mla_runner::{Json, RunRecord};
+use mla_runner::{write_bench_artifact, Json, RunRecord};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -305,11 +305,6 @@ fn write_ratio_artifact(
     n: usize,
     cells: Vec<Json>,
 ) -> Result<(), SimError> {
-    // mla-lint: allow(determinism): artifact output directory only; never affects computed outcomes
-    let dir = std::env::var("MLA_BENCH_ARTIFACT_DIR")
-        .unwrap_or_else(|_| "target/bench-artifacts".to_owned());
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| SimError::Other(format!("cannot create {dir}: {e}")))?;
     let report = Json::object()
         .field("id", "BENCH_ratio")
         .field(
@@ -321,9 +316,8 @@ fn write_ratio_artifact(
         .field("gate", RATIO_GATE)
         .field("seeds_key", ctx.seeds().key())
         .field("cells", Json::Array(cells));
-    let path = std::path::Path::new(&dir).join("BENCH_ratio.json");
-    std::fs::write(&path, report.render_pretty())
-        .map_err(|e| SimError::Other(format!("cannot write {}: {e}", path.display())))?;
+    write_bench_artifact("BENCH_ratio", &report)
+        .map_err(|e| SimError::Other(format!("cannot write BENCH_ratio.json: {e}")))?;
     Ok(())
 }
 

@@ -21,10 +21,14 @@ const WORKLOAD_SEED: u64 = 0xD1CE;
 const COIN_SEED: u64 = 0xC01;
 
 fn fixed_instance(topology: Topology, n: usize) -> Instance {
+    shaped_instance(topology, n, MergeShape::Uniform)
+}
+
+fn shaped_instance(topology: Topology, n: usize, shape: MergeShape) -> Instance {
     let mut rng = SmallRng::seed_from_u64(WORKLOAD_SEED);
     match topology {
-        Topology::Cliques => random_clique_instance(n, MergeShape::Uniform, &mut rng),
-        Topology::Lines => random_line_instance(n, MergeShape::Uniform, &mut rng),
+        Topology::Cliques => random_clique_instance(n, shape, &mut rng),
+        Topology::Lines => random_line_instance(n, shape, &mut rng),
     }
 }
 
@@ -289,30 +293,61 @@ where
     );
 }
 
+/// A random start arrangement, so merges cross gaps from the first reveal
+/// on.
+fn random_start(n: usize) -> Permutation {
+    Permutation::random(n, &mut SmallRng::seed_from_u64(WORKLOAD_SEED ^ COIN_SEED))
+}
+
 #[test]
 fn rand_cliques_backends_agree() {
     let n = 32;
-    assert_backend_equivalence(
-        &fixed_instance(Topology::Cliques, n),
-        RandCliques::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED)),
-        RandCliques::new(
-            SegmentArrangement::identity(n),
-            SmallRng::seed_from_u64(COIN_SEED),
-        ),
-    );
+    let pi0 = random_start(n);
+    let coins = || SmallRng::seed_from_u64(COIN_SEED);
+    for shape in MergeShape::all() {
+        let instance = shaped_instance(Topology::Cliques, n, shape);
+        for policy in [
+            MovePolicy::SizeBiased,
+            MovePolicy::Fair,
+            MovePolicy::SmallerMoves,
+        ] {
+            assert_backend_equivalence(
+                &instance,
+                RandCliques::with_policy(pi0.clone(), coins(), policy),
+                RandCliques::with_policy(
+                    SegmentArrangement::from_permutation(&pi0),
+                    coins(),
+                    policy,
+                ),
+            );
+        }
+    }
 }
 
 #[test]
 fn rand_lines_backends_agree() {
     let n = 32;
-    assert_backend_equivalence(
-        &fixed_instance(Topology::Lines, n),
-        RandLines::new(Permutation::identity(n), SmallRng::seed_from_u64(COIN_SEED)),
-        RandLines::new(
-            SegmentArrangement::identity(n),
-            SmallRng::seed_from_u64(COIN_SEED),
-        ),
-    );
+    let pi0 = random_start(n);
+    let coins = || SmallRng::seed_from_u64(COIN_SEED);
+    for shape in MergeShape::all() {
+        let instance = shaped_instance(Topology::Lines, n, shape);
+        for (move_policy, rearrange_policy) in [
+            (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
+            (MovePolicy::Fair, RearrangePolicy::Fair),
+            (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
+        ] {
+            assert_backend_equivalence(
+                &instance,
+                RandLines::with_policies(pi0.clone(), coins(), move_policy, rearrange_policy),
+                RandLines::with_policies(
+                    SegmentArrangement::from_permutation(&pi0),
+                    coins(),
+                    move_policy,
+                    rearrange_policy,
+                ),
+            );
+        }
+    }
 }
 
 #[test]

@@ -14,9 +14,9 @@ fn build_instance(topology: Topology, n: usize, shape: MergeShape, seed: u64) ->
     }
 }
 
-/// Runs with feasibility checking on; also verifies that the reported cost
-/// per reveal equals the Kendall distance actually traveled by replaying
-/// the trajectory step by step.
+/// Runs with feasibility checking on and checks that the run's total cost
+/// is the sum of its per-reveal reports. (The per-reveal cost = Kendall
+/// distance oracle is `drive` in `crates/core/tests/properties.rs`.)
 fn assert_clean_run<A: OnlineMinla>(instance: Instance, algorithm: A) {
     let outcome = Simulation::new(instance, algorithm)
         .check_feasibility(true)
