@@ -399,6 +399,27 @@ mod tests {
             merge_on_both(&start, 4..6, 0..2, MergeOrder::KEEP),
             (4, vec![0, 1, 4, 5, 2, 3])
         );
+        // Unequal blocks across the same gap: the mover larger and
+        // smaller than the stayer, from either side. The segment fast
+        // path keeps the larger block's storage, so a larger mover's slot
+        // takes over the stayer's tree node first.
+        let start = [0, 1, 2, 3, 4, 5, 6];
+        assert_eq!(
+            merge_on_both(&start, 0..3, 5..7, MergeOrder::KEEP),
+            (6, vec![3, 4, 0, 1, 2, 5, 6])
+        );
+        assert_eq!(
+            merge_on_both(&start, 5..7, 0..3, MergeOrder::KEEP),
+            (4, vec![0, 1, 2, 5, 6, 3, 4])
+        );
+        assert_eq!(
+            merge_on_both(&start, 0..2, 4..7, MergeOrder::KEEP),
+            (4, vec![2, 3, 0, 1, 4, 5, 6])
+        );
+        assert_eq!(
+            merge_on_both(&start, 4..7, 0..2, MergeOrder::KEEP),
+            (6, vec![0, 1, 4, 5, 6, 2, 3])
+        );
     }
 
     #[test]
@@ -459,34 +480,60 @@ mod tests {
 
     #[test]
     fn merge_order_reaches_both_figure2_targets() {
-        // Every start layout of two adjacent 2-paths, either block moving:
-        // each option's bits reach its target at exactly its price.
-        let x = ComponentSnapshot::eager(vec![Node::new(0), Node::new(1)], Node::new(1));
-        let z = ComponentSnapshot::eager(vec![Node::new(2), Node::new(3)], Node::new(2));
-        for start in [[1usize, 0, 2, 3], [0, 1, 2, 3], [2, 3, 1, 0], [3, 2, 0, 1]] {
-            let base = Permutation::from_indices(&start).unwrap();
-            let layout = BlockLayout::locate(&base, &x, &z);
-            let choices = rearrange_choices(&base, &x, &z);
-            for (option, target) in [
-                (choices.forward, vec![0, 1, 2, 3]),
-                (choices.reversed, vec![3, 2, 1, 0]),
-            ] {
-                for x_moves in [true, false] {
-                    let (mover, stayer) = if x_moves {
-                        (layout.x_range.clone(), layout.z_range.clone())
-                    } else {
-                        (layout.z_range.clone(), layout.x_range.clone())
-                    };
-                    let order = option.merge_order(x_moves);
-                    let (cost, after) = merge_on_both(&start, mover, stayer, order);
-                    assert_eq!(cost, 0, "the blocks are adjacent");
-                    assert_eq!(after, target, "start {start:?}, X moves: {x_moves}");
-                    let after = Permutation::from_indices(&after).unwrap();
-                    assert_eq!(
-                        base.kendall_distance(&after),
-                        option.cost,
-                        "start {start:?}"
-                    );
+        // Two adjacent paths, X = 0..a joined at its last node and
+        // Z = a..a+b joined at its first, in every layout (either side,
+        // either reading direction) and either block moving, with X
+        // smaller than, equal to and larger than Z: each option's bits
+        // reach its target at exactly its price. Over the layouts and
+        // both targets the bits take all eight `MergeOrder` values.
+        for (a, b) in [(2, 2), (1, 3), (3, 1), (2, 3), (3, 2)] {
+            let x_nodes: Vec<usize> = (0..a).collect();
+            let z_nodes: Vec<usize> = (a..a + b).collect();
+            let x = snapshot(&x_nodes);
+            let z = ComponentSnapshot::eager(
+                z_nodes.iter().map(|&i| Node::new(i)).collect(),
+                Node::new(a),
+            );
+            let forward: Vec<usize> = (0..a + b).collect();
+            let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+            let read = |nodes: &[usize], backward: bool| -> Vec<usize> {
+                if backward {
+                    nodes.iter().rev().copied().collect()
+                } else {
+                    nodes.to_vec()
+                }
+            };
+            for bits in 0..8 {
+                let (xs, zs) = (read(&x_nodes, bits & 1 != 0), read(&z_nodes, bits & 2 != 0));
+                let start = if bits & 4 == 0 {
+                    [xs, zs].concat()
+                } else {
+                    [zs, xs].concat()
+                };
+                let base = Permutation::from_indices(&start).unwrap();
+                let layout = BlockLayout::locate(&base, &x, &z);
+                let choices = rearrange_choices(&base, &x, &z);
+                for (option, target) in [
+                    (choices.forward, forward.clone()),
+                    (choices.reversed, reversed.clone()),
+                ] {
+                    for x_moves in [true, false] {
+                        let (mover, stayer) = if x_moves {
+                            (layout.x_range.clone(), layout.z_range.clone())
+                        } else {
+                            (layout.z_range.clone(), layout.x_range.clone())
+                        };
+                        let order = option.merge_order(x_moves);
+                        let (cost, after) = merge_on_both(&start, mover, stayer, order);
+                        assert_eq!(cost, 0, "the blocks are adjacent");
+                        assert_eq!(after, target, "start {start:?}, X moves: {x_moves}");
+                        let after = Permutation::from_indices(&after).unwrap();
+                        assert_eq!(
+                            base.kendall_distance(&after),
+                            option.cost,
+                            "start {start:?}"
+                        );
+                    }
                 }
             }
         }

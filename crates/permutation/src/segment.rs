@@ -16,9 +16,14 @@
 //! * [`reverse_block`](SegmentArrangement::reverse_block) of a single
 //!   segment flips a lazy orientation bit: `O(log n)`.
 //! * [`coalesce_range`](SegmentArrangement::coalesce_range) — the hint the
-//!   update mechanics emit after each merge — compacts the two merging
-//!   segments into one, amortized against the merge size (the graph layer
-//!   already pays the same to snapshot the components).
+//!   update mechanics emit after each merge — folds two adjacent segments
+//!   into one in `O(smaller segment + log n)`, and
+//!   [`merge_move`](SegmentArrangement::merge_move) folds the mover the
+//!   same way. Segment storage is double-ended, so the larger segment
+//!   keeps its storage and only the smaller one's nodes get new
+//!   node→segment/offset entries: as in union by size, a node is
+//!   rewritten only when its segment at least doubles, at most
+//!   `⌊log₂ n⌋` times over any merge order.
 //! * Ranges that do **not** align with segment boundaries fall back to
 //!   splitting or rebuilding the touched segments (`O(segment)`), so the
 //!   backend is correct for arbitrary operation sequences, merely fastest
@@ -35,6 +40,7 @@
 //! truncating those fields.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -45,12 +51,6 @@ use crate::perm::Permutation;
 
 /// Arena null marker.
 const NIL: u32 = u32::MAX;
-
-/// Cap on recycled content buffers held by the arena's pool: enough to
-/// absorb the alloc/free churn of a merge-heavy run (each merge frees at
-/// most one buffer), small enough that the pool never holds more than a
-/// few KB of empty capacity.
-const POOL_CAP: usize = 64;
 
 /// One verified "the range `start..start + len` is exactly segment
 /// `slot`" fact, recorded at arrangement `version`.
@@ -113,6 +113,10 @@ fn splitmix64(mut x: u64) -> u64 {
 /// bounded by the backend's [`MAX_NODES`](crate::MAX_NODES) capacity, so
 /// `u32` everywhere; 32 priority bits keep treap collisions rare enough
 /// at any supported size (ties only cost a slightly lopsided merge).
+///
+/// The two in-segment lookup fields, `head` and `reversed`, sit here too
+/// rather than beside the content deques, which keeps the cold content
+/// table at one 32-byte deque per slot.
 #[derive(Debug, Clone, Default)]
 struct SegTree {
     /// Treap heap priority (deterministic, from the allocation counter).
@@ -123,9 +127,16 @@ struct SegTree {
     /// Total node count of the subtree rooted at the slot.
     subtree: Vec<u32>,
     /// Node count of the slot's own segment — a mirror of
-    /// `content[slot].nodes.len()`, kept in sync by every content
-    /// mutator (`0` for free slots).
+    /// `content[slot].len()`, kept in sync by every content mutator (`0`
+    /// for free slots).
     len: Vec<u32>,
+    /// Offset of the segment's storage front: the node at storage index
+    /// `i` has `node_off == head + i` (wrapping), so nodes join at either
+    /// end without renumbering the rest.
+    head: Vec<u32>,
+    /// Lazy orientation: `true` means the segment reads as the reversed
+    /// storage order.
+    reversed: Vec<bool>,
 }
 
 impl SegTree {
@@ -137,6 +148,8 @@ impl SegTree {
             parent: Vec::with_capacity(n),
             subtree: Vec::with_capacity(n),
             len: Vec::with_capacity(n),
+            head: Vec::with_capacity(n),
+            reversed: Vec::with_capacity(n),
         }
     }
 
@@ -148,6 +161,8 @@ impl SegTree {
         self.parent.push(NIL);
         self.subtree.push(0);
         self.len.push(0);
+        self.head.push(0);
+        self.reversed.push(false);
     }
 
     fn clear(&mut self) {
@@ -157,18 +172,9 @@ impl SegTree {
         self.parent.clear();
         self.subtree.clear();
         self.len.clear();
+        self.head.clear();
+        self.reversed.clear();
     }
-}
-
-/// Cold per-segment payload, only touched when a lookup or splice
-/// actually reaches the segment's content.
-#[derive(Debug, Clone)]
-struct SegContent {
-    /// Content in storage order; read right-to-left when `reversed`.
-    nodes: Vec<Node>,
-    /// Lazy orientation: `true` means the segment reads as the reversed
-    /// storage order.
-    reversed: bool,
 }
 
 /// A linear arrangement stored as an ordered list of segments over an
@@ -186,21 +192,23 @@ struct SegContent {
 /// assert_eq!(arr.to_permutation().to_index_vec(), vec![2, 3, 0, 1]);
 /// assert_eq!(arr.position_of(Node::new(0)), 2);
 /// ```
+#[derive(Clone)]
 pub struct SegmentArrangement {
     /// Hot treap-navigation fields, SoA (see [`SegTree`]).
     tree: SegTree,
-    /// Cold per-segment content, indexed by the same slot ids.
-    content: Vec<SegContent>,
+    /// Cold per-segment content in storage order (read right-to-left
+    /// when the slot is `reversed`), indexed by the same slot ids.
+    content: Vec<VecDeque<Node>>,
     free: Vec<u32>,
-    /// Recycled content buffers (bounded by [`POOL_CAP`]): merges free
-    /// one segment buffer each, and the next rebuild reuses it instead
-    /// of round-tripping the allocator.
-    pool: Vec<Vec<Node>>,
     root: u32,
     /// Node → arena slot of its segment.
     node_seg: Vec<u32>,
-    /// Node → offset in its segment's **storage** order.
+    /// Node → offset in its segment's **storage** order, shifted by the
+    /// segment's `head`.
     node_off: Vec<u32>,
+    /// Node-map entries written so far: one per node that a segment
+    /// allocation or a fold pointed at a new slot.
+    node_map_writes: u64,
     /// Allocation counter feeding the deterministic priority stream.
     prio_counter: u64,
     /// Mutation counter: bumped before every structural change so the
@@ -208,24 +216,6 @@ pub struct SegmentArrangement {
     version: u64,
     /// The last two located range→segment facts.
     memo: SegMemo,
-}
-
-impl Clone for SegmentArrangement {
-    fn clone(&self) -> Self {
-        SegmentArrangement {
-            tree: self.tree.clone(),
-            content: self.content.clone(),
-            free: self.free.clone(),
-            // Pooled buffers are unobservable spare capacity.
-            pool: Vec::new(),
-            root: self.root,
-            node_seg: self.node_seg.clone(),
-            node_off: self.node_off.clone(),
-            prio_counter: self.prio_counter,
-            version: self.version,
-            memo: self.memo.clone(),
-        }
-    }
 }
 
 impl SegmentArrangement {
@@ -270,23 +260,31 @@ impl SegmentArrangement {
     /// checked `n <= MAX_NODES`.
     fn from_order(nodes: impl Iterator<Item = Node>, n: usize) -> Self {
         debug_assert!(n <= crate::MAX_NODES, "capacity must be checked upstream");
-        let mut arr = SegmentArrangement {
-            tree: SegTree::with_capacity(n),
-            content: Vec::with_capacity(n),
-            free: Vec::new(),
-            pool: Vec::new(),
-            root: NIL,
-            node_seg: vec![NIL; n],
-            node_off: vec![0; n],
-            prio_counter: 0,
-            version: 0,
-            memo: SegMemo::default(),
-        };
-        let slots: Vec<u32> = nodes.map(|v| arr.alloc_seg(vec![v], false)).collect();
+        let mut arr = Self::with_slots(n, n);
+        let slots: Vec<u32> = nodes
+            .map(|v| arr.alloc_seg(vec![v].into(), false))
+            .collect();
         debug_assert_eq!(slots.len(), n, "builder must supply exactly n nodes");
         let root = arr.build(&slots);
         arr.set_root(root);
         arr
+    }
+
+    /// An empty arena over `n` nodes with room for `slots` segments; the
+    /// caller allocates the segments and builds the treap.
+    fn with_slots(n: usize, slots: usize) -> Self {
+        SegmentArrangement {
+            tree: SegTree::with_capacity(slots),
+            content: Vec::with_capacity(slots),
+            free: Vec::new(),
+            root: NIL,
+            node_seg: vec![NIL; n],
+            node_off: vec![0; n],
+            node_map_writes: 0,
+            prio_counter: 0,
+            version: 0,
+            memo: SegMemo::default(),
+        }
     }
 
     /// Number of nodes.
@@ -331,13 +329,12 @@ impl SegmentArrangement {
                 t = left;
             } else if pos < left_size + here {
                 let index = pos - left_size;
-                let seg = &self.content[i];
-                let storage = if seg.reversed {
+                let storage = if self.tree.reversed[i] {
                     here - 1 - index
                 } else {
                     index
                 };
-                return seg.nodes[storage];
+                return self.content[i][storage];
             } else {
                 pos -= left_size + here;
                 t = self.tree.right[i];
@@ -554,8 +551,10 @@ impl SegmentArrangement {
 
     /// Compacts the segments covering `range` into one (the hint emitted
     /// by the update mechanics after each component merge). Never changes
-    /// the observable arrangement. Amortized `O(min)` against the merge
-    /// when one side can absorb the other in place, `O(range)` otherwise.
+    /// the observable arrangement. Two whole adjacent segments — the shape
+    /// a merge leaves — cost `O(smaller segment + log n)`: the larger one
+    /// absorbs the smaller at whichever storage end faces it. Any other
+    /// range costs `O(range)`.
     ///
     /// # Panics
     ///
@@ -579,17 +578,17 @@ impl SegmentArrangement {
             return;
         }
         // Fast path — the shape every merge update produces: exactly two
-        // adjacent segments. Absorb content in place, unlink the emptied
-        // tree node; no boundary splits, no re-merge of the whole range.
+        // adjacent segments. The larger absorbs the smaller, whose tree
+        // node is unlinked; no boundary splits, no re-merge of the range.
         if self.in_seg_index(first_node) == 0
             && self.in_seg_index(last_node) == self.seg_len(last_slot) - 1
             && self.seg_len(first_slot) + self.seg_len(last_slot) == range.len()
         {
             self.bump_version();
-            let (kept, emptied) = self.absorb_adjacent_content(first_slot, last_slot);
-            self.unlink_seg(emptied);
-            self.free_seg(emptied);
-            self.recompute_sizes_upward(kept);
+            let (keep, gone, gone_is_left) = self.larger_first(first_slot, last_slot);
+            self.unlink_seg(gone);
+            self.absorb(keep, gone, gone_is_left);
+            self.recompute_sizes_upward(keep);
             return;
         }
         self.bump_version();
@@ -681,11 +680,13 @@ impl SegmentArrangement {
     /// Completes one merge update in a single pass — see
     /// [`Arrangement::merge_move`] for the contract. The fast path (both
     /// blocks segment-exact, the steady state under coalesce hints)
-    /// unlinks the mover's tree node and folds its content into the
-    /// stayer's segment: ~5 tree walks per merge instead of the ~13 the
-    /// primitive-op sequence costs. A reversal in `order` flips that
-    /// segment's lazy orientation flag, and the swap only picks the side
-    /// of the stayer the mover folds onto.
+    /// unlinks the mover's tree node and folds the two segments into one
+    /// at the stayer's place in the treap: ~5 tree walks per merge instead
+    /// of the ~13 the primitive-op sequence costs. A reversal in `order`
+    /// flips that segment's lazy orientation flag, and the swap only picks
+    /// the side of the stayer the mover folds onto. The fold keeps the
+    /// larger segment's storage; when that is the mover's, its slot first
+    /// takes over the stayer's tree node.
     ///
     /// # Panics
     ///
@@ -718,9 +719,16 @@ impl SegmentArrangement {
         if order.reverse_stayer {
             self.flip_seg(stayer_slot);
         }
-        let mover_is_left = mover.start < stayer.start;
-        self.fold_into_seg(stayer_slot, mover_slot, mover_is_left != order.swap);
-        self.recompute_sizes_upward(stayer_slot);
+        let mover_is_left = (mover.start < stayer.start) != order.swap;
+        let keep = if mover.len() > stayer.len() {
+            self.transplant(stayer_slot, mover_slot);
+            self.absorb(mover_slot, stayer_slot, !mover_is_left);
+            mover_slot
+        } else {
+            self.absorb(stayer_slot, mover_slot, mover_is_left);
+            stayer_slot
+        };
+        self.recompute_sizes_upward(keep);
         cost
     }
 
@@ -754,8 +762,9 @@ impl SegmentArrangement {
     }
 
     /// Checks internal consistency: in-order traversal, both lookup
-    /// directions, subtree sizes and the SoA length mirror must agree.
-    /// Used by tests.
+    /// directions, subtree sizes, the SoA length mirror and the node maps
+    /// must agree, every slot must be live or free, and free slots must be
+    /// empty. Used by tests.
     #[doc(hidden)]
     #[must_use]
     pub fn check_consistent(&self) -> bool {
@@ -763,14 +772,42 @@ impl SegmentArrangement {
         if order.len() != self.len() || self.sub(self.root) != self.len() {
             return false;
         }
-        if (0..self.content.len()).any(|i| self.tree.len[i] as usize != self.content[i].nodes.len())
+        if (0..self.content.len()).any(|i| self.tree.len[i] as usize != self.content[i].len()) {
+            return false;
+        }
+        let live = self.collect_slots(self.root);
+        if live.len() + self.free.len() != self.content.len()
+            || self
+                .free
+                .iter()
+                .any(|&slot| self.tree.len[slot as usize] != 0)
         {
             return false;
         }
-        order
-            .iter()
-            .enumerate()
-            .all(|(pos, &v)| self.position_of(v) == pos && self.node_at(pos) == v)
+        let maps_agree = live.iter().all(|&slot| {
+            let head = self.tree.head[slot as usize];
+            self.content[slot as usize]
+                .iter()
+                .enumerate()
+                .all(|(i, v)| {
+                    self.node_seg[v.index()] == slot
+                        && self.node_off[v.index()] == head.wrapping_add(i as u32)
+                })
+        });
+        maps_agree
+            && order
+                .iter()
+                .enumerate()
+                .all(|(pos, &v)| self.position_of(v) == pos && self.node_at(pos) == v)
+    }
+
+    /// Node-map entries written since construction or decode: `n` for the
+    /// initial segments, then one per node moved to another segment. Used
+    /// by tests to bound merge work exactly.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn node_map_writes(&self) -> u64 {
+        self.node_map_writes
     }
 
     /// Serializes the arrangement for the checkpoint stack: node count,
@@ -788,19 +825,18 @@ impl SegmentArrangement {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         crate::codec::put_len(out, self.len());
         crate::codec::put_u64(out, self.prio_counter);
-        let slots = if self.root == NIL {
-            Vec::new()
-        } else {
-            self.collect_slots(self.root)
-        };
+        let slots = self.collect_slots(self.root);
         crate::codec::put_len(out, slots.len());
         for slot in slots {
-            let seg = &self.content[slot as usize];
-            crate::codec::put_bool(out, seg.reversed);
-            crate::codec::put_len(out, seg.nodes.len());
-            for v in &seg.nodes {
-                // mla-lint: allow(cast-hygiene): node ids are bounded by MAX_NODES = u32::MAX
-                crate::codec::put_u32(out, v.index() as u32);
+            let nodes = &self.content[slot as usize];
+            crate::codec::put_bool(out, self.tree.reversed[slot as usize]);
+            crate::codec::put_len(out, nodes.len());
+            let (front, back) = nodes.as_slices();
+            for half in [front, back] {
+                for v in half {
+                    // mla-lint: allow(cast-hygiene): node ids are bounded by MAX_NODES = u32::MAX
+                    crate::codec::put_u32(out, v.index() as u32);
+                }
             }
         }
     }
@@ -824,18 +860,7 @@ impl SegmentArrangement {
         let n = r.count(crate::MAX_NODES.min(r.remaining() / 4), "arrangement node")?;
         let prio_counter = r.u64()?;
         let seg_count = r.count(n.min(r.remaining() / 13), "segment")?;
-        let mut arr = SegmentArrangement {
-            tree: SegTree::with_capacity(n),
-            content: Vec::with_capacity(seg_count),
-            free: Vec::new(),
-            pool: Vec::new(),
-            root: NIL,
-            node_seg: vec![NIL; n],
-            node_off: vec![0; n],
-            prio_counter: 0,
-            version: 0,
-            memo: SegMemo::default(),
-        };
+        let mut arr = Self::with_slots(n, seg_count);
         let mut seen = vec![false; n];
         let mut covered = 0usize;
         let mut slots = Vec::with_capacity(seg_count);
@@ -862,7 +887,7 @@ impl SegmentArrangement {
                 nodes.push(Node::new(raw));
             }
             covered += len;
-            slots.push(arr.alloc_seg(nodes, reversed));
+            slots.push(arr.alloc_seg(nodes.into(), reversed));
         }
         if covered != n {
             return Err(CodecError::invalid(format!(
@@ -894,27 +919,7 @@ impl SegmentArrangement {
 
     /// Re-syncs the `len` mirror after a content mutation of slot `t`.
     fn sync_len(&mut self, t: u32) {
-        self.tree.len[t as usize] = self.content[t as usize].nodes.len() as u32;
-    }
-
-    /// Returns a content buffer to the bounded pool.
-    fn recycle(&mut self, mut buf: Vec<Node>) {
-        if buf.capacity() > 0 && self.pool.len() < POOL_CAP {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
-
-    /// A cleared buffer from the pool (grown to `capacity`), or a fresh
-    /// allocation.
-    fn take_buffer(&mut self, capacity: usize) -> Vec<Node> {
-        match self.pool.pop() {
-            Some(mut buf) => {
-                buf.reserve(capacity);
-                buf
-            }
-            None => Vec::with_capacity(capacity),
-        }
+        self.tree.len[t as usize] = self.content[t as usize].len() as u32;
     }
 
     fn next_prio(&mut self) -> u32 {
@@ -924,16 +929,13 @@ impl SegmentArrangement {
 
     /// Allocates a detached segment and points its nodes' lookup entries
     /// at it.
-    fn alloc_seg(&mut self, nodes: Vec<Node>, reversed: bool) -> u32 {
+    fn alloc_seg(&mut self, nodes: VecDeque<Node>, reversed: bool) -> u32 {
         let prio = self.next_prio();
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
                 self.tree.push_slot();
-                self.content.push(SegContent {
-                    nodes: Vec::new(),
-                    reversed: false,
-                });
+                self.content.push(VecDeque::new());
                 (self.content.len() - 1) as u32
             }
         };
@@ -941,6 +943,7 @@ impl SegmentArrangement {
             self.node_seg[v.index()] = slot;
             self.node_off[v.index()] = off as u32;
         }
+        self.node_map_writes += nodes.len() as u64;
         let i = slot as usize;
         self.tree.prio[i] = prio;
         self.tree.left[i] = NIL;
@@ -948,14 +951,15 @@ impl SegmentArrangement {
         self.tree.parent[i] = NIL;
         self.tree.subtree[i] = nodes.len() as u32;
         self.tree.len[i] = nodes.len() as u32;
-        self.content[i].nodes = nodes;
-        self.content[i].reversed = reversed;
+        self.tree.head[i] = 0;
+        self.tree.reversed[i] = reversed;
+        self.content[i] = nodes;
         slot
     }
 
+    /// Returns `slot` to the free list, dropping its content.
     fn free_seg(&mut self, slot: u32) {
-        let buf = std::mem::take(&mut self.content[slot as usize].nodes);
-        self.recycle(buf);
+        self.content[slot as usize] = VecDeque::new();
         self.tree.len[slot as usize] = 0;
         self.free.push(slot);
     }
@@ -1098,25 +1102,20 @@ impl SegmentArrangement {
     /// remainder. `O(segment)`.
     fn split_seg_content(&mut self, t: u32, cut: usize) -> u32 {
         let i = t as usize;
-        let reversed = self.content[i].reversed;
-        let len = self.content[i].nodes.len();
+        let reversed = self.tree.reversed[i];
+        let len = self.seg_len(t);
         debug_assert!(cut > 0 && cut < len, "interior cut expected");
+        // A reversed segment reads its storage back to front, so its
+        // first `cut` arrangement nodes are its last `cut` storage nodes:
+        // they stay in `t` under a head advanced past the cut-off front.
+        let at = if reversed { len - cut } else { cut };
+        let mut rest = self.content[i].split_off(at);
         if reversed {
-            // Arrangement order is reversed storage: the first `cut`
-            // arrangement nodes are the last `cut` storage nodes.
-            let mut stored = std::mem::take(&mut self.content[i].nodes);
-            let kept = stored.split_off(len - cut);
-            for (off, v) in kept.iter().enumerate() {
-                self.node_off[v.index()] = off as u32;
-            }
-            self.content[i].nodes = kept;
-            self.sync_len(t);
-            self.alloc_seg(stored, true)
-        } else {
-            let tail = self.content[i].nodes.split_off(cut);
-            self.sync_len(t);
-            self.alloc_seg(tail, false)
+            std::mem::swap(&mut self.content[i], &mut rest);
+            self.tree.head[i] = self.tree.head[i].wrapping_add(at as u32);
         }
+        self.sync_len(t);
+        self.alloc_seg(rest, reversed)
     }
 
     /// Reverses a detached subtree: a lazy flag flip when it is a single
@@ -1128,15 +1127,14 @@ impl SegmentArrangement {
             self.flip_seg(block);
             return block;
         }
-        let mut order = self.take_buffer(self.sub(block));
-        self.collect_subtree_into(block, &mut order);
+        let order = self.collect_subtree(block);
         self.free_subtree(block);
-        self.alloc_seg(order, true)
+        self.alloc_seg(order.into(), true)
     }
 
-    /// Compacts a detached subtree into a single segment, absorbing the
-    /// smaller neighbor in place when the orientation allows a tail
-    /// append (the common two-segment merge case).
+    /// Compacts a detached subtree into a single segment, folding the
+    /// smaller of exactly two segments into the larger (the common
+    /// two-segment merge case).
     fn compact_detached(&mut self, block: u32) -> u32 {
         debug_assert_ne!(block, NIL);
         if self.tree.left[block as usize] == NIL && self.tree.right[block as usize] == NIL {
@@ -1146,56 +1144,36 @@ impl SegmentArrangement {
         if slots.len() == 2 {
             return self.coalesce_pair(slots[0], slots[1]);
         }
-        let mut order = self.take_buffer(self.sub(block));
-        self.collect_subtree_into(block, &mut order);
+        let order = self.collect_subtree(block);
         self.free_subtree(block);
-        self.alloc_seg(order, false)
+        self.alloc_seg(order.into(), false)
     }
 
     /// Merges two detached adjacent segments (`first` arrangement-left of
-    /// `second`) into one, appending at a storage tail when possible.
+    /// `second`) into the larger one, which is returned detached.
     fn coalesce_pair(&mut self, first: u32, second: u32) -> u32 {
-        // Detach both from their two-node tree.
-        for &slot in &[first, second] {
-            let i = slot as usize;
-            self.tree.left[i] = NIL;
-            self.tree.right[i] = NIL;
-            self.tree.parent[i] = NIL;
-            self.tree.subtree[i] = self.tree.len[i];
-        }
-        let (kept, emptied) = self.absorb_adjacent_content(first, second);
-        self.free_seg(emptied);
-        self.tree.subtree[kept as usize] = self.tree.len[kept as usize];
-        kept
+        let (keep, gone, gone_is_left) = self.larger_first(first, second);
+        self.absorb(keep, gone, gone_is_left);
+        let k = keep as usize;
+        self.tree.left[k] = NIL;
+        self.tree.right[k] = NIL;
+        self.tree.parent[k] = NIL;
+        self.tree.subtree[k] = self.tree.len[k];
+        keep
     }
 
     /// In-order nodes of a detached subtree (arrangement order).
     fn collect_subtree(&self, t: u32) -> Vec<Node> {
         let mut out = Vec::with_capacity(self.sub(t));
-        self.collect_subtree_into(t, &mut out);
-        out
-    }
-
-    /// [`collect_subtree`](Self::collect_subtree) into a caller-supplied
-    /// (typically pooled) buffer.
-    fn collect_subtree_into(&self, t: u32, out: &mut Vec<Node>) {
-        let mut stack: Vec<u32> = Vec::new();
-        let mut current = t;
-        while current != NIL || !stack.is_empty() {
-            while current != NIL {
-                stack.push(current);
-                current = self.tree.left[current as usize];
-            }
-            // mla-lint: allow(panic-safety): loop guard: the stack is non-empty when popped
-            let slot = stack.pop().expect("loop guard ensures non-empty stack");
-            let seg = &self.content[slot as usize];
-            if seg.reversed {
-                out.extend(seg.nodes.iter().rev().copied());
+        for slot in self.collect_slots(t) {
+            let nodes = &self.content[slot as usize];
+            if self.tree.reversed[slot as usize] {
+                out.extend(nodes.iter().rev());
             } else {
-                out.extend(seg.nodes.iter().copied());
+                out.extend(nodes);
             }
-            current = self.tree.right[slot as usize];
         }
+        out
     }
 
     /// Arena slots of a detached subtree, in arrangement order.
@@ -1239,12 +1217,12 @@ impl SegmentArrangement {
 
     /// The arrangement-order index of `node` inside its segment.
     fn in_seg_index(&self, node: Node) -> usize {
-        let slot = self.node_seg[node.index()];
-        let off = self.node_off[node.index()] as usize;
-        if self.content[slot as usize].reversed {
-            self.seg_len(slot) - 1 - off
+        let slot = self.node_seg[node.index()] as usize;
+        let storage = self.node_off[node.index()].wrapping_sub(self.tree.head[slot]) as usize;
+        if self.tree.reversed[slot] {
+            self.tree.len[slot] as usize - 1 - storage
         } else {
-            off
+            storage
         }
     }
 
@@ -1282,24 +1260,43 @@ impl SegmentArrangement {
         let i = slot as usize;
         let (left, right, parent) = (self.tree.left[i], self.tree.right[i], self.tree.parent[i]);
         let replacement = self.merge(left, right);
-        if parent == NIL {
-            self.set_root(replacement);
-        } else {
-            let p = parent as usize;
-            if self.tree.left[p] == slot {
-                self.tree.left[p] = replacement;
-            } else {
-                self.tree.right[p] = replacement;
-            }
-            if replacement != NIL {
-                self.tree.parent[replacement as usize] = parent;
-            }
-            self.recompute_sizes_upward(parent);
-        }
+        self.replace_child(parent, slot, replacement);
+        self.recompute_sizes_upward(parent);
         self.tree.left[i] = NIL;
         self.tree.right[i] = NIL;
         self.tree.parent[i] = NIL;
         self.tree.subtree[i] = self.tree.len[i];
+    }
+
+    /// Points the link that leads to `old` — `parent`'s child link, or
+    /// the root when `parent` is NIL — at `new`.
+    fn replace_child(&mut self, parent: u32, old: u32, new: u32) {
+        if parent == NIL {
+            self.set_root(new);
+            return;
+        }
+        let p = parent as usize;
+        if self.tree.left[p] == old {
+            self.tree.left[p] = new;
+        } else {
+            self.tree.right[p] = new;
+        }
+        if new != NIL {
+            self.tree.parent[new as usize] = parent;
+        }
+    }
+
+    /// Gives detached slot `to` linked slot `from`'s place in the treap —
+    /// its priority, parent and children — in `O(1)`: the tree keeps its
+    /// shape, with `to` where `from` was. `from` is left for the caller
+    /// to free; subtree sizes above are NOT fixed up.
+    fn transplant(&mut self, from: u32, to: u32) {
+        let (f, t) = (from as usize, to as usize);
+        self.tree.prio[t] = self.tree.prio[f];
+        self.tree.left[t] = self.tree.left[f];
+        self.tree.right[t] = self.tree.right[f];
+        self.upd(to);
+        self.replace_child(self.tree.parent[f], from, to);
     }
 
     /// Reinserts a detached segment so that it starts at `position`.
@@ -1311,75 +1308,56 @@ impl SegmentArrangement {
         self.set_root(root);
     }
 
-    /// Absorbs the content of adjacent segment `second` (arrangement-right
-    /// of `first`) into `first` — or vice versa when the orientations make
-    /// that the cheap tail append — leaving both slots' tree links
-    /// untouched. Returns `(kept, emptied)`.
-    fn absorb_adjacent_content(&mut self, first: u32, second: u32) -> (u32, u32) {
-        let first_reversed = self.content[first as usize].reversed;
-        let second_reversed = self.content[second as usize].reversed;
-        if !first_reversed {
-            // Append `second`'s arrangement order to `first`'s tail.
-            let absorbed = std::mem::take(&mut self.content[second as usize].nodes);
-            self.sync_len(second);
-            self.push_storage_tail(first, &absorbed, second_reversed);
-            self.recycle(absorbed);
-            (first, second)
-        } else if second_reversed {
-            // `second` reads right-to-left, so `first`'s reversed
-            // arrangement order — its storage order — appends at the tail.
-            let absorbed = std::mem::take(&mut self.content[first as usize].nodes);
-            self.sync_len(first);
-            self.push_storage_tail(second, &absorbed, false);
-            self.recycle(absorbed);
-            (second, first)
+    /// Adjacent segments `first` (arrangement-left) and `second` as
+    /// [`absorb`](Self::absorb)'s `(keep, gone, gone_is_left)`: the
+    /// larger one keeps its storage, `first` on a tie.
+    fn larger_first(&self, first: u32, second: u32) -> (u32, u32, bool) {
+        if self.seg_len(first) >= self.seg_len(second) {
+            (first, second, false)
         } else {
-            // first reversed, second forward: rebuild into `first` forward.
-            let first_nodes = std::mem::take(&mut self.content[first as usize].nodes);
-            let second_nodes = std::mem::take(&mut self.content[second as usize].nodes);
-            self.sync_len(second);
-            let mut order = self.take_buffer(first_nodes.len() + second_nodes.len());
-            order.extend(first_nodes.iter().rev().copied());
-            order.extend(second_nodes.iter().copied());
-            self.recycle(first_nodes);
-            self.recycle(second_nodes);
-            self.install_seg_content(first, order);
-            (first, second)
+            (second, first, true)
         }
     }
 
-    /// Appends `nodes` — iterated in storage order, reversed when `rev` —
-    /// onto `dst`'s storage tail, keeping the node→segment/offset maps in
-    /// sync. The single place absorb bookkeeping lives.
-    fn push_storage_tail(&mut self, dst: u32, nodes: &[Node], rev: bool) {
-        let base = self.content[dst as usize].nodes.len();
-        if rev {
-            self.push_tail_inner(dst, base, nodes.iter().rev().copied());
+    /// Folds segment `gone` into adjacent segment `keep`, on `keep`'s
+    /// arrangement-left side when `gone_is_left`, preserving both internal
+    /// orders, and frees `gone` (callers unlink it first or drop the
+    /// detached tree it sits in). `keep`'s storage grows at whichever end
+    /// faces `gone`, so only `gone`'s nodes get new node-map entries:
+    /// callers pass the larger segment as `keep`, and a node is then
+    /// rewritten only when its segment at least doubles. Subtree sizes are
+    /// NOT fixed up — callers do that.
+    fn absorb(&mut self, keep: u32, gone: u32, gone_is_left: bool) {
+        let nodes = std::mem::take(&mut self.content[gone as usize]);
+        // `gone`'s nodes go in nearest the seam first: its arrangement
+        // order when it joins on the right, reversed when on the left.
+        let backward = gone_is_left != self.tree.reversed[gone as usize];
+        self.free_seg(gone);
+        let k = keep as usize;
+        let at_front = gone_is_left != self.tree.reversed[k];
+        let storage = &mut self.content[k];
+        storage.reserve(nodes.len());
+        let head = &mut self.tree.head[k];
+        let (node_seg, node_off) = (&mut self.node_seg, &mut self.node_off);
+        let mut push = |v: &Node| {
+            let off = if at_front {
+                storage.push_front(*v);
+                *head = head.wrapping_sub(1);
+                *head
+            } else {
+                storage.push_back(*v);
+                head.wrapping_add((storage.len() - 1) as u32)
+            };
+            node_seg[v.index()] = keep;
+            node_off[v.index()] = off;
+        };
+        if backward {
+            nodes.iter().rev().for_each(&mut push);
         } else {
-            self.push_tail_inner(dst, base, nodes.iter().copied());
+            nodes.iter().for_each(&mut push);
         }
-        self.sync_len(dst);
-    }
-
-    fn push_tail_inner(&mut self, dst: u32, base: usize, iter: impl Iterator<Item = Node>) {
-        for (i, v) in iter.enumerate() {
-            self.node_seg[v.index()] = dst;
-            self.node_off[v.index()] = (base + i) as u32;
-            self.content[dst as usize].nodes.push(v);
-        }
-    }
-
-    /// Installs `content` as `slot`'s storage (forward order), syncing the
-    /// node maps and recycling the displaced buffer.
-    fn install_seg_content(&mut self, slot: u32, content: Vec<Node>) {
-        for (off, v) in content.iter().enumerate() {
-            self.node_seg[v.index()] = slot;
-            self.node_off[v.index()] = off as u32;
-        }
-        let old = std::mem::replace(&mut self.content[slot as usize].nodes, content);
-        self.recycle(old);
-        self.content[slot as usize].reversed = false;
-        self.sync_len(slot);
+        self.node_map_writes += nodes.len() as u64;
+        self.sync_len(keep);
     }
 
     /// Reverses segment `slot`'s reading order by flipping its lazy flag.
@@ -1387,54 +1365,9 @@ impl SegmentArrangement {
     /// [`reverse_block`](Self::reverse_block).
     fn flip_seg(&mut self, slot: u32) {
         if self.seg_len(slot) > 1 {
-            let seg = &mut self.content[slot as usize];
-            seg.reversed = !seg.reversed;
+            let reversed = &mut self.tree.reversed[slot as usize];
+            *reversed = !*reversed;
         }
-    }
-
-    /// Folds the content of detached segment `other` into linked segment
-    /// `slot`, attaching it on the left or right side in arrangement
-    /// order (preserving both internal orders). Frees `other`. Subtree
-    /// sizes are NOT fixed up — callers do that.
-    fn fold_into_seg(&mut self, slot: u32, other: u32, other_is_left: bool) {
-        let other_nodes = std::mem::take(&mut self.content[other as usize].nodes);
-        let other_reversed = self.content[other as usize].reversed;
-        self.free_seg(other);
-        let keep_reversed = self.content[slot as usize].reversed;
-        // Cheap tail appends: arrangement-right content onto a forward
-        // segment (in arrangement order), or arrangement-left content
-        // onto a reversed one (in reversed arrangement order).
-        if !other_is_left && !keep_reversed {
-            self.push_storage_tail(slot, &other_nodes, other_reversed);
-            self.recycle(other_nodes);
-            return;
-        }
-        if other_is_left && keep_reversed {
-            self.push_storage_tail(slot, &other_nodes, !other_reversed);
-            self.recycle(other_nodes);
-            return;
-        }
-        // Otherwise rebuild the merged content forward, other side first
-        // or last as dictated.
-        let keep_nodes = std::mem::take(&mut self.content[slot as usize].nodes);
-        let mut order = self.take_buffer(keep_nodes.len() + other_nodes.len());
-        let extend_arr = |order: &mut Vec<Node>, nodes: &[Node], reversed: bool| {
-            if reversed {
-                order.extend(nodes.iter().rev().copied());
-            } else {
-                order.extend(nodes.iter().copied());
-            }
-        };
-        if other_is_left {
-            extend_arr(&mut order, &other_nodes, other_reversed);
-            extend_arr(&mut order, &keep_nodes, keep_reversed);
-        } else {
-            extend_arr(&mut order, &keep_nodes, keep_reversed);
-            extend_arr(&mut order, &other_nodes, other_reversed);
-        }
-        self.recycle(other_nodes);
-        self.recycle(keep_nodes);
-        self.install_seg_content(slot, order);
     }
 
     fn free_subtree(&mut self, t: u32) {
@@ -1561,10 +1494,18 @@ mod tests {
     fn codec_roundtrip_preserves_partition_orientation_and_prio_stream() {
         // Build an arrangement whose segments are multi-node, reversed and
         // interleaved, then round-trip it through the byte codec.
-        let mut arr = seg(&[3, 0, 1, 2, 4, 5, 6, 7]);
+        let mut arr = seg(&[3, 0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
         arr.coalesce_range(0..3);
         arr.reverse_block(4..7);
         arr.coalesce_range(4..8);
+        // A segment that absorbed a node at its storage front: its head
+        // moved off zero and its storage wraps around the deque's buffer.
+        arr.coalesce_range(9..13);
+        arr.coalesce_range(8..13);
+        let wrapped = arr.node_seg[8] as usize;
+        assert_ne!(arr.tree.head[wrapped], 0);
+        assert!(!arr.content[wrapped].as_slices().1.is_empty());
+        assert!(arr.check_consistent());
         let order = arr.to_permutation();
         let segments = arr.segment_count();
         let mut bytes = Vec::new();
@@ -1576,6 +1517,12 @@ mod tests {
         assert_eq!(back.to_permutation(), order);
         assert_eq!(back.segment_count(), segments);
         assert_eq!(back.prio_counter, arr.prio_counter);
+        let mut again = Vec::new();
+        back.encode_into(&mut again);
+        assert_eq!(
+            again, bytes,
+            "a decoded arrangement re-encodes to the same bytes"
+        );
         // Coalesced components stay locatable after the round trip.
         let (range, _) = back.locate_component(Node::new(3), 3).unwrap();
         assert_eq!(range, 0..3);
@@ -1729,24 +1676,34 @@ mod tests {
 
     #[test]
     fn coalesce_orientation_cases() {
-        // Exercise all three coalesce_pair branches via reversals.
-        for (rev_left, rev_right) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut arr = SegmentArrangement::identity(6);
-            let mut pi = Permutation::identity(6);
-            arr.coalesce_range(0..3);
-            arr.coalesce_range(3..6);
-            if rev_left {
-                arr.reverse_block(0..3);
-                pi.reverse_block(0..3);
+        // Every orientation pair, with the left segment smaller than,
+        // equal to and larger than the right one: the larger absorbs the
+        // smaller at its storage front or back.
+        for cut in [2, 3, 4] {
+            for (rev_left, rev_right) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let case = format!("cut {cut}, ({rev_left}, {rev_right})");
+                let mut arr = SegmentArrangement::identity(6);
+                let mut pi = Permutation::identity(6);
+                arr.coalesce_range(0..cut);
+                arr.coalesce_range(cut..6);
+                if rev_left {
+                    arr.reverse_block(0..cut);
+                    pi.reverse_block(0..cut);
+                }
+                if rev_right {
+                    arr.reverse_block(cut..6);
+                    pi.reverse_block(cut..6);
+                }
+                let writes = arr.node_map_writes();
+                arr.coalesce_range(0..6);
+                assert_eq!(arr.segment_count(), 1, "{case}");
+                assert_eq!(arr.to_permutation(), pi, "{case}");
+                assert!(arr.check_consistent(), "{case}");
+                let smaller = cut.min(6 - cut) as u64;
+                assert_eq!(arr.node_map_writes() - writes, smaller, "{case}");
             }
-            if rev_right {
-                arr.reverse_block(3..6);
-                pi.reverse_block(3..6);
-            }
-            arr.coalesce_range(0..6);
-            assert_eq!(arr.segment_count(), 1, "({rev_left}, {rev_right})");
-            assert_eq!(arr.to_permutation(), pi, "({rev_left}, {rev_right})");
-            assert!(arr.check_consistent(), "({rev_left}, {rev_right})");
         }
     }
 

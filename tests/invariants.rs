@@ -1,6 +1,7 @@
 //! Cross-crate invariant matrix: every algorithm × topology × workload
 //! shape maintains the MinLA invariant and reports exact costs.
 
+use mla::graph::SnapshotMode;
 use mla::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -147,6 +148,71 @@ fn lazy_merge_info_is_bit_identical_to_eager_for_every_policy() {
                     run(false),
                     "lazy diverged from eager (lines, {move_policy:?}/{rearrange_policy:?}, \
                      {shape:?}, seed {seed})"
+                );
+            }
+        }
+    }
+}
+
+/// Serves every streamed reveal with the snapshots the engine would pick
+/// (lazy: these algorithms and the segment backend both support them) and
+/// returns the final arrangement.
+fn serve_streamed<A: OnlineMinla<Arr = SegmentArrangement>>(
+    topology: Topology,
+    n: usize,
+    shape: MergeShape,
+    mut algorithm: A,
+) -> SegmentArrangement {
+    assert!(algorithm.wants_lazy_info() && algorithm.arrangement().supports_component_locate());
+    let mut source = StreamingWorkload::new(topology, n, shape, 1);
+    let mut state = GraphState::new(topology, n);
+    while let Some(event) = source.next_event() {
+        let info = state
+            .apply_with(event, SnapshotMode::Lazy)
+            .expect("streamed reveals are valid");
+        algorithm.serve(event, &info, &state);
+    }
+    algorithm.arrangement().clone()
+}
+
+/// The segment backend's merge work, counted rather than timed: building
+/// the arrangement writes each node's node-map entries once, and a merge
+/// rewrites only the smaller segment's nodes, so a node is rewritten at
+/// most ⌊log₂ n⌋ times whatever the merge order — and whichever block
+/// the move policy picks to move (the fair coin often moves the larger).
+#[test]
+fn segment_node_map_writes_stay_within_n_log_n_on_every_shape() {
+    let n: usize = 3000;
+    let bound = (n * (n.ilog2() as usize + 1)) as u64;
+    for shape in MergeShape::all() {
+        for (move_policy, rearrange_policy) in [
+            (MovePolicy::SizeBiased, RearrangePolicy::CostBiased),
+            (MovePolicy::Fair, RearrangePolicy::Fair),
+            (MovePolicy::SmallerMoves, RearrangePolicy::Cheapest),
+        ] {
+            for topology in [Topology::Cliques, Topology::Lines] {
+                let arr = SegmentArrangement::identity(n);
+                let coins = SmallRng::seed_from_u64(42);
+                let after = match topology {
+                    Topology::Cliques => serve_streamed(
+                        topology,
+                        n,
+                        shape,
+                        RandCliques::with_policy(arr, coins, move_policy),
+                    ),
+                    Topology::Lines => serve_streamed(
+                        topology,
+                        n,
+                        shape,
+                        RandLines::with_policies(arr, coins, move_policy, rearrange_policy),
+                    ),
+                };
+                let case = format!("{topology:?}, {shape:?}, {move_policy:?}");
+                assert_eq!(after.segment_count(), 1, "{case}");
+                let writes = after.node_map_writes();
+                assert!(
+                    writes <= bound,
+                    "{writes} node-map writes for n = {n} ({case}); bound {bound}"
                 );
             }
         }
