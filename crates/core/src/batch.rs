@@ -77,7 +77,7 @@ impl MergeLayout {
     ///
     /// Panics if a component fails to resolve as a single block — the
     /// lazy-mode equivalent of the feasibility-invariant panic in
-    /// [`BlockLayout::locate`].
+    /// [`BlockLayout::locate_oriented`].
     fn locate_lazy<P: Arrangement + ?Sized>(arr: &P, info: &MergeInfo) -> Self {
         let resolve = |snapshot: &mla_graph::ComponentSnapshot| {
             let (range, anchor_pos) = arr

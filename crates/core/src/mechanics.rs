@@ -1,14 +1,18 @@
-//! Shared update mechanics: locating the two merging component blocks,
-//! their orientations, and the rearranging part of a lines update
-//! (Figure 2) priced in closed form.
+//! Shared update mechanics: where the two merging component blocks sit,
+//! how they read, and the rearranging part of a lines update (Figure 2)
+//! priced in closed form. [`MergeLayout::locate`] and
+//! [`MergeLayout::choices`] are the entry points.
 //!
 //! The update itself — the moving part (Figure 1) and the rearranging
 //! part — runs as one [`Arrangement::merge_move`], which takes the chosen
 //! [`RearrangeOption`]'s reverse/swap bits as a
 //! [`MergeOrder`].
+//!
+//! [`MergeLayout::locate`]: crate::MergeLayout::locate
+//! [`MergeLayout::choices`]: crate::MergeLayout::choices
 
 use mla_graph::ComponentSnapshot;
-use mla_permutation::{Arrangement, MergeOrder, Node};
+use mla_permutation::{Arrangement, MergeOrder};
 
 /// Positions of the two merging components in the current permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,33 +24,10 @@ pub struct BlockLayout {
 }
 
 impl BlockLayout {
-    /// Locates the components; panics if either is not contiguous — that
-    /// would mean the feasibility invariant was already broken before this
-    /// update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a component does not occupy contiguous positions.
-    #[must_use]
-    pub fn locate<P: Arrangement + ?Sized>(
-        perm: &P,
-        x: &ComponentSnapshot,
-        z: &ComponentSnapshot,
-    ) -> Self {
-        let x_range = perm
-            .contiguous_range(x.nodes())
-            // mla-lint: allow(panic-safety): feasibility invariant: every revealed component occupies one contiguous block
-            .expect("X component must be contiguous (feasibility invariant)");
-        let z_range = perm
-            .contiguous_range(z.nodes())
-            // mla-lint: allow(panic-safety): feasibility invariant: every revealed component occupies one contiguous block
-            .expect("Z component must be contiguous (feasibility invariant)");
-        BlockLayout { x_range, z_range }
-    }
-
-    /// Like [`BlockLayout::locate`], additionally returning each block's
-    /// [`Orientation`] from the same lookups (the lines hot path: one
-    /// oriented locate per merge).
+    /// Locates the components from their member lists, with each block's
+    /// [`Orientation`] from the same lookups; panics if either is not
+    /// contiguous — that would mean the feasibility invariant was already
+    /// broken before this update.
     ///
     /// # Panics
     ///
@@ -106,59 +87,6 @@ pub enum Orientation {
     Reversed,
 }
 
-/// Determines the orientation of `snapshot.nodes` inside the permutation.
-/// Singleton blocks report [`Orientation::Forward`].
-///
-/// Under the feasibility invariant a contiguous line block reads either
-/// forward or reversed, so its two endpoints decide in `O(1)` lookups;
-/// debug builds still scan the whole block and panic on a scramble (a
-/// feasibility violation the engine's incremental check also catches).
-///
-/// # Panics
-///
-/// In debug builds, panics if the block is neither forward nor reversed.
-#[must_use]
-pub fn orientation_of<P: Arrangement + ?Sized>(perm: &P, nodes: &[Node]) -> Orientation {
-    if nodes.len() <= 1 {
-        return Orientation::Forward;
-    }
-    #[cfg(debug_assertions)]
-    {
-        let positions: Vec<usize> = nodes.iter().map(|&v| perm.position_of(v)).collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]) || positions.windows(2).all(|w| w[0] > w[1]),
-            "line component is neither forward nor reversed (feasibility violation)"
-        );
-    }
-    if perm.position_of(nodes[0]) < perm.position_of(nodes[nodes.len() - 1]) {
-        Orientation::Forward
-    } else {
-        Orientation::Reversed
-    }
-}
-
-/// [`orientation_of`] when the block's range is already known: a single
-/// position lookup decides — the snapshot's first node sits at the
-/// range's start iff the block reads forward.
-#[must_use]
-pub fn orientation_in<P: Arrangement + ?Sized>(
-    perm: &P,
-    nodes: &[Node],
-    range: &std::ops::Range<usize>,
-) -> Orientation {
-    if nodes.len() <= 1 {
-        return Orientation::Forward;
-    }
-    debug_assert_eq!(orientation_of(perm, nodes) == Orientation::Forward, {
-        perm.position_of(nodes[0]) == range.start
-    });
-    if perm.position_of(nodes[0]) == range.start {
-        Orientation::Forward
-    } else {
-        Orientation::Reversed
-    }
-}
-
 /// One of the two rearranging options of Figure 2: which blocks to reverse
 /// and whether to swap them, with the total cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,56 +135,6 @@ pub struct RearrangeChoices {
 fn binomial2(m: usize) -> u64 {
     let m = m as u64;
     m * m.saturating_sub(1) / 2
-}
-
-/// Computes both rearranging options for the current adjacent layout of
-/// `X` and `Z`.
-///
-/// Preconditions: the two blocks are adjacent in `perm` (the moving part
-/// ran first) and each is internally forward or reversed relative to its
-/// snapshot.
-///
-/// # Panics
-///
-/// Panics on feasibility violations (non-contiguous or scrambled blocks).
-#[must_use]
-pub fn rearrange_choices<P: Arrangement + ?Sized>(
-    perm: &P,
-    x: &ComponentSnapshot,
-    z: &ComponentSnapshot,
-) -> RearrangeChoices {
-    let layout = BlockLayout::locate(perm, x, z);
-    assert_eq!(
-        layout.gap(),
-        0,
-        "blocks must be adjacent before rearranging"
-    );
-    rearrange_choices_located(perm, &layout, x, z)
-}
-
-/// The rearranging options against an already-located layout.
-///
-/// Unlike [`rearrange_choices`], the blocks need not be adjacent yet:
-/// the choices depend only on sizes, orientations and sides, none of
-/// which the moving part changes — so they can be computed before or
-/// after it (the engine's merge-update hot path computes them before,
-/// with one layout lookup per merge).
-#[must_use]
-pub fn rearrange_choices_located<P: Arrangement + ?Sized>(
-    perm: &P,
-    layout: &BlockLayout,
-    x: &ComponentSnapshot,
-    z: &ComponentSnapshot,
-) -> RearrangeChoices {
-    let x_orientation = orientation_in(perm, x.nodes(), &layout.x_range);
-    let z_orientation = orientation_in(perm, z.nodes(), &layout.z_range);
-    rearrange_choices_pure(
-        x.len(),
-        z.len(),
-        layout.x_is_left(),
-        x_orientation,
-        z_orientation,
-    )
 }
 
 /// The closed-form core of the rearranging options: no arrangement
@@ -321,7 +199,9 @@ pub fn rearrange_choices_pure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mla_permutation::{Permutation, SegmentArrangement};
+    use crate::MergeLayout;
+    use mla_graph::MergeInfo;
+    use mla_permutation::{Node, Permutation, SegmentArrangement};
     use std::ops::Range;
 
     fn snapshot(indices: &[usize]) -> ComponentSnapshot {
@@ -330,14 +210,30 @@ mod tests {
         ComponentSnapshot::eager(nodes, joined)
     }
 
+    /// The merge of `x` and `z`, located in `perm`, and its rearranging
+    /// options.
+    fn locate<P: Arrangement + ?Sized>(
+        perm: &P,
+        x: &ComponentSnapshot,
+        z: &ComponentSnapshot,
+    ) -> (MergeLayout, RearrangeChoices) {
+        let info = MergeInfo {
+            x: x.clone(),
+            z: z.clone(),
+        };
+        let layout = MergeLayout::locate(perm, &info);
+        let choices = layout.choices(&info);
+        (layout, choices)
+    }
+
     #[test]
     fn layout_and_gap() {
         let perm = Permutation::from_indices(&[0, 1, 5, 2, 3, 4]).unwrap();
         let x = snapshot(&[0, 1]);
         let z = snapshot(&[2, 3]);
-        let layout = BlockLayout::locate(&perm, &x, &z);
-        assert!(layout.x_is_left());
-        assert_eq!(layout.gap(), 1);
+        let (located, _) = locate(&perm, &x, &z);
+        assert!(located.layout.x_is_left());
+        assert_eq!(located.layout.gap(), 1);
     }
 
     #[test]
@@ -346,7 +242,7 @@ mod tests {
         let perm = Permutation::from_indices(&[0, 2, 1, 3]).unwrap();
         let x = snapshot(&[0, 1]);
         let z = snapshot(&[3]);
-        let _ = BlockLayout::locate(&perm, &x, &z);
+        let _ = locate(&perm, &x, &z);
     }
 
     /// Runs one `merge_move` from `start` on the dense backend and on the
@@ -433,24 +329,12 @@ mod tests {
     #[test]
     fn orientation_detection() {
         let perm = Permutation::from_indices(&[2, 1, 0, 3]).unwrap();
-        assert_eq!(
-            orientation_of(&perm, &[Node::new(2), Node::new(1), Node::new(0)]),
-            Orientation::Forward
-        );
-        assert_eq!(
-            orientation_of(&perm, &[Node::new(0), Node::new(1), Node::new(2)]),
-            Orientation::Reversed
-        );
-        assert_eq!(orientation_of(&perm, &[Node::new(3)]), Orientation::Forward);
-    }
-
-    // The scan that panics runs only in debug builds.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "neither forward nor reversed")]
-    fn orientation_panics_on_scramble() {
-        let perm = Permutation::from_indices(&[1, 0, 2]).unwrap();
-        let _ = orientation_of(&perm, &[Node::new(0), Node::new(1), Node::new(2)]);
+        let single = snapshot(&[3]);
+        let (located, _) = locate(&perm, &snapshot(&[2, 1, 0]), &single);
+        assert_eq!(located.x_orientation, Orientation::Forward);
+        let (located, _) = locate(&perm, &snapshot(&[0, 1, 2]), &single);
+        assert_eq!(located.x_orientation, Orientation::Reversed);
+        assert_eq!(located.z_orientation, Orientation::Forward);
     }
 
     #[test]
@@ -466,7 +350,7 @@ mod tests {
         let perm = Permutation::from_indices(&[1, 0, 2, 3]).unwrap();
         let x = ComponentSnapshot::eager(vec![Node::new(0), Node::new(1)], Node::new(1));
         let z = ComponentSnapshot::eager(vec![Node::new(2), Node::new(3)], Node::new(2));
-        let choices = rearrange_choices(&perm, &x, &z);
+        let (_, choices) = locate(&perm, &x, &z);
         // Forward target [0,1,2,3]: reverse X only → cost C(2,2)=1.
         assert!(choices.forward.reverse_x);
         assert!(!choices.forward.reverse_z);
@@ -511,8 +395,8 @@ mod tests {
                     [zs, xs].concat()
                 };
                 let base = Permutation::from_indices(&start).unwrap();
-                let layout = BlockLayout::locate(&base, &x, &z);
-                let choices = rearrange_choices(&base, &x, &z);
+                let (located, choices) = locate(&base, &x, &z);
+                let layout = located.layout;
                 for (option, target) in [
                     (choices.forward, forward.clone()),
                     (choices.reversed, reversed.clone()),
@@ -549,13 +433,10 @@ mod tests {
         let start = [1, 0, 2, 3, 4, 5];
         let dense = Permutation::from_indices(&start).unwrap();
         let segment = SegmentArrangement::from_permutation(&dense);
-        let layout = BlockLayout::locate(&dense, &x, &z);
-        let choices = rearrange_choices_located(&dense, &layout, &x, &z);
-        assert_eq!(
-            rearrange_choices_located(&segment, &BlockLayout::locate(&segment, &x, &z), &x, &z),
-            choices
-        );
+        let (located, choices) = locate(&dense, &x, &z);
+        assert_eq!(locate(&segment, &x, &z), (located.clone(), choices));
         let order = choices.forward.merge_order(true);
+        let layout = located.layout;
         let (cost, after) = merge_on_both(&start, layout.x_range, layout.z_range, order);
         assert_eq!(cost, 4);
         assert_eq!(after, vec![2, 3, 0, 1, 4, 5]);
@@ -568,7 +449,7 @@ mod tests {
         let x = ComponentSnapshot::eager(vec![Node::new(0)], Node::new(0));
         let z = ComponentSnapshot::eager(vec![Node::new(1)], Node::new(1));
         let perm = Permutation::from_indices(&[1, 0, 2]).unwrap();
-        let choices = rearrange_choices(&perm, &x, &z);
+        let (_, choices) = locate(&perm, &x, &z);
         // Forward target [0,1]: needs the swap (cost 1); reversed is free.
         assert_eq!(choices.forward.cost, 1);
         assert_eq!(choices.reversed.cost, 0);

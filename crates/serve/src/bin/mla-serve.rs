@@ -2,16 +2,17 @@
 //! default) or a TCP listener, over a multi-tenant [`Server`].
 //!
 //! ```text
-//! mla-serve [--tcp ADDR] [--shards N] [--restore PATH] [--checkpoint PATH]
+//! mla-serve [--tcp ADDR] [--restore PATH] [--checkpoint PATH]
 //! ```
 //!
 //! `--restore PATH` loads a server checkpoint before serving (the
-//! crash-recovery path). `--checkpoint PATH` sets the default target of
-//! `checkpoint` and `shutdown` ops; each write replaces the file
-//! atomically. Every tenant serves its reveals on the sequential loop,
-//! one at a time. On TCP, connections are served one
-//! at a time — tenants persist across connections; a `shutdown` op ends
-//! the process.
+//! crash-recovery path). `--checkpoint PATH` sets the file `checkpoint`
+//! and `shutdown` ops write; each write replaces the file atomically.
+//! Without it, `checkpoint` answers the bytes inline. These two flags
+//! are the only files the daemon reads or writes: no request names one.
+//! Every tenant serves its reveals on the sequential loop, one at a
+//! time. On TCP, connections are served one at a time — tenants persist
+//! across connections; a `shutdown` op ends the process.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpListener;
@@ -19,10 +20,11 @@ use std::process::ExitCode;
 
 use mla_serve::{serve_loop, Server};
 
+const USAGE: &str = "usage: mla-serve [--tcp ADDR] [--restore PATH] [--checkpoint PATH]";
+
 /// Parsed command line.
 struct Args {
     tcp: Option<String>,
-    shards: usize,
     restore: Option<String>,
     checkpoint: Option<String>,
 }
@@ -30,7 +32,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         tcp: None,
-        shards: 1,
         restore: None,
         checkpoint: None,
     };
@@ -42,21 +43,10 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--tcp" => args.tcp = Some(value("host:port")?),
-            "--shards" => {
-                args.shards = value("count")?
-                    .parse()
-                    .map_err(|err| format!("--shards: {err}"))?;
-            }
             "--restore" => args.restore = Some(value("path")?),
             "--checkpoint" => args.checkpoint = Some(value("path")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: mla-serve [--tcp ADDR] [--shards N] [--restore PATH] \
-                     [--checkpoint PATH]"
-                        .to_owned(),
-                )
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            "--help" | "-h" => return Err(USAGE.to_owned()),
+            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
     }
     Ok(args)
@@ -64,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let mut server = Server::new(args.shards, 0);
+    let mut server = Server::new(1, 0);
     if let Some(path) = &args.checkpoint {
         server = server.checkpoint_path(path);
     }

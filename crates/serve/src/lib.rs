@@ -1,13 +1,12 @@
 //! # `mla-serve`
 //!
 //! The multi-tenant serving daemon over the session layer of `mla-sim`:
-//! a [`Server`] keeps a table of named [`TenantSession`]s, routes each
-//! to a logical **shard**, serves every reveal frame one reveal at a
-//! time through [`Session::apply`] (the loop body of
-//! `Simulation::run`), answers position/cost queries mid-stream, and
-//! can checkpoint / restore **all** tenants at once — across a real
-//! process boundary — such that replaying the remaining reveals is
-//! bit-identical to the uninterrupted run.
+//! a [`Server`] keeps a table of named [`TenantSession`]s, serves every
+//! reveal frame one reveal at a time through [`Session::apply`] (the
+//! loop body of `Simulation::run`), answers position/cost queries
+//! mid-stream, and can checkpoint / restore **all** tenants at once —
+//! across a real process boundary — such that replaying the remaining
+//! reveals is bit-identical to the uninterrupted run.
 //!
 //! The wire protocol is length-prefixed JSON frames
 //! ([`mla_runner::wire`]); one request object in, one response object

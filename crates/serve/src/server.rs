@@ -11,26 +11,22 @@
 //!
 //! | op           | required fields                          | effect |
 //! |--------------|------------------------------------------|--------|
-//! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target`, `shard` optional) |
+//! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target` optional) |
 //! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal |
 //! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time |
 //! | `position`   | `tenant`, `node`                         | arrangement position mid-stream |
 //! | `cost`       | `tenant`                                 | exact cost totals so far |
 //! | `outcome`    | `tenant`                                 | totals plus the current permutation |
-//! | `tenants`    | —                                        | list tenants with shard placement |
-//! | `migrate`    | `tenant`, `shard`                        | reassign the tenant's shard label |
+//! | `tenants`    | —                                        | list tenants |
 //! | `close`      | `tenant`                                 | drop the session |
-//! | `checkpoint` | — (`path` optional)                      | serialize **all** tenants; to a file (atomically replaced), or inline as hex |
-//! | `restore`    | `bytes` (hex) or `path`                  | replace the table from a checkpoint |
-//! | `shutdown`   | —                                        | checkpoint to the default path (if any) and stop |
+//! | `checkpoint` | —                                        | serialize **all** tenants; to the `--checkpoint` file (atomically replaced), or inline as hex |
+//! | `restore`    | `bytes` (hex)                            | replace the table from a checkpoint |
+//! | `shutdown`   | —                                        | checkpoint to the `--checkpoint` file (if any) and stop |
 //!
-//! ## Shards
-//!
-//! Shards are logical placement labels (`0..shards`): routing metadata
-//! that a fleet scheduler would act on, carried through checkpoints and
-//! reassigned by `migrate`. They never influence outcomes — the
-//! determinism contract makes a session's result independent of where
-//! it runs, which is exactly what makes live migration safe.
+//! The wire names no files: checkpoints go only to the operator's
+//! [`Server::checkpoint_path`] and restores from a file happen only at
+//! start-up (`mla-serve --restore`), so a client cannot make the daemon
+//! write or read a path of its choosing.
 //!
 //! ## Durable checkpoints
 //!
@@ -57,29 +53,18 @@ use mla_sim::{
 
 use crate::hex::{decode_hex, encode_hex};
 
-/// One tenant: a live session plus its shard placement label.
-struct Tenant {
-    session: Box<dyn TenantSession>,
-    shard: usize,
-}
-
 /// The multi-tenant session server. See the crate docs for the
 /// operation table.
 pub struct Server {
-    tenants: BTreeMap<String, Tenant>,
-    /// Number of logical shards; placement labels are `0..shards`.
-    shards: usize,
-    /// Default target of `checkpoint`/`shutdown` checkpoints.
+    tenants: BTreeMap<String, Box<dyn TenantSession>>,
+    /// Target of `checkpoint`/`shutdown` checkpoints.
     checkpoint_path: Option<PathBuf>,
-    /// Round-robin cursor for default shard assignment.
-    next_shard: usize,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("tenants", &self.tenants.len())
-            .field("shards", &self.shards)
             .finish_non_exhaustive()
     }
 }
@@ -132,20 +117,18 @@ fn want_usize(request: &Json, key: &str) -> Result<usize, Json> {
 }
 
 impl Server {
-    /// An empty server with `shards` placement labels (clamped to ≥ 1).
-    /// The thread count is kept for API compatibility and has no effect
-    /// on serving: sessions serve every frame on the sequential loop.
+    /// An empty server. Both arguments are kept for API compatibility
+    /// and have no effect: sessions serve every frame on the sequential
+    /// loop, wherever they run.
     #[must_use]
-    pub fn new(shards: usize, _threads: usize) -> Self {
+    pub fn new(_shards: usize, _threads: usize) -> Self {
         Server {
             tenants: BTreeMap::new(),
-            shards: shards.max(1),
             checkpoint_path: None,
-            next_shard: 0,
         }
     }
 
-    /// Sets the default file `checkpoint` and `shutdown` write to.
+    /// Sets the file `checkpoint` and `shutdown` write to.
     #[must_use]
     pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
@@ -158,7 +141,7 @@ impl Server {
         self.tenants.len()
     }
 
-    /// Serializes every tenant (name, shard, session state) into one
+    /// Serializes every tenant (name, session state) into one
     /// sealed server checkpoint. Sessions are nested as their own sealed
     /// blobs, so a tenant extracted from a server checkpoint is itself a
     /// valid [`decode_session`] input.
@@ -166,11 +149,10 @@ impl Server {
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut body = Vec::new();
         put_len(&mut body, self.tenants.len());
-        for (name, tenant) in &self.tenants {
+        for (name, session) in &self.tenants {
             put_len(&mut body, name.len());
             body.extend_from_slice(name.as_bytes());
-            put_len(&mut body, tenant.shard);
-            let blob = encode_session(tenant.session.as_ref());
+            let blob = encode_session(session.as_ref());
             put_len(&mut body, blob.len());
             body.extend_from_slice(&blob);
         }
@@ -178,9 +160,7 @@ impl Server {
     }
 
     /// Replaces the tenant table from [`Server::checkpoint_bytes`]
-    /// output. Shard labels are remapped modulo the **current** shard
-    /// count (the label is placement metadata; a restore into a smaller
-    /// deployment must still place every tenant somewhere).
+    /// output, of this format version or version 1.
     ///
     /// On any error the existing table is left untouched.
     ///
@@ -190,7 +170,7 @@ impl Server {
     /// damage, duplicate or non-UTF-8 tenant names, or a corrupt nested
     /// session.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<usize, CheckpointError> {
-        let body = checkpoint::open(bytes)?;
+        let (version, body) = checkpoint::open(bytes)?;
         let mut r = ByteReader::new(body);
         let count = r.count(body.len(), "tenant")?;
         let mut tenants = BTreeMap::new();
@@ -199,14 +179,14 @@ impl Server {
             let name = std::str::from_utf8(r.bytes(name_len)?)
                 .map_err(|_| CheckpointError::malformed("tenant name is not UTF-8".to_string()))?
                 .to_owned();
-            let shard = r.count(usize::MAX, "shard label")?;
+            if version == 1 {
+                // Version 1 stores the tenant's shard label here: a
+                // placement name that never placed anything.
+                r.u64()?;
+            }
             let blob_len = r.count(body.len(), "session-checkpoint byte")?;
             let session = decode_session(r.bytes(blob_len)?)?;
-            let tenant = Tenant {
-                session,
-                shard: shard % self.shards,
-            };
-            if tenants.insert(name.clone(), tenant).is_some() {
+            if tenants.insert(name.clone(), session).is_some() {
                 return Err(CheckpointError::malformed(format!(
                     "duplicate tenant {name:?} in checkpoint"
                 )));
@@ -214,7 +194,6 @@ impl Server {
         }
         r.finish()?;
         self.tenants = tenants;
-        self.next_shard = self.tenants.len() % self.shards;
         Ok(count)
     }
 
@@ -249,7 +228,6 @@ impl Server {
             "cost" => self.op_cost(request),
             "outcome" => self.op_outcome(request),
             "tenants" => Ok(self.op_tenants()),
-            "migrate" => self.op_migrate(request),
             "close" => self.op_close(request),
             "checkpoint" => self.op_checkpoint(request),
             "restore" => self.op_restore(request),
@@ -257,10 +235,10 @@ impl Server {
         }
     }
 
-    fn tenant_mut(&mut self, request: &Json) -> Result<&mut Tenant, Json> {
+    fn session_mut(&mut self, request: &Json) -> Result<&mut dyn TenantSession, Json> {
         let name = want_str(request, "tenant")?;
         match self.tenants.get_mut(name) {
-            Some(tenant) => Ok(tenant),
+            Some(session) => Ok(session.as_mut()),
             None => Err(err_response(
                 "unknown-tenant",
                 format!("no tenant {name:?}"),
@@ -277,47 +255,24 @@ impl Server {
             ));
         }
         let spec = parse_spec(request)?;
-        let shard = match request.get("shard") {
-            None => {
-                let shard = self.next_shard;
-                self.next_shard = (self.next_shard + 1) % self.shards;
-                shard
-            }
-            Some(value) => self.parse_shard(value)?,
-        };
         let session =
             open_session(spec).map_err(|err| err_response("bad-request", err.to_string()))?;
         let response = ok_response()
             .field("tenant", name.as_str())
-            .field("shard", shard)
             .field("algorithm", session.algorithm_name());
-        self.tenants.insert(name, Tenant { session, shard });
+        self.tenants.insert(name, session);
         Ok(response)
-    }
-
-    fn parse_shard(&self, value: &Json) -> Result<usize, Json> {
-        let shard = value
-            .as_usize()
-            .ok_or_else(|| err_response("bad-request", "shard must be an unsigned integer"))?;
-        if shard >= self.shards {
-            return Err(err_response(
-                "bad-request",
-                format!("shard {shard} out of range for {} shards", self.shards),
-            ));
-        }
-        Ok(shard)
     }
 
     fn op_reveal(&mut self, request: &Json) -> Result<Json, Json> {
         let a = want_usize(request, "a")?;
         let b = want_usize(request, "b")?;
-        let tenant = self.tenant_mut(request)?;
-        let event = parse_event(a, b, tenant.session.spec().n)?;
-        tenant
-            .session
+        let session = self.session_mut(request)?;
+        let event = parse_event(a, b, session.spec().n)?;
+        session
             .apply_events(&[event])
             .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
-        Ok(cost_fields(ok_response(), tenant.session.as_ref()))
+        Ok(cost_fields(ok_response(), session))
     }
 
     fn op_reveals(&mut self, request: &Json) -> Result<Json, Json> {
@@ -325,8 +280,8 @@ impl Server {
             .get("events")
             .and_then(Json::as_array)
             .ok_or_else(|| err_response("bad-request", "missing array field \"events\""))?;
-        let tenant = self.tenant_mut(request)?;
-        let n = tenant.session.spec().n;
+        let session = self.session_mut(request)?;
+        let n = session.spec().n;
         let mut events = Vec::with_capacity(entries.len());
         for entry in entries {
             let pair = entry.as_array().unwrap_or(&[]);
@@ -342,30 +297,26 @@ impl Server {
             };
             events.push(parse_event(a, b, n)?);
         }
-        let applied = tenant
-            .session
+        let applied = session
             .apply_events(&events)
             .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
         Ok(cost_fields(
             ok_response().field("applied", applied),
-            tenant.session.as_ref(),
+            session,
         ))
     }
 
     fn op_position(&mut self, request: &Json) -> Result<Json, Json> {
         let node = want_usize(request, "node")?;
-        let tenant = self.tenant_mut(request)?;
-        if node >= tenant.session.spec().n {
+        let session = self.session_mut(request)?;
+        let n = session.spec().n;
+        if node >= n {
             return Err(err_response(
                 "bad-request",
-                format!(
-                    "node {node} out of range for n = {}",
-                    tenant.session.spec().n
-                ),
+                format!("node {node} out of range for n = {n}"),
             ));
         }
-        let position = tenant
-            .session
+        let position = session
             .position_of(Node::new(node))
             .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
         Ok(ok_response()
@@ -374,20 +325,19 @@ impl Server {
     }
 
     fn op_cost(&mut self, request: &Json) -> Result<Json, Json> {
-        let tenant = self.tenant_mut(request)?;
-        Ok(cost_fields(ok_response(), tenant.session.as_ref())
-            .field("algorithm", tenant.session.algorithm_name()))
+        let session = self.session_mut(request)?;
+        Ok(cost_fields(ok_response(), session).field("algorithm", session.algorithm_name()))
     }
 
     fn op_outcome(&mut self, request: &Json) -> Result<Json, Json> {
-        let tenant = self.tenant_mut(request)?;
-        let outcome = tenant.session.outcome();
+        let session = self.session_mut(request)?;
+        let outcome = session.outcome();
         let perm: Vec<Json> = outcome
             .final_perm
             .iter()
             .map(|node| Json::from(node.index()))
             .collect();
-        Ok(cost_fields(ok_response(), tenant.session.as_ref())
+        Ok(cost_fields(ok_response(), session)
             .field("total_cost", outcome.total_cost)
             .field("perm", Json::Array(perm)))
     }
@@ -396,30 +346,15 @@ impl Server {
         let list: Vec<Json> = self
             .tenants
             .iter()
-            .map(|(name, tenant)| {
+            .map(|(name, session)| {
                 Json::object()
                     .field("tenant", name.as_str())
-                    .field("shard", tenant.shard)
-                    .field("algorithm", tenant.session.algorithm_name())
-                    .field("steps", tenant.session.steps())
-                    .field("n", tenant.session.spec().n)
+                    .field("algorithm", session.algorithm_name())
+                    .field("steps", session.steps())
+                    .field("n", session.spec().n)
             })
             .collect();
-        ok_response()
-            .field("shards", self.shards)
-            .field("tenants", Json::Array(list))
-    }
-
-    fn op_migrate(&mut self, request: &Json) -> Result<Json, Json> {
-        let shard = self.parse_shard(
-            request
-                .get("shard")
-                .ok_or_else(|| err_response("bad-request", "missing integer field \"shard\""))?,
-        )?;
-        let name = want_str(request, "tenant")?.to_owned();
-        let tenant = self.tenant_mut(request)?;
-        tenant.shard = shard;
-        Ok(ok_response().field("tenant", name).field("shard", shard))
+        ok_response().field("tenants", Json::Array(list))
     }
 
     fn op_close(&mut self, request: &Json) -> Result<Json, Json> {
@@ -434,18 +369,17 @@ impl Server {
     }
 
     fn op_checkpoint(&self, request: &Json) -> Result<Json, Json> {
+        if request.get("path").is_some() {
+            return Err(err_response(
+                "bad-request",
+                "checkpoint takes no \"path\": it writes only to the daemon's \
+                 --checkpoint file, or answers inline hex without one",
+            ));
+        }
         let response = ok_response().field("tenants", self.tenants.len());
-        let path = match request.get("path") {
-            Some(value) => {
-                Some(PathBuf::from(value.as_str().ok_or_else(|| {
-                    err_response("bad-request", "path must be a string")
-                })?))
-            }
-            None => self.checkpoint_path.clone(),
-        };
-        match path {
+        match &self.checkpoint_path {
             Some(path) => {
-                self.write_checkpoint(&path)
+                self.write_checkpoint(path)
                     .map_err(|error| err_response("io", error))?;
                 Ok(response.field("path", path.display().to_string()))
             }
@@ -459,28 +393,8 @@ impl Server {
     }
 
     fn op_restore(&mut self, request: &Json) -> Result<Json, Json> {
-        let bytes = match (request.get("bytes"), request.get("path")) {
-            (Some(value), None) => {
-                let text = value
-                    .as_str()
-                    .ok_or_else(|| err_response("bad-request", "bytes must be a hex string"))?;
-                decode_hex(text).map_err(|error| err_response("bad-request", error))?
-            }
-            (None, Some(value)) => {
-                let path = value
-                    .as_str()
-                    .ok_or_else(|| err_response("bad-request", "path must be a string"))?;
-                std::fs::read(path).map_err(|err| {
-                    err_response("io", format!("reading checkpoint {path}: {err}"))
-                })?
-            }
-            _ => {
-                return Err(err_response(
-                    "bad-request",
-                    "restore takes exactly one of \"bytes\" or \"path\"",
-                ))
-            }
-        };
+        let bytes = decode_hex(want_str(request, "bytes")?)
+            .map_err(|error| err_response("bad-request", error))?;
         let count = self
             .restore_bytes(&bytes)
             .map_err(|err| err_response("checkpoint", err.to_string()))?;
@@ -707,7 +621,15 @@ mod tests {
         let mut server = Server::new(4, 1);
         let opened = open_tenant(&mut server, "t0", 8);
         assert!(ok(&opened), "{opened:?}");
-        assert_eq!(opened.get("shard").and_then(Json::as_usize), Some(0));
+        assert_eq!(opened.get("shard"), None);
+        // A client that still sends a shard label is served; the field is
+        // ignored like any other unknown key.
+        let labelled = continue_response(server.handle(&request(
+            "{\"op\":\"open\",\"tenant\":\"t1\",\"topology\":\"lines\",\"n\":4,\
+             \"policy\":\"det\",\"shard\":3}",
+        )));
+        assert!(ok(&labelled), "{labelled:?}");
+        assert_eq!(labelled.get("shard"), None);
 
         let served = continue_response(server.handle(&request(
             "{\"op\":\"reveals\",\"tenant\":\"t0\",\"events\":[[0,1],[2,3],[0,2]]}",
@@ -745,6 +667,18 @@ mod tests {
         let mut server = Server::new(2, 1);
         let opened = open_tenant(&mut server, "t0", 4);
         assert!(ok(&opened), "{opened:?}");
+        let named = std::env::temp_dir().join(format!(
+            "mla-serve-{}-client-named.ckpt",
+            std::process::id()
+        ));
+        let with_path = |op: &str| {
+            Json::object()
+                .field("op", op)
+                .field("path", named.display().to_string())
+                .render_compact()
+        };
+        let (checkpoint_to_path, restore_from_path) =
+            (with_path("checkpoint"), with_path("restore"));
         let cases = [
             ("{\"n\":4}", "bad-request"),
             ("{\"op\":\"frobnicate\"}", "unknown-op"),
@@ -774,15 +708,27 @@ mod tests {
             ),
             (
                 "{\"op\":\"migrate\",\"tenant\":\"t0\",\"shard\":7}",
-                "bad-request",
+                "unknown-op",
             ),
             ("{\"op\":\"restore\",\"bytes\":\"zz\"}", "bad-request"),
             ("{\"op\":\"restore\",\"bytes\":\"00ff\"}", "checkpoint"),
+            (checkpoint_to_path.as_str(), "bad-request"),
+            (restore_from_path.as_str(), "bad-request"),
         ];
         for (text, want) in cases {
             let response = continue_response(server.handle(&request(text)));
             assert_eq!(code(&response), want, "{text} -> {response:?}");
         }
+        let refused = continue_response(server.handle(&request(&checkpoint_to_path)));
+        let message = refused.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("--checkpoint"), "{message}");
+        let mut tmp = named.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!named.exists(), "a client named a file and it was written");
+        assert!(
+            !Path::new(&tmp).exists(),
+            "a client named a file and it was written"
+        );
         // A merge of two nodes already in one component is a graph error.
         let merged = continue_response(server.handle(&request(
             "{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":0,\"b\":1}",
@@ -805,10 +751,6 @@ mod tests {
             "{\"op\":\"reveals\",\"tenant\":\"beta\",\"events\":[[0,1],[2,3]]}",
         )));
         assert!(ok(&served), "{served:?}");
-        let migrated = continue_response(server.handle(&request(
-            "{\"op\":\"migrate\",\"tenant\":\"alpha\",\"shard\":2}",
-        )));
-        assert!(ok(&migrated), "{migrated:?}");
 
         let bytes = server.checkpoint_bytes();
         let mut restored = Server::new(3, 1);
@@ -822,22 +764,6 @@ mod tests {
         let direct = continue_response(server.handle(&request(frame)));
         let resumed = continue_response(restored.handle(&request(frame)));
         assert_eq!(direct, resumed);
-    }
-
-    #[test]
-    fn restore_remaps_shards_into_smaller_deployments() {
-        let mut server = Server::new(8, 1);
-        let opened = open_tenant(&mut server, "t0", 6);
-        assert!(ok(&opened), "{opened:?}");
-        let migrated = continue_response(server.handle(&request(
-            "{\"op\":\"migrate\",\"tenant\":\"t0\",\"shard\":5}",
-        )));
-        assert!(ok(&migrated), "{migrated:?}");
-        let mut smaller = Server::new(2, 1);
-        smaller.restore_bytes(&server.checkpoint_bytes()).unwrap();
-        let listed = continue_response(smaller.handle(&request("{\"op\":\"tenants\"}")));
-        let tenants = listed.get("tenants").and_then(Json::as_array).unwrap();
-        assert_eq!(tenants[0].get("shard").and_then(Json::as_usize), Some(1));
     }
 
     #[test]
@@ -886,7 +812,6 @@ mod tests {
         put_len(&mut body, 1);
         put_len(&mut body, 1);
         body.push(b'x');
-        put_len(&mut body, 0);
         put_len(&mut body, blob.len());
         body.extend_from_slice(&blob);
         let frame = format!(

@@ -12,6 +12,7 @@ use mla_adversary::{random_clique_instance, random_line_instance, MergeShape};
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::Permutation;
 use mla_runner::Json;
+use mla_serve::{Reply, Server};
 use mla_sim::{open_session, BackendKind, PolicyKind, SessionSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,7 +98,7 @@ fn assert_subprocess_recovery(
     };
 
     // Process A: open, serve the prefix, checkpoint, die hard.
-    let mut first = Daemon::spawn(&["--checkpoint", ckpt_str, "--shards", "4"]);
+    let mut first = Daemon::spawn(&["--checkpoint", ckpt_str]);
     first.request_ok(&format!(
         "{{\"op\":\"open\",\"tenant\":\"{name}\",\"topology\":\"{topo_str}\",\"n\":{n},\
          \"policy\":\"{policy_str}\",\"backend\":\"{backend_str}\",\"seed\":{seed}\
@@ -111,7 +112,7 @@ fn assert_subprocess_recovery(
     first.kill9();
 
     // Process B: restore, serve the remainder, compare.
-    let mut second = Daemon::spawn(&["--restore", ckpt_str, "--shards", "4"]);
+    let mut second = Daemon::spawn(&["--restore", ckpt_str]);
     second.request_ok(&format!(
         "{{\"op\":\"reveals\",\"tenant\":\"{name}\",\"events\":{}}}",
         events_json(&pairs[cut..])
@@ -233,6 +234,48 @@ fn torn_temp_file_never_shadows_the_last_good_checkpoint() {
     second.shutdown();
     assert!(!tmp.exists(), "the next write left {tmp:?} behind");
     assert_eq!(std::fs::read(&ckpt).unwrap(), good);
+}
+
+/// A checkpoint write that fails mid-way answers `io`, removes its
+/// `<path>.tmp` and leaves every tenant serving; `shutdown` still stops
+/// the server, with the same `io` code. A directory at the checkpoint
+/// path makes the write fail after the temp file is written: renaming
+/// a file over a directory is refused.
+#[test]
+fn a_failed_checkpoint_write_answers_io_and_leaves_no_temp_file() {
+    let dir = tmp_path("checkpoint-is-a-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = tmp_path("checkpoint-is-a-dir.tmp");
+    let _ = std::fs::remove_file(&tmp);
+    let mut server = Server::new(1, 0).checkpoint_path(&dir);
+    // Each reply as (did the server stop, error code).
+    let mut send = |text: &str| {
+        let (stopped, response) = match server.handle(&Json::parse(text).unwrap()) {
+            Reply::Continue(response) => (false, response),
+            Reply::Shutdown(response) => (true, response),
+        };
+        let code = response
+            .get("code")
+            .and_then(Json::as_str)
+            .map(str::to_owned);
+        (stopped, code)
+    };
+    let opened = send(
+        "{\"op\":\"open\",\"tenant\":\"t0\",\"topology\":\"cliques\",\"n\":6,\
+         \"policy\":\"rand\"}",
+    );
+    assert_eq!(opened, (false, None));
+
+    let failed = send("{\"op\":\"checkpoint\"}");
+    assert_eq!(failed, (false, Some("io".to_owned())));
+    assert!(!tmp.exists(), "a failed write left {tmp:?} behind");
+    let served = send("{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":0,\"b\":1}");
+    assert_eq!(served, (false, None));
+
+    let stopped = send("{\"op\":\"shutdown\"}");
+    assert_eq!(stopped, (true, Some("io".to_owned())));
+    assert!(!tmp.exists(), "a failed write left {tmp:?} behind");
+    assert!(dir.is_dir());
 }
 
 /// The daemon also speaks the protocol over TCP; a session opened on

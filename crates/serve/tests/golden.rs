@@ -1,11 +1,21 @@
-//! Golden checkpoint compatibility: a fixture produced by the version-1
-//! codec is committed to the repository, and this suite proves that
-//! today's decoder still accepts it **and** resumes it to the exact
+//! Golden checkpoint compatibility: fixtures written by earlier codecs
+//! are committed to the repository, and this suite proves that today's
+//! decoders still accept them **and** resume them to the exact
 //! historical outcome. Any incompatible codec change trips this test —
-//! the fix is a version bump plus a migration path, never a silent
-//! format break.
+//! the fix is a version bump plus a decode path for the old version,
+//! never a silent format break.
 //!
-//! Regenerate (after an intentional, versioned format change) with:
+//! - `session-v1.ckpt`: a session checkpoint in format 1, whose body
+//!   ends with a since-removed batch planner's 16-byte tuning triple.
+//!   Frozen: no encoder writes format 1 any more.
+//! - `session-v2.ckpt`: the same session in format 2, which drops the
+//!   triple.
+//! - `server-v1.ckpt`: a whole-server checkpoint in format 1, written
+//!   mid-stream by the format-1 daemon on `--shards 3`. Each tenant
+//!   carries a shard label (2 and 1 here), which format 2 drops. Frozen.
+//!
+//! Regenerate `session-v2.ckpt` (after an intentional, versioned format
+//! change) with:
 //!
 //! ```text
 //! cargo test -p mla-serve --test golden -- --ignored
@@ -13,15 +23,18 @@
 
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::Node;
+use mla_runner::Json;
+use mla_serve::{Reply, Server};
+use mla_sim::checkpoint;
 use mla_sim::{decode_session, encode_session, open_session, BackendKind, PolicyKind, SessionSpec};
 
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/session-v1.ckpt");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
-/// The fixture's reveal script: a fixed merge tournament on 12 nodes
-/// (hardcoded, so the fixture never depends on adversary-generator
+/// The session fixtures' reveal script: a fixed merge tournament on 12
+/// nodes (hardcoded, so the fixtures never depend on adversary-generator
 /// internals). Merges pair **distant** nodes so every step forces real
-/// movement — the costs pinned below are non-trivial. The checkpoint
-/// was taken after [`CUT`] reveals.
+/// movement — the costs pinned below are non-trivial. The checkpoints
+/// were taken after [`CUT`] reveals.
 const EVENTS: [(usize, usize); 11] = [
     (0, 6),
     (1, 7),
@@ -42,6 +55,10 @@ const CUT: usize = 6;
 const MID_TOTAL_COST: u128 = 19;
 const FINAL_TOTAL_COST: u128 = 37;
 
+/// Bytes format 1 appended to every session body: the planner tuning
+/// `(window: u64, full_seals: u32, collapse_streak: u32)`.
+const V1_TUNING_BYTES: usize = 16;
+
 fn fixture_spec() -> SessionSpec {
     SessionSpec::new(
         Topology::Cliques,
@@ -59,38 +76,206 @@ fn events(range: std::ops::Range<usize>) -> Vec<RevealEvent> {
         .collect()
 }
 
+fn read_fixture(name: &str) -> Vec<u8> {
+    std::fs::read(format!("{GOLDEN}/{name}")).unwrap_or_else(|err| {
+        panic!(
+            "missing fixture {name} ({err}); session-v2.ckpt is written by \
+             `cargo test -p mla-serve --test golden -- --ignored`"
+        )
+    })
+}
+
 #[test]
 fn golden_fixture_still_decodes_and_resumes_to_the_historical_outcome() {
-    let bytes = std::fs::read(FIXTURE)
-        .expect("missing fixture — run `cargo test -p mla-serve --test golden -- --ignored`");
-    let mut session = decode_session(&bytes).expect("version-1 fixture must keep decoding");
-
-    let spec = session.spec().clone();
-    assert_eq!(spec, fixture_spec(), "fixture spec drifted");
-    assert_eq!(session.steps(), CUT);
-    assert_eq!(session.outcome().total_cost, MID_TOTAL_COST);
-
-    session.apply_events(&events(CUT..EVENTS.len())).unwrap();
-    let resumed = session.outcome();
-    assert_eq!(resumed.total_cost, FINAL_TOTAL_COST);
-
-    // The resumed historical session and a fresh uninterrupted run are
-    // bit-identical — the crash-recovery contract, pinned across codec
-    // versions.
     let mut fresh = open_session(fixture_spec()).unwrap();
     fresh.apply_events(&events(0..EVENTS.len())).unwrap();
-    assert_eq!(resumed, fresh.outcome());
+    for (name, version) in [("session-v1.ckpt", 1), ("session-v2.ckpt", 2)] {
+        let bytes = read_fixture(name);
+        assert_eq!(checkpoint::open(&bytes).unwrap().0, version, "{name}");
+        let mut session = decode_session(&bytes).expect("the fixture must keep decoding");
+
+        let spec = session.spec().clone();
+        assert_eq!(spec, fixture_spec(), "{name}: fixture spec drifted");
+        assert_eq!(session.steps(), CUT, "{name}");
+        assert_eq!(session.outcome().total_cost, MID_TOTAL_COST, "{name}");
+
+        session.apply_events(&events(CUT..EVENTS.len())).unwrap();
+        let resumed = session.outcome();
+        assert_eq!(resumed.total_cost, FINAL_TOTAL_COST, "{name}");
+
+        // The resumed historical session and a fresh uninterrupted run are
+        // bit-identical — the crash-recovery contract, pinned across codec
+        // versions.
+        assert_eq!(resumed, fresh.outcome(), "{name}");
+    }
 }
 
 #[test]
 fn reencoding_the_fixture_is_byte_stable() {
-    let bytes = std::fs::read(FIXTURE)
-        .expect("missing fixture — run `cargo test -p mla-serve --test golden -- --ignored`");
+    let bytes = read_fixture("session-v2.ckpt");
     let session = decode_session(&bytes).unwrap();
     assert_eq!(
         encode_session(session.as_ref()),
         bytes,
         "decode → encode must reproduce the committed bytes exactly"
+    );
+}
+
+#[test]
+fn the_v1_fixture_reencodes_as_the_v2_fixture() {
+    let v1 = read_fixture("session-v1.ckpt");
+    let v2 = read_fixture("session-v2.ckpt");
+    let reencoded = encode_session(decode_session(&v1).unwrap().as_ref());
+    assert_eq!(reencoded, v2, "decode v1 → encode must give the v2 fixture");
+    assert_eq!(v2.len(), v1.len() - V1_TUNING_BYTES);
+}
+
+/// One tenant of the server fixture: its `open` request, its reveal
+/// script, how much of it ran before the checkpoint, and the total
+/// costs the format-1 daemon reported at the cut and at the end.
+struct ServerTenant {
+    name: &'static str,
+    open: &'static str,
+    events: &'static [(usize, usize)],
+    cut: usize,
+    mid_total: u128,
+    final_total: u128,
+}
+
+/// The tenants of `server-v1.ckpt`. The daemon ran on `--shards 3`:
+/// `cliques` opened on shard 0 and was migrated to shard 2, `lines`
+/// opened on shard 1.
+const SERVER_TENANTS: [ServerTenant; 2] = [
+    ServerTenant {
+        name: "cliques",
+        open: "{\"op\":\"open\",\"tenant\":\"cliques\",\"topology\":\"cliques\",\"n\":12,\
+               \"policy\":\"rand\",\"backend\":\"segment\",\"seed\":11}",
+        events: &EVENTS,
+        cut: CUT,
+        mid_total: 31,
+        final_total: 63,
+    },
+    ServerTenant {
+        name: "lines",
+        open: "{\"op\":\"open\",\"tenant\":\"lines\",\"topology\":\"lines\",\"n\":10,\
+               \"policy\":\"rand\",\"backend\":\"dense\",\"seed\":5,\"record\":4,\
+               \"check_feasibility\":true}",
+        events: &[
+            (0, 9),
+            (2, 7),
+            (4, 5),
+            (9, 2),
+            (1, 8),
+            (3, 6),
+            (7, 4),
+            (8, 3),
+            (0, 1),
+        ],
+        cut: 5,
+        mid_total: 34,
+        final_total: 74,
+    },
+];
+
+fn handle_ok(server: &mut Server, text: &str) -> Json {
+    let Reply::Continue(response) = server.handle(&Json::parse(text).unwrap()) else {
+        panic!("{text} stopped the server");
+    };
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{text} -> {response:?}"
+    );
+    response
+}
+
+fn reveals(server: &mut Server, tenant: &ServerTenant, pairs: &[(usize, usize)]) -> Json {
+    let events: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
+    handle_ok(
+        server,
+        &format!(
+            "{{\"op\":\"reveals\",\"tenant\":\"{}\",\"events\":[{}]}}",
+            tenant.name,
+            events.join(",")
+        ),
+    )
+}
+
+fn total_cost(response: &Json) -> Option<u128> {
+    let moving = response.get("moving_cost").and_then(Json::as_u128)?;
+    let rearranging = response.get("rearranging_cost").and_then(Json::as_u128)?;
+    Some(moving + rearranging)
+}
+
+#[test]
+fn server_v1_fixture_restores_and_resumes_bit_identically() {
+    let v1 = read_fixture("server-v1.ckpt");
+    assert_eq!(checkpoint::open(&v1).unwrap().0, 1);
+    let mut restored = Server::new(1, 0);
+    assert_eq!(restored.restore_bytes(&v1).unwrap(), SERVER_TENANTS.len());
+
+    // The uninterrupted reference: the same tenants, served in one go.
+    let mut fresh = Server::new(1, 0);
+    for tenant in &SERVER_TENANTS {
+        handle_ok(&mut fresh, tenant.open);
+        reveals(&mut fresh, tenant, &tenant.events[..tenant.cut]);
+    }
+    let listed = handle_ok(&mut restored, "{\"op\":\"tenants\"}");
+    assert_eq!(listed, handle_ok(&mut fresh, "{\"op\":\"tenants\"}"));
+    assert!(!listed.render_compact().contains("shard"), "{listed:?}");
+    for tenant in &SERVER_TENANTS {
+        let cost = handle_ok(
+            &mut restored,
+            &format!("{{\"op\":\"cost\",\"tenant\":\"{}\"}}", tenant.name),
+        );
+        assert_eq!(total_cost(&cost), Some(tenant.mid_total), "{}", tenant.name);
+    }
+
+    // The format-2 checkpoint of the restored table drops one shard word
+    // per tenant and the tuning triple of each nested session.
+    let v2 = restored.checkpoint_bytes();
+    assert_eq!(checkpoint::open(&v2).unwrap().0, checkpoint::VERSION);
+    assert_eq!(
+        v2.len(),
+        v1.len() - SERVER_TENANTS.len() * (8 + V1_TUNING_BYTES)
+    );
+    let mut reloaded = Server::new(1, 0);
+    assert_eq!(reloaded.restore_bytes(&v2).unwrap(), SERVER_TENANTS.len());
+    assert_eq!(
+        reloaded.checkpoint_bytes(),
+        v2,
+        "the v2 checkpoint round-trips"
+    );
+
+    for tenant in &SERVER_TENANTS {
+        let rest = &tenant.events[tenant.cut..];
+        let outcome = format!("{{\"op\":\"outcome\",\"tenant\":\"{}\"}}", tenant.name);
+        for server in [&mut fresh, &mut restored, &mut reloaded] {
+            reveals(server, tenant, rest);
+        }
+        let want = handle_ok(&mut fresh, &outcome);
+        assert_eq!(
+            total_cost(&want),
+            Some(tenant.final_total),
+            "{}",
+            tenant.name
+        );
+        assert_eq!(handle_ok(&mut restored, &outcome), want, "{}", tenant.name);
+        assert_eq!(handle_ok(&mut reloaded, &outcome), want, "{}", tenant.name);
+    }
+}
+
+#[test]
+fn every_committed_fixture_is_checked_here() {
+    let mut names: Vec<String> = std::fs::read_dir(GOLDEN)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".ckpt"))
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["server-v1.ckpt", "session-v1.ckpt", "session-v2.ckpt"]
     );
 }
 
@@ -103,10 +288,11 @@ fn regenerate_golden_fixture() {
     let mid_total = session.outcome().total_cost;
     session.apply_events(&events(CUT..EVENTS.len())).unwrap();
     let final_total = session.outcome().total_cost;
-    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden")).unwrap();
-    std::fs::write(FIXTURE, &bytes).unwrap();
+    let path = format!("{GOLDEN}/session-v2.ckpt");
+    std::fs::create_dir_all(GOLDEN).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
     println!(
-        "wrote {} bytes to {FIXTURE}\nMID_TOTAL_COST = {mid_total}\nFINAL_TOTAL_COST = {final_total}",
+        "wrote {} bytes to {path}\nMID_TOTAL_COST = {mid_total}\nFINAL_TOTAL_COST = {final_total}",
         bytes.len()
     );
 }

@@ -1,9 +1,8 @@
 //! The 64-tenant soak: a long interleaved session script against the
-//! real daemon — reveals in ragged frames, mid-stream position/cost
-//! queries, shard migrations, and two `kill -9` + restore cycles — with
-//! every tenant's final costs and permutation checked against a
-//! single-process reference run. A wall-clock budget keeps the suite
-//! CI-friendly.
+//! real daemon — reveals in ragged frames, mid-stream position and cost
+//! queries, and two `kill -9` + restore cycles — with every tenant's
+//! final costs and permutation checked against a single-process
+//! reference run. A wall-clock budget keeps the suite CI-friendly.
 
 mod util;
 
@@ -20,7 +19,6 @@ use rand::{Rng, SeedableRng};
 use util::{events_json, Daemon};
 
 const TENANTS: usize = 64;
-const SHARDS: usize = 8;
 /// Generous CI budget; the soak takes well under this on a laptop.
 const WALL_CLOCK_BUDGET: Duration = Duration::from_secs(120);
 
@@ -125,14 +123,8 @@ fn soak_64_tenants_survive_two_kill9_cycles_with_identical_costs() {
 
     let ckpt = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("soak.ckpt");
     let ckpt_str = ckpt.to_str().unwrap().to_owned();
-    let shards_str = SHARDS.to_string();
     let spawn = |restore: bool| {
-        let mut args = vec![
-            "--checkpoint",
-            ckpt_str.as_str(),
-            "--shards",
-            shards_str.as_str(),
-        ];
+        let mut args = vec!["--checkpoint", ckpt_str.as_str()];
         if restore {
             args.push("--restore");
             args.push(ckpt_str.as_str());
@@ -145,8 +137,8 @@ fn soak_64_tenants_survive_two_kill9_cycles_with_identical_costs() {
         daemon.request_ok(&open_request(plan));
     }
 
-    // Interleave: random tenant, random frame size, with queries and
-    // migrations sprinkled in. Two kill -9 + restore cycles at roughly
+    // Interleave: random tenant, random frame size, with queries
+    // sprinkled in. Two kill -9 + restore cycles at roughly
     // 1/3 and 2/3 of total progress.
     let mut script_rng = SmallRng::seed_from_u64(0xbeef);
     let mut cursors = vec![0usize; plans.len()];
@@ -189,11 +181,14 @@ fn soak_64_tenants_survive_two_kill9_cycles_with_identical_costs() {
             assert!(at < plan.n, "{}: position {at} out of range", plan.name);
         }
         if script_rng.gen_range(0..6) == 0 {
-            let shard = script_rng.gen_range(0..SHARDS);
-            daemon.request_ok(&format!(
-                "{{\"op\":\"migrate\",\"tenant\":\"{}\",\"shard\":{shard}}}",
+            let cost =
+                daemon.request_ok(&format!("{{\"op\":\"cost\",\"tenant\":\"{}\"}}", plan.name));
+            assert_eq!(
+                cost.get("steps").and_then(Json::as_usize),
+                Some(cursors[tenant]),
+                "{} step count drifted",
                 plan.name
-            ));
+            );
         }
 
         // Crash cycles.

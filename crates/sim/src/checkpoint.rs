@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"MLACKPT\n"
-//!      8     4  format version (currently 1)
+//!      8     4  format version (currently 2; 1 is still read)
 //!     12     8  body length in bytes
 //!     20     8  CRC-64/XZ of the body
 //!     28     …  body
@@ -28,8 +28,12 @@ use mla_permutation::codec::{crc64, CodecError};
 /// text-mode mangling (`\n` → `\r\n`) fail loudly at the magic check.
 pub const MAGIC: [u8; 8] = *b"MLACKPT\n";
 
-/// The current container format version.
-pub const VERSION: u32 = 1;
+/// The container format version this build writes; [`open`] also reads
+/// version 1, whose bodies the session and server decoders still parse.
+pub const VERSION: u32 = 2;
+
+/// The oldest container format version this build reads.
+const OLDEST_VERSION: u32 = 1;
 
 /// Size of the fixed header preceding the body.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -77,7 +81,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported checkpoint version {found} (this build reads {VERSION})"
+                    "unsupported checkpoint version {found} \
+                     (this build reads {OLDEST_VERSION} to {VERSION})"
                 )
             }
             CheckpointError::ChecksumMismatch => {
@@ -116,7 +121,7 @@ pub fn seal(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates the envelope and returns the body slice.
+/// Validates the envelope and returns its format version and body slice.
 ///
 /// Checks run in a fixed order so each corruption class maps to one
 /// error: length of the header ([`CheckpointError::Truncated`]), magic
@@ -128,7 +133,7 @@ pub fn seal(body: &[u8]) -> Vec<u8> {
 ///
 /// Any [`CheckpointError`] except `Malformed` — structural validation of
 /// the body is the caller's concern.
-pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
+pub fn open(bytes: &[u8]) -> Result<(u32, &[u8]), CheckpointError> {
     if bytes.len() < HEADER_LEN {
         // Magic outranks length for clearly-foreign input: a short file
         // that does not even start with the magic is "not a checkpoint",
@@ -143,7 +148,7 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     }
     // mla-lint: allow(panic-safety): slice bounds checked above (len >= HEADER_LEN)
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-    if version != VERSION {
+    if !(OLDEST_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion { found: version });
     }
     // mla-lint: allow(panic-safety): slice bounds checked above (len >= HEADER_LEN)
@@ -169,7 +174,7 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     if crc64(body) != expect_crc {
         return Err(CheckpointError::ChecksumMismatch);
     }
-    Ok(body)
+    Ok((version, body))
 }
 
 #[cfg(test)]
@@ -180,10 +185,14 @@ mod tests {
     fn seal_open_roundtrips() {
         let body = b"session bytes".to_vec();
         let sealed = seal(&body);
-        assert_eq!(open(&sealed).unwrap(), &body[..]);
+        assert_eq!(open(&sealed).unwrap(), (VERSION, &body[..]));
         // Empty bodies are legal.
         let sealed = seal(&[]);
-        assert_eq!(open(&sealed).unwrap(), &[] as &[u8]);
+        assert_eq!(open(&sealed).unwrap(), (VERSION, &[] as &[u8]));
+        // A version-1 envelope still opens and says so.
+        let mut v1 = seal(&body);
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(open(&v1).unwrap(), (1, &body[..]));
     }
 
     #[test]
@@ -207,12 +216,16 @@ mod tests {
         bad_magic[0] ^= 0xFF;
         assert_eq!(open(&bad_magic).unwrap_err(), CheckpointError::BadMagic);
 
-        let mut future = sealed.clone();
-        future[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            open(&future).unwrap_err(),
-            CheckpointError::UnsupportedVersion { found: 99 }
-        );
+        for found in [0u32, 3, 99] {
+            let mut unsupported = sealed.clone();
+            unsupported[8..12].copy_from_slice(&found.to_le_bytes());
+            let err = open(&unsupported).unwrap_err();
+            assert_eq!(err, CheckpointError::UnsupportedVersion { found });
+            assert!(
+                err.to_string().ends_with("(this build reads 1 to 2)"),
+                "{err}"
+            );
+        }
 
         let mut flipped = sealed.clone();
         let last = flipped.len() - 1;

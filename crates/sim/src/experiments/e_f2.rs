@@ -7,8 +7,8 @@
 //! always sum to `C(|X|+|Z|, 2)`, and the probability of an option equals
 //! the other option's normalized cost.
 
-use mla_core::mechanics::{rearrange_choices, RearrangeChoices};
-use mla_graph::ComponentSnapshot;
+use mla_core::{mechanics::RearrangeChoices, MergeLayout};
+use mla_graph::{ComponentSnapshot, MergeInfo};
 use mla_permutation::{Node, Permutation};
 use mla_runner::RunRecord;
 
@@ -49,10 +49,12 @@ fn configuration(
     let perm = Permutation::from_nodes(order).expect("valid layout");
     // mla-lint: allow(panic-safety): Figure 2 cells have non-empty X blocks
     let x_joined = *x_nodes.last().expect("non-empty");
-    let x_snapshot = ComponentSnapshot::eager(x_nodes, x_joined);
     let z_joined = z_nodes[0];
-    let z_snapshot = ComponentSnapshot::eager(z_nodes, z_joined);
-    rearrange_choices(&perm, &x_snapshot, &z_snapshot)
+    let info = MergeInfo {
+        x: ComponentSnapshot::eager(x_nodes, x_joined),
+        z: ComponentSnapshot::eager(z_nodes, z_joined),
+    };
+    MergeLayout::locate(&perm, &info).choices(&info)
 }
 
 impl Experiment for FigureTwo {

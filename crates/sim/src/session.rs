@@ -34,7 +34,7 @@ use mla_core::{
 };
 use mla_graph::{GraphState, RevealEvent, Topology};
 use mla_offline::LopConfig;
-use mla_permutation::codec::{put_bool, put_len, put_u32, put_u64, put_u8, ByteReader, CodecError};
+use mla_permutation::codec::{put_bool, put_len, put_u64, put_u8, ByteReader, CodecError};
 use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement, MAX_NODES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -351,16 +351,7 @@ impl ArrCodec for SegmentArrangement {
 pub struct Session<A: OnlineMinla> {
     spec: SessionSpec,
     step: RevealStep<A>,
-    /// Checkpoint format version 1 ends with the tuning triple
-    /// `(window, full_seals, collapse_streak)` of a since-removed batch
-    /// planner. Nothing reads it; it is carried unchanged from decode to
-    /// encode so that a version-1 checkpoint re-encodes byte for byte.
-    planner_tuning: (usize, u32, u32),
 }
-
-/// The planner tuning a fresh session writes: what the removed planner
-/// reported before serving anything.
-const FRESH_PLANNER_TUNING: (usize, u32, u32) = (64, 0, 0);
 
 /// The [`Recorder`] mode `(full, window)` of a [`RecordMode`].
 fn recorder_mode(record: RecordMode) -> (bool, Option<usize>) {
@@ -394,11 +385,7 @@ impl<A: OnlineMinla> Session<A> {
             false,
         )
         .check_feasibility(spec.check_feasibility, cfg!(debug_assertions));
-        Session {
-            spec,
-            step,
-            planner_tuning: FRESH_PLANNER_TUNING,
-        }
+        Session { spec, step }
     }
 
     /// Serves one reveal — the step
@@ -442,7 +429,6 @@ where
             ));
         }
         self.step.recorder = recorder;
-        self.planner_tuning = (r.count(usize::MAX, "planner window")?, r.u32()?, r.u32()?);
         Ok(())
     }
 }
@@ -567,10 +553,6 @@ where
         step.state.encode_into(&mut body);
         step.algorithm.encode_state_into(&mut body);
         step.recorder.encode_into(&mut body);
-        let (window, full_seals, collapse_streak) = self.planner_tuning;
-        put_len(&mut body, window);
-        put_u32(&mut body, full_seals);
-        put_u32(&mut body, collapse_streak);
         checkpoint::seal(&body)
     }
 }
@@ -613,12 +595,20 @@ pub fn encode_session(session: &dyn TenantSession) -> Vec<u8> {
 /// inconsistent state. Never panics, never restores silently-wrong
 /// state.
 pub fn decode_session(bytes: &[u8]) -> Result<Box<dyn TenantSession>, CheckpointError> {
-    let body = checkpoint::open(bytes)?;
+    let (version, body) = checkpoint::open(bytes)?;
     let mut r = ByteReader::new(body);
     let spec = SessionSpec::decode_from(&mut r)?;
     spec.validate()
         .map_err(|err| CheckpointError::malformed(err.to_string()))?;
     let session = build_session(spec, Some(&mut r))?;
+    if version == 1 {
+        // Version 1 ends with the tuning triple `(window, full_seals,
+        // collapse_streak)` of a since-removed batch planner; nothing
+        // reads it.
+        r.u64()?;
+        r.u32()?;
+        r.u32()?;
+    }
     r.finish().map_err(CheckpointError::from)?;
     Ok(session)
 }
@@ -847,38 +837,13 @@ mod tests {
     }
 
     #[test]
-    fn fresh_checkpoints_end_with_the_fresh_planner_tuning() {
-        // Version-1 bodies end with the planner tuning, written as
-        // `put_len(64)`, `put_u32(0)`, `put_u32(0)` by a fresh session.
-        let spec = SessionSpec::new(
-            Topology::Cliques,
-            6,
-            PolicyKind::Rand,
-            BackendKind::Segment,
-            1,
-        );
-        let session = open_session(spec).unwrap();
-        let sealed = encode_session(session.as_ref());
-        let body = checkpoint::open(&sealed).unwrap();
-        let mut tail = Vec::new();
-        put_len(&mut tail, 64);
-        put_u32(&mut tail, 0);
-        put_u32(&mut tail, 0);
-        assert!(
-            body.ends_with(&tail),
-            "body tail {:?}",
-            &body[body.len() - 16..]
-        );
-    }
-
-    #[test]
     fn decode_rejects_spec_state_mismatches() {
         // Hand-craft a body whose spec says cliques but whose graph
         // state is lines: the cross-check must fire.
         let spec = SessionSpec::new(Topology::Cliques, 4, PolicyKind::Det, BackendKind::Dense, 1);
         let session = open_session(spec).unwrap();
         let good = encode_session(session.as_ref());
-        let body = checkpoint::open(&good).unwrap();
+        let (_, body) = checkpoint::open(&good).unwrap();
         // The topology tag is byte 0 of the spec *and* the graph-state
         // tag right after it; flipping only the graph-state tag breaks
         // the cross-check (the offset is spec-length dependent, so
