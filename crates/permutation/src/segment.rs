@@ -2,44 +2,48 @@
 //!
 //! Every revealed graph in the paper is a disjoint union of cliques or
 //! lines, so an online algorithm's arrangement is always a sequence of
-//! **component segments**. This backend stores the arrangement as an
-//! ordered list of such segments over an implicit-key treap (an
-//! order-statistic index on segment lengths), so that the block operations
-//! of the update mechanics splice whole segments in `O(log n)` with costs
-//! computed in closed form from segment lengths and offsets — instead of
-//! the dense backend's `O(n)` memmove per operation.
+//! **component segments**. A merge slides one segment flush against the
+//! other and, for lines, reverses or swaps the two inside the merged
+//! block (the paper's Figure 2), so over an algorithm run the segments
+//! never change their relative order: only their lengths do. This
+//! backend stores that sequence as a **flat order index**: every live
+//! segment holds a rank in a fixed rank space, and a Fenwick tree over
+//! the per-rank lengths (one `u32` array) turns positions into prefix
+//! sums.
 //!
-//! * Position/node lookups walk the treap: `O(log n)`.
-//! * [`move_block`](SegmentArrangement::move_block) /
-//!   [`swap_adjacent_blocks`](SegmentArrangement::swap_adjacent_blocks)
-//!   on segment-aligned ranges are pure tree splices: `O(log n)`.
-//! * [`reverse_block`](SegmentArrangement::reverse_block) of a single
-//!   segment flips a lazy orientation bit: `O(log n)`.
-//! * [`coalesce_range`](SegmentArrangement::coalesce_range) — the hint the
-//!   update mechanics emit after each merge — folds two adjacent segments
-//!   into one in `O(smaller segment + log n)`, and
-//!   [`merge_move`](SegmentArrangement::merge_move) folds the mover the
-//!   same way. Segment storage is double-ended, so the larger segment
-//!   keeps its storage and only the smaller one's nodes get new
-//!   node→segment/offset entries: as in union by size, a node is
-//!   rewritten only when its segment at least doubles, at most
+//! * [`position_of`](SegmentArrangement::position_of) is a prefix sum and
+//!   [`node_at`](SegmentArrangement::node_at) a Fenwick descent:
+//!   `O(log n)` flat array reads each.
+//! * [`merge_move`](SegmentArrangement::merge_move) on two whole segments
+//!   — the steady state of every algorithm run — and the two-segment
+//!   [`coalesce_range`](SegmentArrangement::coalesce_range) cost two
+//!   Fenwick point updates plus a fold. Segment storage is double-ended,
+//!   so the larger segment keeps its storage and only the smaller one's
+//!   nodes get new node→segment/offset entries: as in union by size, a
+//!   node is rewritten only when its segment at least doubles, at most
 //!   `⌊log₂ n⌋` times over any merge order.
-//! * Ranges that do **not** align with segment boundaries fall back to
-//!   splitting or rebuilding the touched segments (`O(segment)`), so the
-//!   backend is correct for arbitrary operation sequences, merely fastest
-//!   on the component-structured ones the algorithms produce.
+//! * [`reverse_block`](SegmentArrangement::reverse_block) of a single
+//!   segment flips a lazy orientation bit.
+//! * Every other block operation reorders or cuts segments, and costs
+//!   `O(n)`: it cuts the segments at the range ends, applies the op to
+//!   the list of live segments and re-ranks it. These are
+//!   [`move_block`](SegmentArrangement::move_block), a multi-segment
+//!   reversal, [`swap_adjacent_blocks`](SegmentArrangement::swap_adjacent_blocks),
+//!   a general coalesce and the `merge_move` fallback for blocks that
+//!   are not whole segments. They keep the backend correct for arbitrary
+//!   operation sequences; no algorithm run reaches them, which tests
+//!   check with a counter.
 //!
 //! The backend is observably identical to the dense [`Permutation`]:
 //! same layouts, same costs, same panics (see the equivalence property
 //! tests in `tests/properties.rs`).
 //!
 //! **Supported range:** at most [`MAX_NODES`](crate::MAX_NODES) =
-//! `u32::MAX` nodes. Positions, in-segment offsets and arena slot ids are
-//! stored as `u32` (with `u32::MAX` as the arena's null sentinel);
+//! `u32::MAX` nodes. Positions, in-segment offsets, segment ids and ranks
+//! are stored as `u32` (with `u32::MAX` marking an emptied rank);
 //! constructors reject larger node counts up front instead of silently
 //! truncating those fields.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
@@ -49,137 +53,43 @@ use crate::inversions::count_inversions;
 use crate::node::Node;
 use crate::perm::Permutation;
 
-/// Arena null marker.
+/// Marks a rank whose segment was folded into another.
 const NIL: u32 = u32::MAX;
 
-/// One verified "the range `start..start + len` is exactly segment
-/// `slot`" fact, recorded at arrangement `version`.
-#[derive(Debug, Clone, Copy)]
-struct MemoFact {
-    version: u64,
-    start: usize,
+/// The lookup fields of one segment. A locate reads all of them for the
+/// same segment, so they sit together rather than in parallel arrays.
+#[derive(Debug, Clone, Copy, Default)]
+struct SegMeta {
+    /// Node count: a mirror of the segment's storage length, kept in sync
+    /// by every content mutator (`0` for free ids).
     len: u32,
-    slot: u32,
-}
-
-/// The last two verified range→segment facts (the two blocks a merge
-/// update locates), so the update itself needs no rediscovery walks.
-///
-/// A pure cache written through `&self` (locates are reads): a fact is
-/// consulted only at the version it was recorded, and every mutation
-/// bumps the version through `&mut self`.
-#[derive(Debug, Clone, Default)]
-struct SegMemo {
-    entries: [Cell<Option<MemoFact>>; 2],
-    /// Alternating write cursor: each publish overwrites the older
-    /// entry, keeping the last two facts.
-    cursor: Cell<usize>,
-}
-
-impl SegMemo {
-    fn publish(&self, fact: MemoFact) {
-        let idx = self.cursor.get();
-        self.cursor.set(idx ^ 1);
-        self.entries[idx].set(Some(fact));
-    }
-
-    /// The slot of a fact for `range` recorded at `version`, if any.
-    fn recall(&self, version: u64, range: &Range<usize>) -> Option<u32> {
-        self.entries.iter().find_map(|entry| {
-            let fact = entry.get()?;
-            (fact.version == version
-                && fact.start == range.start
-                && fact.len as usize == range.len())
-            .then_some(fact.slot)
-        })
-    }
-}
-
-/// SplitMix64 — deterministic treap priorities from an allocation counter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Hot treap-navigation fields as parallel `u32` arrays (SoA).
-///
-/// The old AoS layout interleaved each segment's 24-byte `Vec` header
-/// with its tree links, so every descent hop dragged a 48-byte node
-/// through the cache. Here one hop touches ~16 bytes of dense `u32`
-/// arrays (`left`/`right` or `parent`, `subtree`, `len`), and the `len`
-/// mirror keeps descents off the content arrays entirely. All counts are
-/// bounded by the backend's [`MAX_NODES`](crate::MAX_NODES) capacity, so
-/// `u32` everywhere; 32 priority bits keep treap collisions rare enough
-/// at any supported size (ties only cost a slightly lopsided merge).
-///
-/// The two in-segment lookup fields, `head` and `reversed`, sit here too
-/// rather than beside the content deques, which keeps the cold content
-/// table at one 32-byte deque per slot.
-#[derive(Debug, Clone, Default)]
-struct SegTree {
-    /// Treap heap priority (deterministic, from the allocation counter).
-    prio: Vec<u32>,
-    left: Vec<u32>,
-    right: Vec<u32>,
-    parent: Vec<u32>,
-    /// Total node count of the subtree rooted at the slot.
-    subtree: Vec<u32>,
-    /// Node count of the slot's own segment — a mirror of
-    /// `content[slot].len()`, kept in sync by every content mutator (`0`
-    /// for free slots).
-    len: Vec<u32>,
-    /// Offset of the segment's storage front: the node at storage index
-    /// `i` has `node_off == head + i` (wrapping), so nodes join at either
-    /// end without renumbering the rest.
-    head: Vec<u32>,
+    /// Offset of the storage front: the node at storage index `i` has
+    /// `node_off == head + i` (wrapping), so nodes join at either end
+    /// without renumbering the rest.
+    head: u32,
+    /// The segment's place in the rank space.
+    rank: u32,
     /// Lazy orientation: `true` means the segment reads as the reversed
     /// storage order.
-    reversed: Vec<bool>,
+    reversed: bool,
 }
 
-impl SegTree {
-    fn with_capacity(n: usize) -> Self {
-        SegTree {
-            prio: Vec::with_capacity(n),
-            left: Vec::with_capacity(n),
-            right: Vec::with_capacity(n),
-            parent: Vec::with_capacity(n),
-            subtree: Vec::with_capacity(n),
-            len: Vec::with_capacity(n),
-            head: Vec::with_capacity(n),
-            reversed: Vec::with_capacity(n),
+/// A Fenwick tree over `lens` (one entry per rank), built in `O(len)`:
+/// entry `i` holds the sum of ranks `i & (i + 1) ..= i`.
+fn fenwick_over(lens: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut tree: Vec<u32> = lens.collect();
+    for i in 0..tree.len() {
+        let parent = i | (i + 1);
+        if parent < tree.len() {
+            tree[parent] += tree[i];
         }
     }
-
-    /// Appends one zeroed slot to every array.
-    fn push_slot(&mut self) {
-        self.prio.push(0);
-        self.left.push(NIL);
-        self.right.push(NIL);
-        self.parent.push(NIL);
-        self.subtree.push(0);
-        self.len.push(0);
-        self.head.push(0);
-        self.reversed.push(false);
-    }
-
-    fn clear(&mut self) {
-        self.prio.clear();
-        self.left.clear();
-        self.right.clear();
-        self.parent.clear();
-        self.subtree.clear();
-        self.len.clear();
-        self.head.clear();
-        self.reversed.clear();
-    }
+    tree
 }
 
-/// A linear arrangement stored as an ordered list of segments over an
-/// implicit-key treap — `O(log n)` block splices for the segment-aligned
-/// operations the online MinLA algorithms perform.
+/// A linear arrangement stored as a sequence of segments over a flat
+/// order index: `O(log n)` lookups, and merges of whole segments in two
+/// Fenwick point updates plus a fold of the smaller segment.
 ///
 /// # Examples
 ///
@@ -194,28 +104,28 @@ impl SegTree {
 /// ```
 #[derive(Clone)]
 pub struct SegmentArrangement {
-    /// Hot treap-navigation fields, SoA (see [`SegTree`]).
-    tree: SegTree,
-    /// Cold per-segment content in storage order (read right-to-left
-    /// when the slot is `reversed`), indexed by the same slot ids.
+    /// Per segment id: its nodes in storage order (read back to front
+    /// when the segment is reversed).
     content: Vec<VecDeque<Node>>,
+    /// Per segment id: length, head, rank and orientation.
+    meta: Vec<SegMeta>,
+    /// Segment ids that hold no nodes, for reuse.
     free: Vec<u32>,
-    root: u32,
-    /// Node → arena slot of its segment.
+    /// Per rank: the segment there, or `NIL` once it was folded away.
+    at_rank: Vec<u32>,
+    /// Fenwick tree over the per-rank segment lengths (`0` at `NIL`
+    /// ranks), see [`fenwick_over`].
+    fenwick: Vec<u32>,
+    /// Node → id of its segment.
     node_seg: Vec<u32>,
     /// Node → offset in its segment's **storage** order, shifted by the
     /// segment's `head`.
     node_off: Vec<u32>,
     /// Node-map entries written so far: one per node that a segment
-    /// allocation or a fold pointed at a new slot.
+    /// allocation or a fold pointed at a new segment.
     node_map_writes: u64,
-    /// Allocation counter feeding the deterministic priority stream.
-    prio_counter: u64,
-    /// Mutation counter: bumped before every structural change so the
-    /// range memo below can be trusted only between mutations.
-    version: u64,
-    /// The last two located range→segment facts.
-    memo: SegMemo,
+    /// `O(n)` index rebuilds caused by ops that reorder or cut segments.
+    index_rebuilds: u64,
 }
 
 impl SegmentArrangement {
@@ -224,10 +134,10 @@ impl SegmentArrangement {
     /// # Panics
     ///
     /// Panics if `n` exceeds [`MAX_NODES`](crate::MAX_NODES) — positions,
-    /// in-segment offsets and arena slot ids are `u32` (with `u32::MAX`
-    /// reserved as the null sentinel), so the backend supports at most
-    /// `u32::MAX` nodes. Use [`SegmentArrangement::try_identity`] for a
-    /// non-panicking variant.
+    /// in-segment offsets, segment ids and ranks are `u32` (with
+    /// `u32::MAX` reserved as the empty-rank marker), so the backend
+    /// supports at most `u32::MAX` nodes. Use
+    /// [`SegmentArrangement::try_identity`] for a non-panicking variant.
     #[must_use]
     pub fn identity(n: usize) -> Self {
         // mla-lint: allow(panic-safety): documented panic; try_identity is the non-panicking variant
@@ -260,30 +170,28 @@ impl SegmentArrangement {
     /// checked `n <= MAX_NODES`.
     fn from_order(nodes: impl Iterator<Item = Node>, n: usize) -> Self {
         debug_assert!(n <= crate::MAX_NODES, "capacity must be checked upstream");
-        let mut arr = Self::with_slots(n, n);
-        let slots: Vec<u32> = nodes
+        let mut arr = Self::with_segments(n, n);
+        let order: Vec<u32> = nodes
             .map(|v| arr.alloc_seg(vec![v].into(), false))
             .collect();
-        debug_assert_eq!(slots.len(), n, "builder must supply exactly n nodes");
-        let root = arr.build(&slots);
-        arr.set_root(root);
+        debug_assert_eq!(order.len(), n, "builder must supply exactly n nodes");
+        arr.rank(order);
         arr
     }
 
-    /// An empty arena over `n` nodes with room for `slots` segments; the
-    /// caller allocates the segments and builds the treap.
-    fn with_slots(n: usize, slots: usize) -> Self {
+    /// An empty index over `n` nodes with room for `segments` segments;
+    /// the caller allocates and ranks them.
+    fn with_segments(n: usize, segments: usize) -> Self {
         SegmentArrangement {
-            tree: SegTree::with_capacity(slots),
-            content: Vec::with_capacity(slots),
+            content: Vec::with_capacity(segments),
+            meta: Vec::with_capacity(segments),
             free: Vec::new(),
-            root: NIL,
+            at_rank: Vec::new(),
+            fenwick: Vec::new(),
             node_seg: vec![NIL; n],
             node_off: vec![0; n],
             node_map_writes: 0,
-            prio_counter: 0,
-            version: 0,
-            memo: SegMemo::default(),
+            index_rebuilds: 0,
         }
     }
 
@@ -318,28 +226,14 @@ impl SegmentArrangement {
             "position {position} out of bounds for length {}",
             self.len()
         );
-        let mut t = self.root;
-        let mut pos = position;
-        loop {
-            let i = t as usize;
-            let left = self.tree.left[i];
-            let left_size = self.sub(left);
-            let here = self.tree.len[i] as usize;
-            if pos < left_size {
-                t = left;
-            } else if pos < left_size + here {
-                let index = pos - left_size;
-                let storage = if self.tree.reversed[i] {
-                    here - 1 - index
-                } else {
-                    index
-                };
-                return self.content[i][storage];
-            } else {
-                pos -= left_size + here;
-                t = self.tree.right[i];
-            }
-        }
+        let (id, index) = self.seg_at(position);
+        let meta = self.meta[id as usize];
+        let storage = if meta.reversed {
+            meta.len as usize - 1 - index
+        } else {
+            index
+        };
+        self.content[id as usize][storage]
     }
 
     /// The position of `node`.
@@ -349,8 +243,8 @@ impl SegmentArrangement {
     /// Panics if `node` is not a node of this arrangement.
     #[must_use]
     pub fn position_of(&self, node: Node) -> usize {
-        let slot = self.node_seg[node.index()];
-        self.seg_start(slot) + self.in_seg_index(node)
+        let id = self.node_seg[node.index()];
+        self.seg_start(id) + self.in_seg_index(node)
     }
 
     /// Returns `true` if `a` occupies a position strictly left of `b`.
@@ -367,9 +261,9 @@ impl SegmentArrangement {
     /// returns that position range; otherwise `None`.
     ///
     /// Fast path: when the nodes are exactly one segment (the steady state
-    /// for coalesced components) this costs `O(|nodes|)` slot comparisons
-    /// plus one `O(log n)` rank query; otherwise it falls back to the
-    /// dense backend's min/max scan at `O(|nodes| log n)`.
+    /// for coalesced components) this costs `O(|nodes|)` segment-id
+    /// comparisons plus one `O(log n)` prefix sum; otherwise it falls back
+    /// to the dense backend's min/max scan at `O(|nodes| log n)`.
     ///
     /// # Panics
     ///
@@ -379,12 +273,8 @@ impl SegmentArrangement {
         if nodes.is_empty() {
             return Some(0..0);
         }
-        let slot = self.node_seg[nodes[0].index()];
-        if self.seg_len(slot) == nodes.len()
-            && nodes.iter().all(|&v| self.node_seg[v.index()] == slot)
-        {
-            let start = self.seg_start(slot);
-            self.remember_segment(start, nodes.len(), slot);
+        if let Some(id) = self.whole_segment(nodes) {
+            let start = self.seg_start(id);
             return Some(start..start + nodes.len());
         }
         let mut min = usize::MAX;
@@ -402,8 +292,8 @@ impl SegmentArrangement {
     }
 
     /// Moves the block occupying `src` so that it starts at position
-    /// `dest`. Returns the closed-form cost `src.len() × |dest − src.start|`
-    /// — no node is touched when the range is segment-aligned.
+    /// `dest`. Returns the closed-form cost `src.len() × |dest − src.start|`.
+    /// Rebuilds the index in `O(n)`.
     ///
     /// # Panics
     ///
@@ -423,27 +313,20 @@ impl SegmentArrangement {
         }
         let shift = dest.abs_diff(src.start);
         let cost = (len as u64) * (shift as u64);
-        // Fast path: a segment-exact source splices as unlink + reinsert
-        // (no boundary splits).
-        let exact = self.exact_segment(&src);
-        self.bump_version();
-        if let Some(slot) = exact {
-            self.unlink_seg(slot);
-            self.insert_seg_at(slot, dest);
-            return cost;
-        }
-        let (before, block, after) = self.extract(src);
-        let rest = self.merge(before, after);
-        let (left, right) = self.split(rest, dest);
-        let joined = self.merge(left, block);
-        let root = self.merge(joined, right);
-        self.set_root(root);
+        let mut order = self.live_order();
+        let first = self.cut(&mut order, src.start);
+        let end = self.cut(&mut order, src.end);
+        let block: Vec<u32> = order.drain(first..end).collect();
+        let at = self.cut(&mut order, dest);
+        order.splice(at..at, block);
+        self.rebuild(order);
         cost
     }
 
     /// Reverses the block occupying `range`. Returns the cost
     /// `C(len, 2)`. A single-segment range flips a lazy orientation bit;
-    /// a multi-segment range is compacted into one reversed segment.
+    /// any other range rebuilds the index in `O(n)`, and a multi-segment
+    /// one is compacted into one reversed segment.
     ///
     /// # Panics
     ///
@@ -459,24 +342,24 @@ impl SegmentArrangement {
         if range.len() <= 1 {
             return cost;
         }
-        // Fast path: reversing a whole segment is a lazy flag flip — no
-        // tree restructuring, subtree sizes unchanged (the range memo
-        // stays valid: boundaries are untouched).
-        if let Some(slot) = self.exact_segment(&range) {
-            self.flip_seg(slot);
+        if let Some(id) = self.exact_segment(&range) {
+            self.flip_seg(id);
             return cost;
         }
-        self.bump_version();
-        let (before, block, after) = self.extract(range);
-        let block = self.reverse_detached(block);
-        let joined = self.merge(before, block);
-        let root = self.merge(joined, after);
-        self.set_root(root);
+        let mut order = self.live_order();
+        let first = self.cut(&mut order, range.start);
+        let end = self.cut(&mut order, range.end);
+        if end - first == 1 {
+            self.flip_seg(order[first]);
+        } else {
+            self.compact(&mut order, first..end, true);
+        }
+        self.rebuild(order);
         cost
     }
 
     /// Swaps two adjacent blocks, preserving internal orders. Returns the
-    /// cost `left.len() × right.len()`.
+    /// cost `left.len() × right.len()`. Rebuilds the index in `O(n)`.
     ///
     /// # Panics
     ///
@@ -492,15 +375,12 @@ impl SegmentArrangement {
             self.len()
         );
         let cost = (left.len() as u64) * (right.len() as u64);
-        self.bump_version();
-        let root = self.root;
-        let (before, rest) = self.split(root, left.start);
-        let (first, rest) = self.split(rest, left.len());
-        let (second, after) = self.split(rest, right.len());
-        let joined = self.merge(before, second);
-        let joined = self.merge(joined, first);
-        let root = self.merge(joined, after);
-        self.set_root(root);
+        let mut order = self.live_order();
+        let first = self.cut(&mut order, left.start);
+        let mid = self.cut(&mut order, left.start + left.len());
+        let end = self.cut(&mut order, left.start + left.len() + right.len());
+        order[first..end].rotate_left(mid - first);
+        self.rebuild(order);
         cost
     }
 
@@ -536,16 +416,15 @@ impl SegmentArrangement {
     /// Panics if the sizes differ.
     pub fn assign(&mut self, target: &Permutation) -> u64 {
         let cost = self.kendall_to(target);
-        self.bump_version();
-        self.tree.clear();
         self.content.clear();
+        self.meta.clear();
         self.free.clear();
-        if target.is_empty() {
-            self.set_root(NIL);
-            return cost;
-        }
-        let slot = self.alloc_seg(target.iter().copied().collect(), false);
-        self.set_root(slot);
+        let order = if target.is_empty() {
+            Vec::new()
+        } else {
+            vec![self.alloc_seg(target.iter().copied().collect(), false)]
+        };
+        self.rank(order);
         cost
     }
 
@@ -554,7 +433,7 @@ impl SegmentArrangement {
     /// the observable arrangement. Two whole adjacent segments — the shape
     /// a merge leaves — cost `O(smaller segment + log n)`: the larger one
     /// absorbs the smaller at whichever storage end faces it. Any other
-    /// range costs `O(range)`.
+    /// range rebuilds the index in `O(n)`.
     ///
     /// # Panics
     ///
@@ -570,33 +449,34 @@ impl SegmentArrangement {
         }
         // Already one segment? Both ends sharing a segment implies the
         // whole (contiguous) range does. Steady state for repeated hints.
-        let first_node = self.node_at(range.start);
-        let last_node = self.node_at(range.end - 1);
-        let first_slot = self.node_seg[first_node.index()];
-        let last_slot = self.node_seg[last_node.index()];
-        if first_slot == last_slot {
+        let (first, first_index) = self.seg_at(range.start);
+        let (last, last_index) = self.seg_at(range.end - 1);
+        if first == last {
             return;
         }
         // Fast path — the shape every merge update produces: exactly two
-        // adjacent segments. The larger absorbs the smaller, whose tree
-        // node is unlinked; no boundary splits, no re-merge of the range.
-        if self.in_seg_index(first_node) == 0
-            && self.in_seg_index(last_node) == self.seg_len(last_slot) - 1
-            && self.seg_len(first_slot) + self.seg_len(last_slot) == range.len()
+        // adjacent segments. The larger absorbs the smaller, whose rank
+        // is emptied.
+        if first_index == 0
+            && last_index == self.seg_len(last) - 1
+            && self.seg_len(first) + self.seg_len(last) == range.len()
         {
-            self.bump_version();
-            let (keep, gone, gone_is_left) = self.larger_first(first_slot, last_slot);
-            self.unlink_seg(gone);
+            let (keep, gone, gone_is_left) = self.larger_first(first, last);
+            self.vacate(gone, keep);
             self.absorb(keep, gone, gone_is_left);
-            self.recompute_sizes_upward(keep);
             return;
         }
-        self.bump_version();
-        let (before, block, after) = self.extract(range);
-        let block = self.compact_detached(block);
-        let joined = self.merge(before, block);
-        let root = self.merge(joined, after);
-        self.set_root(root);
+        let mut order = self.live_order();
+        let first = self.cut(&mut order, range.start);
+        let end = self.cut(&mut order, range.end);
+        if end - first == 2 {
+            let (keep, gone, gone_is_left) = self.larger_first(order[first], order[first + 1]);
+            self.absorb(keep, gone, gone_is_left);
+            order.splice(first..end, [keep]);
+        } else {
+            self.compact(&mut order, first..end, false);
+        }
+        self.rebuild(order);
     }
 
     /// Materializes the arrangement as a dense [`Permutation`].
@@ -610,7 +490,7 @@ impl SegmentArrangement {
     /// [`contiguous_range`](SegmentArrangement::contiguous_range) plus
     /// the block's reading direction. On the single-segment fast path the
     /// orientation bit falls out of the node→offset map for free — no
-    /// extra tree walk.
+    /// second lookup.
     ///
     /// # Panics
     ///
@@ -620,12 +500,8 @@ impl SegmentArrangement {
         if nodes.is_empty() {
             return Some((0..0, true));
         }
-        let slot = self.node_seg[nodes[0].index()];
-        if self.seg_len(slot) == nodes.len()
-            && nodes.iter().all(|&v| self.node_seg[v.index()] == slot)
-        {
-            let start = self.seg_start(slot);
-            self.remember_segment(start, nodes.len(), slot);
+        if let Some(id) = self.whole_segment(nodes) {
+            let start = self.seg_start(id);
             let forward = nodes.len() <= 1 || self.in_seg_index(nodes[0]) == 0;
             return Some((start..start + nodes.len(), forward));
         }
@@ -641,7 +517,7 @@ impl SegmentArrangement {
     /// Fast path: when the path is exactly one segment (the steady state
     /// for a coalesced line component) its order is read off the
     /// node→offset map, so the check costs `O(|path|)` array reads plus
-    /// one `O(log n)` rank query; otherwise it falls back to one
+    /// one `O(log n)` prefix sum; otherwise it falls back to one
     /// `O(log n)` position lookup per node.
     ///
     /// # Panics
@@ -649,13 +525,10 @@ impl SegmentArrangement {
     /// Panics if any node is out of range.
     #[must_use]
     pub fn path_range(&self, path: &[Node]) -> Option<Range<usize>> {
-        let Some(&first) = path.first() else {
+        if path.is_empty() {
             return Some(0..0);
-        };
-        let slot = self.node_seg[first.index()];
-        if self.seg_len(slot) == path.len()
-            && path.iter().all(|&v| self.node_seg[v.index()] == slot)
-        {
+        }
+        if let Some(id) = self.whole_segment(path) {
             // Inside one segment a position step is a storage-offset step
             // (negated when the segment reads reversed), so the path is in
             // order iff every offset step is the same +1 or −1.
@@ -671,7 +544,7 @@ impl SegmentArrangement {
             if !in_order {
                 return None;
             }
-            let start = self.seg_start(slot);
+            let start = self.seg_start(id);
             return Some(start..start + path.len());
         }
         crate::arrangement::monotone_path_range(path, |v| self.position_of(v))
@@ -679,14 +552,13 @@ impl SegmentArrangement {
 
     /// Completes one merge update in a single pass — see
     /// [`Arrangement::merge_move`] for the contract. The fast path (both
-    /// blocks segment-exact, the steady state under coalesce hints)
-    /// unlinks the mover's tree node and folds the two segments into one
-    /// at the stayer's place in the treap: ~5 tree walks per merge instead
-    /// of the ~13 the primitive-op sequence costs. A reversal in `order`
-    /// flips that segment's lazy orientation flag, and the swap only picks
-    /// the side of the stayer the mover folds onto. The fold keeps the
-    /// larger segment's storage; when that is the mover's, its slot first
-    /// takes over the stayer's tree node.
+    /// blocks whole segments, the steady state under coalesce hints) is
+    /// two Fenwick point updates — the mover's length leaves its rank for
+    /// the stayer's — plus a fold of the two segments at the stayer's
+    /// rank. A reversal in `order` flips that segment's lazy orientation
+    /// flag, and the swap only picks the side of the stayer the mover
+    /// folds onto. The fold keeps the larger segment's storage; when that
+    /// is the mover's, the mover takes over the stayer's rank.
     ///
     /// # Panics
     ///
@@ -704,95 +576,99 @@ impl SegmentArrangement {
             self.len()
         );
         // Empty or unaligned blocks take the primitive sequence.
-        let (Some(mover_slot), Some(stayer_slot)) =
+        let (Some(moving), Some(staying)) =
             (self.exact_segment(&mover), self.exact_segment(&stayer))
         else {
             return crate::arrangement::primitive_merge_move(self, mover, stayer, order);
         };
         let gap = dest.abs_diff(mover.start);
         let cost = (mover.len() as u64) * (gap as u64);
-        self.bump_version();
-        self.unlink_seg(mover_slot);
         if order.reverse_mover {
-            self.flip_seg(mover_slot);
+            self.flip_seg(moving);
         }
         if order.reverse_stayer {
-            self.flip_seg(stayer_slot);
+            self.flip_seg(staying);
         }
+        self.vacate(moving, staying);
         let mover_is_left = (mover.start < stayer.start) != order.swap;
-        let keep = if mover.len() > stayer.len() {
-            self.transplant(stayer_slot, mover_slot);
-            self.absorb(mover_slot, stayer_slot, !mover_is_left);
-            mover_slot
+        if mover.len() > stayer.len() {
+            // The mover keeps its storage and takes over the stayer's rank.
+            let rank = self.meta[staying as usize].rank;
+            self.meta[moving as usize].rank = rank;
+            self.at_rank[rank as usize] = moving;
+            self.absorb(moving, staying, !mover_is_left);
         } else {
-            self.absorb(stayer_slot, mover_slot, mover_is_left);
-            stayer_slot
-        };
-        self.recompute_sizes_upward(keep);
+            self.absorb(staying, moving, mover_is_left);
+        }
         cost
     }
 
     /// Resolves a coalesced component's block from one member in
     /// `O(log n)` — see [`Arrangement::locate_component`] for the full
     /// contract. The segment backend keeps every coalesced component as
-    /// exactly one segment, so the anchor's slot *is* the block: the
-    /// answer needs one array lookup plus one rank walk, never a member
+    /// exactly one segment, so the anchor's segment *is* the block: the
+    /// answer needs one array lookup plus one prefix sum, never a member
     /// walk. Returns `None` when the anchor's segment length disagrees
     /// with `len` (the component is not — or not yet — one segment, e.g.
     /// mid-way through a primitive-op sequence), signalling the caller to
     /// fall back to the member-walking locate.
-    ///
-    /// The located range is published to the range memo, so the merge
-    /// update that follows hits its segment-exact fast path without a
-    /// rediscovery walk.
     ///
     /// # Panics
     ///
     /// Panics if `anchor` is out of range.
     #[must_use]
     pub fn locate_component(&self, anchor: Node, len: usize) -> Option<(Range<usize>, usize)> {
-        let slot = self.node_seg[anchor.index()];
-        if self.seg_len(slot) != len {
+        let id = self.node_seg[anchor.index()];
+        if self.seg_len(id) != len {
             return None;
         }
-        let start = self.seg_start(slot);
-        self.remember_segment(start, len, slot);
+        let start = self.seg_start(id);
         let anchor_pos = start + self.in_seg_index(anchor);
         Some((start..start + len, anchor_pos))
     }
 
-    /// Checks internal consistency: in-order traversal, both lookup
-    /// directions, subtree sizes, the SoA length mirror and the node maps
-    /// must agree, every slot must be live or free, and free slots must be
-    /// empty. Used by tests.
+    /// Checks internal consistency: ranks and segment ids must point at
+    /// each other, the Fenwick tree must sum the per-rank lengths, the
+    /// length mirror and the node maps must agree with the storage, every
+    /// id must be live or free (and free ones empty), and both lookup
+    /// directions must agree with the materialized order. Used by tests.
     #[doc(hidden)]
     #[must_use]
     pub fn check_consistent(&self) -> bool {
         let order = self.collect_all();
-        if order.len() != self.len() || self.sub(self.root) != self.len() {
-            return false;
-        }
-        if (0..self.content.len()).any(|i| self.tree.len[i] as usize != self.content[i].len()) {
-            return false;
-        }
-        let live = self.collect_slots(self.root);
-        if live.len() + self.free.len() != self.content.len()
+        if order.len() != self.len()
             || self
-                .free
+                .content
                 .iter()
-                .any(|&slot| self.tree.len[slot as usize] != 0)
+                .zip(&self.meta)
+                .any(|(nodes, meta)| nodes.len() != meta.len as usize)
         {
             return false;
         }
-        let maps_agree = live.iter().all(|&slot| {
-            let head = self.tree.head[slot as usize];
-            self.content[slot as usize]
-                .iter()
-                .enumerate()
-                .all(|(i, v)| {
-                    self.node_seg[v.index()] == slot
-                        && self.node_off[v.index()] == head.wrapping_add(i as u32)
-                })
+        let live = self.live_order();
+        let ranked = self.at_rank.iter().enumerate().all(|(rank, &id)| {
+            id == NIL || (self.meta[id as usize].rank as usize == rank && self.seg_len(id) > 0)
+        });
+        let lens = self.at_rank.iter().map(|&id| {
+            if id == NIL {
+                0
+            } else {
+                self.meta[id as usize].len
+            }
+        });
+        if !ranked
+            || fenwick_over(lens) != self.fenwick
+            || live.len() + self.free.len() != self.content.len()
+            || self.free.iter().any(|&id| self.seg_len(id) != 0)
+        {
+            return false;
+        }
+        let maps_agree = live.iter().all(|&id| {
+            let head = self.meta[id as usize].head;
+            self.content[id as usize].iter().enumerate().all(|(i, v)| {
+                self.node_seg[v.index()] == id
+                    && self.node_off[v.index()] == head.wrapping_add(i as u32)
+            })
         });
         maps_agree
             && order
@@ -810,26 +686,33 @@ impl SegmentArrangement {
         self.node_map_writes
     }
 
+    /// `O(n)` index rebuilds since construction or decode: one per block
+    /// operation that reordered or cut segments. Construction, decode and
+    /// [`assign`](SegmentArrangement::assign) do not count. Used by tests
+    /// to check that algorithm runs never take these paths.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn index_rebuilds(&self) -> u64 {
+        self.index_rebuilds
+    }
+
     /// Serializes the arrangement for the checkpoint stack: node count,
-    /// priority-stream counter, then the live segments in position order
-    /// (storage-order node list + lazy-reversal flag each).
+    /// then the live segments in position order (storage-order node list
+    /// and lazy-reversal flag each).
     ///
-    /// The treap *shape* and arena slot ids are deliberately **not**
-    /// encoded — they are unobservable (every cost is closed-form in
-    /// positions and sizes) and a decode rebuilds a fresh balanced treap
-    /// over the same segment partition. The partition itself *is*
-    /// observable: `locate_component` trusts that an algorithm run keeps
-    /// every component one coalesced segment, so a checkpoint must
+    /// Segment ids and ranks are deliberately **not** encoded — they are
+    /// unobservable (every cost is closed-form in positions and sizes)
+    /// and a decode ranks the same segments afresh. The partition itself
+    /// *is* observable: `locate_component` trusts that an algorithm run
+    /// keeps every component one coalesced segment, so a checkpoint must
     /// restore the exact segment boundaries, storage orders and
     /// orientation flags, not just the flat permutation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         crate::codec::put_len(out, self.len());
-        crate::codec::put_u64(out, self.prio_counter);
-        let slots = self.collect_slots(self.root);
-        crate::codec::put_len(out, slots.len());
-        for slot in slots {
-            let nodes = &self.content[slot as usize];
-            crate::codec::put_bool(out, self.tree.reversed[slot as usize]);
+        crate::codec::put_len(out, self.segment_count());
+        for id in self.live_order() {
+            let nodes = &self.content[id as usize];
+            crate::codec::put_bool(out, self.meta[id as usize].reversed);
             crate::codec::put_len(out, nodes.len());
             let (front, back) = nodes.as_slices();
             for half in [front, back] {
@@ -842,9 +725,9 @@ impl SegmentArrangement {
     }
 
     /// Decodes an arrangement written by
-    /// [`SegmentArrangement::encode_into`], re-validating that the
-    /// segments partition `0..n` (every node exactly once, no empty
-    /// segment) before rebuilding the treap.
+    /// [`SegmentArrangement::encode_into`] under checkpoint format
+    /// `version`, re-validating that the segments partition `0..n`
+    /// (every node exactly once, no empty segment) before ranking them.
     ///
     /// # Errors
     ///
@@ -852,25 +735,30 @@ impl SegmentArrangement {
     /// inconsistent segment partition.
     pub fn decode_from(
         r: &mut crate::codec::ByteReader<'_>,
+        version: u32,
     ) -> Result<Self, crate::codec::CodecError> {
         use crate::codec::CodecError;
         // Counts that size an allocation are bounded by what the rest of
         // the input can hold (a node is a 4-byte entry, a segment at
         // least 13 bytes), so a short body fails before allocating.
         let n = r.count(crate::MAX_NODES.min(r.remaining() / 4), "arrangement node")?;
-        let prio_counter = r.u64()?;
+        if version < 3 {
+            // Formats 1 and 2 store the allocation counter that seeded the
+            // priorities of the treap this index replaced; nothing reads it.
+            r.u64()?;
+        }
         let seg_count = r.count(n.min(r.remaining() / 13), "segment")?;
-        let mut arr = Self::with_slots(n, seg_count);
+        let mut arr = Self::with_segments(n, seg_count);
         let mut seen = vec![false; n];
         let mut covered = 0usize;
-        let mut slots = Vec::with_capacity(seg_count);
+        let mut order = Vec::with_capacity(seg_count);
         for _ in 0..seg_count {
             let reversed = r.bool("segment reversal")?;
             let len = r.count((n - covered).min(r.remaining() / 4), "segment length")?;
             if len == 0 {
                 return Err(CodecError::invalid("empty segment in arrangement"));
             }
-            let mut nodes = Vec::with_capacity(len);
+            let mut nodes = VecDeque::with_capacity(len);
             for _ in 0..len {
                 let raw = r.u32()? as usize;
                 if raw >= n {
@@ -884,428 +772,214 @@ impl SegmentArrangement {
                     )));
                 }
                 seen[raw] = true;
-                nodes.push(Node::new(raw));
+                nodes.push_back(Node::new(raw));
             }
             covered += len;
-            slots.push(arr.alloc_seg(nodes.into(), reversed));
+            order.push(arr.alloc_seg(nodes, reversed));
         }
         if covered != n {
             return Err(CodecError::invalid(format!(
                 "segments cover {covered} of {n} nodes"
             )));
         }
-        let root = arr.build(&slots);
-        arr.set_root(root);
-        // Rebuilding drew fresh priorities from a zeroed counter; future
-        // draws must continue the checkpointed stream.
-        arr.prio_counter = prio_counter;
+        arr.rank(order);
         Ok(arr)
     }
 
-    // ---- treap internals ----------------------------------------------
+    // ---- the order index ----------------------------------------------
 
-    fn sub(&self, t: u32) -> usize {
-        if t == NIL {
-            0
-        } else {
-            self.tree.subtree[t as usize] as usize
+    /// Node count of segment `id` (the length mirror).
+    fn seg_len(&self, id: u32) -> usize {
+        self.meta[id as usize].len as usize
+    }
+
+    /// Position of segment `id`'s first node: the Fenwick prefix sum over
+    /// every rank before its own.
+    fn seg_start(&self, id: u32) -> usize {
+        let mut end = self.meta[id as usize].rank as usize;
+        let mut start = 0;
+        while end > 0 {
+            start += self.fenwick[end - 1] as usize;
+            end &= end - 1;
         }
+        start
     }
 
-    /// Node count of slot `t`'s own segment (the SoA `len` mirror).
-    fn seg_len(&self, t: u32) -> usize {
-        self.tree.len[t as usize] as usize
-    }
-
-    /// Re-syncs the `len` mirror after a content mutation of slot `t`.
-    fn sync_len(&mut self, t: u32) {
-        self.tree.len[t as usize] = self.content[t as usize].len() as u32;
-    }
-
-    fn next_prio(&mut self) -> u32 {
-        self.prio_counter = self.prio_counter.wrapping_add(1);
-        (splitmix64(self.prio_counter) >> 32) as u32
-    }
-
-    /// Allocates a detached segment and points its nodes' lookup entries
-    /// at it.
-    fn alloc_seg(&mut self, nodes: VecDeque<Node>, reversed: bool) -> u32 {
-        let prio = self.next_prio();
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.tree.push_slot();
-                self.content.push(VecDeque::new());
-                (self.content.len() - 1) as u32
+    /// The segment holding `position` and the position's index inside it
+    /// (arrangement order), by one Fenwick descent. `position` must be in
+    /// bounds.
+    fn seg_at(&self, position: usize) -> (u32, usize) {
+        let ranks = self.fenwick.len();
+        let mut below = 0;
+        let mut rest = position;
+        let mut step = ranks.checked_ilog2().map_or(0, |bits| 1 << bits);
+        while step > 0 {
+            let next = below + step;
+            if next <= ranks && self.fenwick[next - 1] as usize <= rest {
+                below = next;
+                rest -= self.fenwick[next - 1] as usize;
             }
+            step >>= 1;
+        }
+        (self.at_rank[below], rest)
+    }
+
+    /// Moves segment `gone`'s length onto segment `onto`'s rank and
+    /// empties `gone`'s rank: two Fenwick point updates. The caller then
+    /// folds `gone`'s nodes into the segment at `onto`'s rank.
+    fn vacate(&mut self, gone: u32, onto: u32) {
+        let (from, len) = {
+            let meta = self.meta[gone as usize];
+            (meta.rank as usize, meta.len)
         };
+        let ranks = self.fenwick.len();
+        let mut i = from;
+        while i < ranks {
+            self.fenwick[i] -= len;
+            i |= i + 1;
+        }
+        let mut i = self.meta[onto as usize].rank as usize;
+        while i < ranks {
+            self.fenwick[i] += len;
+            i |= i + 1;
+        }
+        self.at_rank[from] = NIL;
+    }
+
+    /// Gives the segments `order` (position order) the ranks `0..` and
+    /// builds the Fenwick tree over their lengths, in `O(order)`.
+    fn rank(&mut self, order: Vec<u32>) {
+        for (rank, &id) in order.iter().enumerate() {
+            self.meta[id as usize].rank = rank as u32;
+        }
+        self.fenwick = fenwick_over(order.iter().map(|&id| self.meta[id as usize].len));
+        self.at_rank = order;
+    }
+
+    /// [`rank`](Self::rank) after an op that reordered or cut segments:
+    /// the `O(n)` rebuild that no algorithm run reaches.
+    fn rebuild(&mut self, order: Vec<u32>) {
+        self.index_rebuilds += 1;
+        self.rank(order);
+    }
+
+    /// The live segments in position order.
+    fn live_order(&self) -> Vec<u32> {
+        self.at_rank
+            .iter()
+            .copied()
+            .filter(|&id| id != NIL)
+            .collect()
+    }
+
+    /// Cuts the segments `order` (position order) at `position`: a
+    /// segment that straddles it is split in two. Returns the index in
+    /// `order` of the first segment at or right of `position`.
+    fn cut(&mut self, order: &mut Vec<u32>, position: usize) -> usize {
+        let mut start = 0;
+        for i in 0..order.len() {
+            if start == position {
+                return i;
+            }
+            let len = self.seg_len(order[i]);
+            if position < start + len {
+                let tail = self.split_seg(order[i], position - start);
+                order.insert(i + 1, tail);
+                return i + 1;
+            }
+            start += len;
+        }
+        order.len()
+    }
+
+    /// Replaces the segments `order[range]` by one new segment holding
+    /// their nodes in arrangement order, read reversed if `reversed`.
+    fn compact(&mut self, order: &mut Vec<u32>, range: Range<usize>, reversed: bool) {
+        let mut nodes = VecDeque::new();
+        for &id in &order[range.clone()] {
+            self.extend_arranged(&mut nodes, id);
+            self.free_seg(id);
+        }
+        let id = self.alloc_seg(nodes, reversed);
+        order.splice(range, [id]);
+    }
+
+    /// Allocates an unranked segment holding `nodes` in storage order and
+    /// points their node-map entries at it.
+    fn alloc_seg(&mut self, nodes: VecDeque<Node>, reversed: bool) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.content.push(VecDeque::new());
+            self.meta.push(SegMeta::default());
+            (self.content.len() - 1) as u32
+        });
         for (off, v) in nodes.iter().enumerate() {
-            self.node_seg[v.index()] = slot;
+            self.node_seg[v.index()] = id;
             self.node_off[v.index()] = off as u32;
         }
         self.node_map_writes += nodes.len() as u64;
-        let i = slot as usize;
-        self.tree.prio[i] = prio;
-        self.tree.left[i] = NIL;
-        self.tree.right[i] = NIL;
-        self.tree.parent[i] = NIL;
-        self.tree.subtree[i] = nodes.len() as u32;
-        self.tree.len[i] = nodes.len() as u32;
-        self.tree.head[i] = 0;
-        self.tree.reversed[i] = reversed;
-        self.content[i] = nodes;
-        slot
+        self.meta[id as usize] = SegMeta {
+            len: nodes.len() as u32,
+            head: 0,
+            rank: NIL,
+            reversed,
+        };
+        self.content[id as usize] = nodes;
+        id
     }
 
-    /// Returns `slot` to the free list, dropping its content.
-    fn free_seg(&mut self, slot: u32) {
-        self.content[slot as usize] = VecDeque::new();
-        self.tree.len[slot as usize] = 0;
-        self.free.push(slot);
+    /// Returns `id` to the free list, dropping its content.
+    fn free_seg(&mut self, id: u32) {
+        self.content[id as usize] = VecDeque::new();
+        self.meta[id as usize].len = 0;
+        self.free.push(id);
     }
 
-    /// Recomputes `subtree` and re-parents the children of `t`.
-    fn upd(&mut self, t: u32) {
-        let i = t as usize;
-        let (left, right) = (self.tree.left[i], self.tree.right[i]);
-        let total = self.tree.len[i] as usize + self.sub(left) + self.sub(right);
-        // mla-lint: allow(cast-hygiene): subtree node counts are bounded by MAX_NODES = u32::MAX
-        self.tree.subtree[i] = total as u32;
-        if left != NIL {
-            self.tree.parent[left as usize] = t;
-        }
-        if right != NIL {
-            self.tree.parent[right as usize] = t;
-        }
-    }
-
-    fn set_root(&mut self, root: u32) {
-        self.root = root;
-        if root != NIL {
-            self.tree.parent[root as usize] = NIL;
-        }
-    }
-
-    /// Builds a treap from detached segments in position order, `O(n)`
-    /// via the right-spine stack method.
-    fn build(&mut self, slots: &[u32]) -> u32 {
-        let mut spine: Vec<u32> = Vec::new();
-        for &slot in slots {
-            let mut last = NIL;
-            while let Some(&top) = spine.last() {
-                if self.tree.prio[top as usize] >= self.tree.prio[slot as usize] {
-                    break;
-                }
-                spine.pop();
-                self.upd(top);
-                last = top;
-            }
-            self.tree.left[slot as usize] = last;
-            if let Some(&top) = spine.last() {
-                self.tree.right[top as usize] = slot;
-            }
-            spine.push(slot);
-        }
-        let mut root = NIL;
-        while let Some(top) = spine.pop() {
-            self.upd(top);
-            root = top;
-        }
-        root
-    }
-
-    /// Rank of segment `slot`: total nodes strictly left of it, via parent
-    /// pointers in `O(log n)` expected.
-    fn seg_start(&self, slot: u32) -> usize {
-        let mut acc = self.sub(self.tree.left[slot as usize]);
-        let mut current = slot;
-        let mut parent = self.tree.parent[slot as usize];
-        while parent != NIL {
-            let i = parent as usize;
-            if self.tree.right[i] == current {
-                acc += self.sub(self.tree.left[i]) + self.tree.len[i] as usize;
-            }
-            current = parent;
-            parent = self.tree.parent[i];
-        }
-        acc
-    }
-
-    /// Splits off the first `k` nodes. Interior cuts split the containing
-    /// segment's content (the only non-`O(log n)` case).
-    fn split(&mut self, t: u32, k: usize) -> (u32, u32) {
-        if t == NIL {
-            debug_assert_eq!(k, 0, "split point beyond tree");
-            return (NIL, NIL);
-        }
-        let i = t as usize;
-        let (left_child, right_child, seg_len) = (
-            self.tree.left[i],
-            self.tree.right[i],
-            self.tree.len[i] as usize,
-        );
-        let left_size = self.sub(left_child);
-        if k <= left_size {
-            let (a, b) = self.split(left_child, k);
-            self.tree.left[i] = b;
-            self.upd(t);
-            (a, t)
-        } else if k >= left_size + seg_len {
-            let (a, b) = self.split(right_child, k - left_size - seg_len);
-            self.tree.right[i] = a;
-            self.upd(t);
-            (t, b)
-        } else {
-            // Interior cut: split this segment's content in two.
-            let cut = k - left_size;
-            let tail = self.split_seg_content(t, cut);
-            self.tree.right[i] = NIL;
-            self.upd(t);
-            let rest = self.merge(tail, right_child);
-            (t, rest)
-        }
-    }
-
-    /// Joins two treaps (every node of `l` left of every node of `r`).
-    fn merge(&mut self, l: u32, r: u32) -> u32 {
-        if l == NIL {
-            return r;
-        }
-        if r == NIL {
-            return l;
-        }
-        if self.tree.prio[l as usize] >= self.tree.prio[r as usize] {
-            let lr = self.tree.right[l as usize];
-            let m = self.merge(lr, r);
-            self.tree.right[l as usize] = m;
-            self.upd(l);
-            l
-        } else {
-            let rl = self.tree.left[r as usize];
-            let m = self.merge(l, rl);
-            self.tree.left[r as usize] = m;
-            self.upd(r);
-            r
-        }
-    }
-
-    /// Splits out `range` as a detached subtree: `(before, block, after)`.
-    fn extract(&mut self, range: Range<usize>) -> (u32, u32, u32) {
-        let root = self.root;
-        let (before, rest) = self.split(root, range.start);
-        let (block, after) = self.split(rest, range.len());
-        (before, block, after)
-    }
-
-    /// Cuts the first `cut` arrangement-order nodes off segment `t`,
-    /// keeping them in `t`; returns a new detached segment holding the
+    /// Cuts the first `cut` arrangement-order nodes off segment `id`,
+    /// keeping them in `id`; returns a new unranked segment holding the
     /// remainder. `O(segment)`.
-    fn split_seg_content(&mut self, t: u32, cut: usize) -> u32 {
-        let i = t as usize;
-        let reversed = self.tree.reversed[i];
-        let len = self.seg_len(t);
+    fn split_seg(&mut self, id: u32, cut: usize) -> u32 {
+        let i = id as usize;
+        let reversed = self.meta[i].reversed;
+        let len = self.seg_len(id);
         debug_assert!(cut > 0 && cut < len, "interior cut expected");
         // A reversed segment reads its storage back to front, so its
         // first `cut` arrangement nodes are its last `cut` storage nodes:
-        // they stay in `t` under a head advanced past the cut-off front.
+        // they stay in `id` under a head advanced past the cut-off front.
         let at = if reversed { len - cut } else { cut };
         let mut rest = self.content[i].split_off(at);
         if reversed {
             std::mem::swap(&mut self.content[i], &mut rest);
-            self.tree.head[i] = self.tree.head[i].wrapping_add(at as u32);
+            self.meta[i].head = self.meta[i].head.wrapping_add(at as u32);
         }
-        self.sync_len(t);
+        self.meta[i].len = self.content[i].len() as u32;
         self.alloc_seg(rest, reversed)
     }
 
-    /// Reverses a detached subtree: a lazy flag flip when it is a single
-    /// segment, otherwise compaction into one reversed segment.
-    fn reverse_detached(&mut self, block: u32) -> u32 {
-        debug_assert_ne!(block, NIL);
-        let i = block as usize;
-        if self.tree.left[i] == NIL && self.tree.right[i] == NIL {
-            self.flip_seg(block);
-            return block;
-        }
-        let order = self.collect_subtree(block);
-        self.free_subtree(block);
-        self.alloc_seg(order.into(), true)
-    }
-
-    /// Compacts a detached subtree into a single segment, folding the
-    /// smaller of exactly two segments into the larger (the common
-    /// two-segment merge case).
-    fn compact_detached(&mut self, block: u32) -> u32 {
-        debug_assert_ne!(block, NIL);
-        if self.tree.left[block as usize] == NIL && self.tree.right[block as usize] == NIL {
-            return block;
-        }
-        let slots = self.collect_slots(block);
-        if slots.len() == 2 {
-            return self.coalesce_pair(slots[0], slots[1]);
-        }
-        let order = self.collect_subtree(block);
-        self.free_subtree(block);
-        self.alloc_seg(order.into(), false)
-    }
-
-    /// Merges two detached adjacent segments (`first` arrangement-left of
-    /// `second`) into the larger one, which is returned detached.
-    fn coalesce_pair(&mut self, first: u32, second: u32) -> u32 {
-        let (keep, gone, gone_is_left) = self.larger_first(first, second);
-        self.absorb(keep, gone, gone_is_left);
-        let k = keep as usize;
-        self.tree.left[k] = NIL;
-        self.tree.right[k] = NIL;
-        self.tree.parent[k] = NIL;
-        self.tree.subtree[k] = self.tree.len[k];
-        keep
-    }
-
-    /// In-order nodes of a detached subtree (arrangement order).
-    fn collect_subtree(&self, t: u32) -> Vec<Node> {
-        let mut out = Vec::with_capacity(self.sub(t));
-        for slot in self.collect_slots(t) {
-            let nodes = &self.content[slot as usize];
-            if self.tree.reversed[slot as usize] {
-                out.extend(nodes.iter().rev());
-            } else {
-                out.extend(nodes);
-            }
-        }
-        out
-    }
-
-    /// Arena slots of a detached subtree, in arrangement order.
-    fn collect_slots(&self, t: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        let mut current = t;
-        while current != NIL || !stack.is_empty() {
-            while current != NIL {
-                stack.push(current);
-                current = self.tree.left[current as usize];
-            }
-            // mla-lint: allow(panic-safety): loop guard: the stack is non-empty when popped
-            let slot = stack.pop().expect("loop guard ensures non-empty stack");
-            out.push(slot);
-            current = self.tree.right[slot as usize];
-        }
-        out
-    }
-
-    /// Invalidates the range memo (call before any structural change).
-    fn bump_version(&mut self) {
-        self.version = self.version.wrapping_add(1);
-    }
-
-    /// Records a verified range→segment fact for the current version.
-    fn remember_segment(&self, start: usize, len: usize, slot: u32) {
-        let Ok(len) = u32::try_from(len) else { return };
-        self.memo.publish(MemoFact {
-            version: self.version,
-            start,
-            len,
-            slot,
-        });
-    }
-
-    /// Looks up a remembered, still-valid range→segment fact.
-    fn recall_segment(&self, range: &Range<usize>) -> Option<u32> {
-        self.memo.recall(self.version, range)
+    /// The segment `nodes` are exactly, if they are one.
+    fn whole_segment(&self, nodes: &[Node]) -> Option<u32> {
+        let id = self.node_seg[nodes.first()?.index()];
+        (self.seg_len(id) == nodes.len() && nodes.iter().all(|&v| self.node_seg[v.index()] == id))
+            .then_some(id)
     }
 
     /// The arrangement-order index of `node` inside its segment.
     fn in_seg_index(&self, node: Node) -> usize {
-        let slot = self.node_seg[node.index()] as usize;
-        let storage = self.node_off[node.index()].wrapping_sub(self.tree.head[slot]) as usize;
-        if self.tree.reversed[slot] {
-            self.tree.len[slot] as usize - 1 - storage
+        let meta = &self.meta[self.node_seg[node.index()] as usize];
+        let storage = self.node_off[node.index()].wrapping_sub(meta.head) as usize;
+        if meta.reversed {
+            meta.len as usize - 1 - storage
         } else {
             storage
         }
     }
 
-    /// Returns the segment slot iff `range` covers exactly one segment.
+    /// Returns the segment iff `range` covers exactly one segment.
     fn exact_segment(&self, range: &Range<usize>) -> Option<u32> {
         if range.is_empty() {
             return None;
         }
-        if let Some(slot) = self.recall_segment(range) {
-            return Some(slot);
-        }
-        let first = self.node_at(range.start);
-        let slot = self.node_seg[first.index()];
-        (self.seg_len(slot) == range.len() && self.in_seg_index(first) == 0).then_some(slot)
-    }
-
-    /// Recomputes subtree sizes from `t` up to the root (child links and
-    /// segment contents must already be final).
-    fn recompute_sizes_upward(&mut self, t: u32) {
-        let mut current = t;
-        while current != NIL {
-            let i = current as usize;
-            let (left, right) = (self.tree.left[i], self.tree.right[i]);
-            self.tree.subtree[i] =
-                (self.tree.len[i] as usize + self.sub(left) + self.sub(right)) as u32;
-            current = self.tree.parent[i];
-        }
-    }
-
-    /// Unlinks segment `slot` from the tree in place by merging its
-    /// children into its position. Heap order is preserved: both children
-    /// carry lower priorities than `slot`, hence than its parent. The
-    /// slot itself is left detached (content untouched, not freed).
-    fn unlink_seg(&mut self, slot: u32) {
-        let i = slot as usize;
-        let (left, right, parent) = (self.tree.left[i], self.tree.right[i], self.tree.parent[i]);
-        let replacement = self.merge(left, right);
-        self.replace_child(parent, slot, replacement);
-        self.recompute_sizes_upward(parent);
-        self.tree.left[i] = NIL;
-        self.tree.right[i] = NIL;
-        self.tree.parent[i] = NIL;
-        self.tree.subtree[i] = self.tree.len[i];
-    }
-
-    /// Points the link that leads to `old` — `parent`'s child link, or
-    /// the root when `parent` is NIL — at `new`.
-    fn replace_child(&mut self, parent: u32, old: u32, new: u32) {
-        if parent == NIL {
-            self.set_root(new);
-            return;
-        }
-        let p = parent as usize;
-        if self.tree.left[p] == old {
-            self.tree.left[p] = new;
-        } else {
-            self.tree.right[p] = new;
-        }
-        if new != NIL {
-            self.tree.parent[new as usize] = parent;
-        }
-    }
-
-    /// Gives detached slot `to` linked slot `from`'s place in the treap —
-    /// its priority, parent and children — in `O(1)`: the tree keeps its
-    /// shape, with `to` where `from` was. `from` is left for the caller
-    /// to free; subtree sizes above are NOT fixed up.
-    fn transplant(&mut self, from: u32, to: u32) {
-        let (f, t) = (from as usize, to as usize);
-        self.tree.prio[t] = self.tree.prio[f];
-        self.tree.left[t] = self.tree.left[f];
-        self.tree.right[t] = self.tree.right[f];
-        self.upd(to);
-        self.replace_child(self.tree.parent[f], from, to);
-    }
-
-    /// Reinserts a detached segment so that it starts at `position`.
-    fn insert_seg_at(&mut self, slot: u32, position: usize) {
-        let root = self.root;
-        let (left, right) = self.split(root, position);
-        let joined = self.merge(left, slot);
-        let root = self.merge(joined, right);
-        self.set_root(root);
+        let (id, index) = self.seg_at(range.start);
+        (index == 0 && self.seg_len(id) == range.len()).then_some(id)
     }
 
     /// Adjacent segments `first` (arrangement-left) and `second` as
@@ -1321,23 +995,22 @@ impl SegmentArrangement {
 
     /// Folds segment `gone` into adjacent segment `keep`, on `keep`'s
     /// arrangement-left side when `gone_is_left`, preserving both internal
-    /// orders, and frees `gone` (callers unlink it first or drop the
-    /// detached tree it sits in). `keep`'s storage grows at whichever end
+    /// orders, and frees `gone`. `keep`'s storage grows at whichever end
     /// faces `gone`, so only `gone`'s nodes get new node-map entries:
     /// callers pass the larger segment as `keep`, and a node is then
-    /// rewritten only when its segment at least doubles. Subtree sizes are
-    /// NOT fixed up — callers do that.
+    /// rewritten only when its segment at least doubles. Ranks and the
+    /// Fenwick tree are NOT touched — callers do that.
     fn absorb(&mut self, keep: u32, gone: u32, gone_is_left: bool) {
         let nodes = std::mem::take(&mut self.content[gone as usize]);
         // `gone`'s nodes go in nearest the seam first: its arrangement
         // order when it joins on the right, reversed when on the left.
-        let backward = gone_is_left != self.tree.reversed[gone as usize];
+        let backward = gone_is_left != self.meta[gone as usize].reversed;
         self.free_seg(gone);
         let k = keep as usize;
-        let at_front = gone_is_left != self.tree.reversed[k];
+        let at_front = gone_is_left != self.meta[k].reversed;
         let storage = &mut self.content[k];
         storage.reserve(nodes.len());
-        let head = &mut self.tree.head[k];
+        let head = &mut self.meta[k].head;
         let (node_seg, node_off) = (&mut self.node_seg, &mut self.node_off);
         let mut push = |v: &Node| {
             let off = if at_front {
@@ -1357,30 +1030,35 @@ impl SegmentArrangement {
             nodes.iter().for_each(&mut push);
         }
         self.node_map_writes += nodes.len() as u64;
-        self.sync_len(keep);
+        self.meta[k].len = self.content[k].len() as u32;
     }
 
-    /// Reverses segment `slot`'s reading order by flipping its lazy flag.
+    /// Reverses segment `id`'s reading order by flipping its lazy flag.
     /// A singleton keeps its flag: reversing it is a no-op, as in
     /// [`reverse_block`](Self::reverse_block).
-    fn flip_seg(&mut self, slot: u32) {
-        if self.seg_len(slot) > 1 {
-            let reversed = &mut self.tree.reversed[slot as usize];
+    fn flip_seg(&mut self, id: u32) {
+        if self.seg_len(id) > 1 {
+            let reversed = &mut self.meta[id as usize].reversed;
             *reversed = !*reversed;
         }
     }
 
-    fn free_subtree(&mut self, t: u32) {
-        for slot in self.collect_slots(t) {
-            self.free_seg(slot);
+    /// Appends segment `id`'s nodes in arrangement order.
+    fn extend_arranged(&self, out: &mut impl Extend<Node>, id: u32) {
+        let nodes = &self.content[id as usize];
+        if self.meta[id as usize].reversed {
+            out.extend(nodes.iter().rev().copied());
+        } else {
+            out.extend(nodes.iter().copied());
         }
     }
 
     fn collect_all(&self) -> Vec<Node> {
-        if self.root == NIL {
-            return Vec::new();
+        let mut out = Vec::with_capacity(self.len());
+        for id in self.live_order() {
+            self.extend_arranged(&mut out, id);
         }
-        self.collect_subtree(self.root)
+        out
     }
 }
 
@@ -1475,6 +1153,17 @@ impl Eq for SegmentArrangement {}
 mod tests {
     use super::*;
 
+    /// The checkpoint format this build writes.
+    const FORMAT: u32 = 3;
+
+    /// SplitMix64, the op fuzz's random stream.
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
     fn seg(indices: &[usize]) -> SegmentArrangement {
         SegmentArrangement::from_permutation(&Permutation::from_indices(indices).unwrap())
     }
@@ -1491,7 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrip_preserves_partition_orientation_and_prio_stream() {
+    fn codec_roundtrip_preserves_partition_and_orientation() {
         // Build an arrangement whose segments are multi-node, reversed and
         // interleaved, then round-trip it through the byte codec.
         let mut arr = seg(&[3, 0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
@@ -1503,7 +1192,7 @@ mod tests {
         arr.coalesce_range(9..13);
         arr.coalesce_range(8..13);
         let wrapped = arr.node_seg[8] as usize;
-        assert_ne!(arr.tree.head[wrapped], 0);
+        assert_ne!(arr.meta[wrapped].head, 0);
         assert!(!arr.content[wrapped].as_slices().1.is_empty());
         assert!(arr.check_consistent());
         let order = arr.to_permutation();
@@ -1511,45 +1200,55 @@ mod tests {
         let mut bytes = Vec::new();
         arr.encode_into(&mut bytes);
         let mut r = crate::codec::ByteReader::new(&bytes);
-        let mut back = SegmentArrangement::decode_from(&mut r).unwrap();
+        let mut back = SegmentArrangement::decode_from(&mut r, FORMAT).unwrap();
         r.finish().unwrap();
         assert!(back.check_consistent());
         assert_eq!(back.to_permutation(), order);
         assert_eq!(back.segment_count(), segments);
-        assert_eq!(back.prio_counter, arr.prio_counter);
         let mut again = Vec::new();
         back.encode_into(&mut again);
         assert_eq!(
             again, bytes,
             "a decoded arrangement re-encodes to the same bytes"
         );
-        // Coalesced components stay locatable after the round trip.
+        // Formats 1 and 2 carry an unread 8-byte word after the node count.
+        let mut old = bytes[..8].to_vec();
+        crate::codec::put_u64(&mut old, 0x0123_4567_89ab_cdef);
+        old.extend_from_slice(&bytes[8..]);
+        for version in [1, 2] {
+            let mut r = crate::codec::ByteReader::new(&old);
+            let from_old = SegmentArrangement::decode_from(&mut r, version).unwrap();
+            r.finish().unwrap();
+            let mut reencoded = Vec::new();
+            from_old.encode_into(&mut reencoded);
+            assert_eq!(reencoded, bytes, "format {version}");
+        }
+        // Coalesced components stay locatable after the round trip, and
+        // merges keep working on the decoded index.
         let (range, _) = back.locate_component(Node::new(3), 3).unwrap();
         assert_eq!(range, 0..3);
-        // Future priority draws continue the checkpointed stream.
-        assert_eq!(back.next_prio(), arr.next_prio());
+        back.merge_move(0..3, 3..4, MergeOrder::KEEP);
+        assert!(back.check_consistent());
     }
 
     #[test]
     fn codec_rejects_inconsistent_partitions() {
-        use crate::codec::{put_bool, put_len, put_u32, put_u64, ByteReader, CodecError};
+        use crate::codec::{put_bool, put_len, put_u32, ByteReader, CodecError};
         // Node out of range.
         let mut bad = Vec::new();
         put_len(&mut bad, 2);
-        put_u64(&mut bad, 0);
         put_len(&mut bad, 1);
         put_bool(&mut bad, false);
         put_len(&mut bad, 2);
         put_u32(&mut bad, 0);
         put_u32(&mut bad, 9);
         assert!(matches!(
-            SegmentArrangement::decode_from(&mut ByteReader::new(&bad)),
+            SegmentArrangement::decode_from(&mut ByteReader::new(&bad), FORMAT),
             Err(CodecError::Invalid { .. })
         ));
         // Duplicate node across segments.
         let mut dup = Vec::new();
         put_len(&mut dup, 2);
-        put_u64(&mut dup, 0);
         put_len(&mut dup, 2);
         for _ in 0..2 {
             put_bool(&mut dup, false);
@@ -1557,7 +1256,7 @@ mod tests {
             put_u32(&mut dup, 0);
         }
         assert!(matches!(
-            SegmentArrangement::decode_from(&mut ByteReader::new(&dup)),
+            SegmentArrangement::decode_from(&mut ByteReader::new(&dup), FORMAT),
             Err(CodecError::Invalid { .. })
         ));
         // Truncated input.
@@ -1567,7 +1266,8 @@ mod tests {
         arr.encode_into(&mut bytes);
         for cut in 0..bytes.len() {
             assert!(
-                SegmentArrangement::decode_from(&mut ByteReader::new(&bytes[..cut])).is_err(),
+                SegmentArrangement::decode_from(&mut ByteReader::new(&bytes[..cut]), FORMAT)
+                    .is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
@@ -1825,5 +1525,33 @@ mod tests {
         assert_eq!(range, 2..6);
         assert_eq!(arr.node_at(anchor_pos), Node::new(5));
         assert_eq!(anchor_pos, 2);
+    }
+
+    #[test]
+    fn only_reorder_and_cut_ops_rebuild_the_index() {
+        let mut arr = SegmentArrangement::identity(8);
+        // The ops of an algorithm run: whole-segment merges, two-segment
+        // coalesces, single-segment reversals and jumps.
+        arr.coalesce_range(0..2);
+        arr.merge_move(5..6, 0..2, MergeOrder::KEEP);
+        arr.merge_move(
+            0..3,
+            6..7,
+            MergeOrder {
+                reverse_mover: true,
+                reverse_stayer: false,
+                swap: true,
+            },
+        );
+        arr.reverse_block(3..7);
+        arr.assign(&Permutation::from_indices(&[7, 6, 5, 4, 3, 2, 1, 0]).unwrap());
+        assert_eq!(arr.index_rebuilds(), 0);
+        assert!(arr.check_consistent());
+        // A move reorders segments and cuts the one it lands in.
+        let mut pi = arr.to_permutation();
+        assert_eq!(arr.move_block(0..2, 3), pi.move_block(0..2, 3));
+        assert_eq!(arr.to_permutation(), pi);
+        assert!(arr.index_rebuilds() >= 1);
+        assert!(arr.check_consistent());
     }
 }

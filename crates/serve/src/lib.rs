@@ -4,9 +4,10 @@
 //! a [`Server`] keeps a table of named [`TenantSession`]s, serves every
 //! reveal frame one reveal at a time through [`Session::apply`] (the
 //! loop body of `Simulation::run`), answers position/cost queries
-//! mid-stream, and can checkpoint / restore **all** tenants at once —
-//! across a real process boundary — such that replaying the remaining
-//! reveals is bit-identical to the uninterrupted run.
+//! mid-stream, and can checkpoint **all** tenants at once and restore
+//! them — across a real process boundary — such that replaying the
+//! remaining reveals is bit-identical to the uninterrupted run. A restore
+//! replaces only the tenants its checkpoint names.
 //!
 //! The wire protocol is length-prefixed JSON frames
 //! ([`mla_runner::wire`]); one request object in, one response object

@@ -20,8 +20,8 @@
 //! | `tenants`    | —                                        | list tenants |
 //! | `close`      | `tenant`                                 | drop the session |
 //! | `checkpoint` | —                                        | serialize **all** tenants; to the `--checkpoint` file (atomically replaced), or inline as hex |
-//! | `restore`    | `bytes` (hex)                            | replace the table from a checkpoint |
-//! | `shutdown`   | —                                        | checkpoint to the `--checkpoint` file (if any) and stop |
+//! | `restore`    | `bytes` (hex)                            | adopt the checkpoint's tenants, replacing live ones of the same name; every other tenant stays |
+//! | `shutdown`   | —                                        | checkpoint to the `--checkpoint` file (if any) and stop; a failed write answers `io` and keeps serving |
 //!
 //! The wire names no files: checkpoints go only to the operator's
 //! [`Server::checkpoint_path`] and restores from a file happen only at
@@ -159,10 +159,12 @@ impl Server {
         checkpoint::seal(&body)
     }
 
-    /// Replaces the tenant table from [`Server::checkpoint_bytes`]
-    /// output, of this format version or version 1.
+    /// Adopts the tenants of [`Server::checkpoint_bytes`] output, of this
+    /// format version or an older one: each replaces the live tenant of
+    /// the same name, and tenants the checkpoint does not name stay as
+    /// they are. Returns how many tenants the checkpoint held.
     ///
-    /// On any error the existing table is left untouched.
+    /// All or nothing: on any error the table is left untouched.
     ///
     /// # Errors
     ///
@@ -193,7 +195,7 @@ impl Server {
             }
         }
         r.finish()?;
-        self.tenants = tenants;
+        self.tenants.extend(tenants);
         Ok(count)
     }
 
@@ -208,7 +210,9 @@ impl Server {
             if let Some(path) = self.checkpoint_path.clone() {
                 match self.write_checkpoint(&path) {
                     Ok(()) => response = response.field("path", path.display().to_string()),
-                    Err(error) => return Reply::Shutdown(err_response("io", error)),
+                    // Stopping now would lose every reveal since the last
+                    // good checkpoint: keep serving instead.
+                    Err(error) => return Reply::Continue(err_response("io", error)),
                 }
             }
             return Reply::Shutdown(response);
@@ -588,7 +592,6 @@ pub fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mla_permutation::codec::put_u64;
 
     fn ok(response: &Json) -> bool {
         response.get("ok").and_then(Json::as_bool) == Some(true)
@@ -805,7 +808,6 @@ mod tests {
         )
         .encode_into(&mut session);
         put_len(&mut session, huge);
-        put_u64(&mut session, 0);
         put_len(&mut session, 0);
         let blob = checkpoint::seal(&session);
         let mut body = Vec::new();
@@ -827,6 +829,51 @@ mod tests {
             "{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":0,\"b\":2}",
         )));
         assert!(ok(&next), "{next:?}");
+    }
+
+    fn steps(server: &mut Server, name: &str) -> Option<usize> {
+        let frame = format!("{{\"op\":\"cost\",\"tenant\":\"{name}\"}}");
+        let cost = continue_response(server.handle(&request(&frame)));
+        cost.get("steps").and_then(Json::as_usize)
+    }
+
+    fn restore(server: &mut Server, bytes: &[u8]) -> Json {
+        let frame = format!("{{\"op\":\"restore\",\"bytes\":\"{}\"}}", encode_hex(bytes));
+        continue_response(server.handle(&request(&frame)))
+    }
+
+    #[test]
+    fn restore_replaces_only_the_tenants_it_names() {
+        let mut server = Server::new(1, 0);
+        assert!(ok(&open_tenant(&mut server, "alice", 8)));
+        let reveal = |a: usize, b: usize| {
+            request(&format!(
+                "{{\"op\":\"reveal\",\"tenant\":\"alice\",\"a\":{a},\"b\":{b}}}"
+            ))
+        };
+        assert!(ok(&continue_response(server.handle(&reveal(0, 1)))));
+        let older_alice = server.checkpoint_bytes();
+        assert!(ok(&continue_response(server.handle(&reveal(2, 3)))));
+        assert_eq!(steps(&mut server, "alice"), Some(2));
+
+        // An empty daemon's checkpoint names no tenant, so nothing changes.
+        let empty = restore(&mut server, &Server::new(1, 0).checkpoint_bytes());
+        assert!(ok(&empty), "{empty:?}");
+        assert_eq!(empty.get("tenants").and_then(Json::as_usize), Some(0));
+        assert_eq!(steps(&mut server, "alice"), Some(2));
+
+        // A checkpoint naming another tenant adds it.
+        let mut other = Server::new(1, 0);
+        assert!(ok(&open_tenant(&mut other, "bob", 6)));
+        assert!(ok(&restore(&mut server, &other.checkpoint_bytes())));
+        assert_eq!(steps(&mut server, "alice"), Some(2));
+        assert_eq!(steps(&mut server, "bob"), Some(0));
+
+        // A checkpoint holding an older alice replaces the live one.
+        assert!(ok(&restore(&mut server, &older_alice)));
+        assert_eq!(steps(&mut server, "alice"), Some(1));
+        assert_eq!(steps(&mut server, "bob"), Some(0));
+        assert_eq!(server.tenant_count(), 2);
     }
 
     #[test]

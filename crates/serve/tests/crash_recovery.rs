@@ -272,10 +272,14 @@ fn a_failed_checkpoint_write_answers_io_and_leaves_no_temp_file() {
     let served = send("{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":0,\"b\":1}");
     assert_eq!(served, (false, None));
 
-    let stopped = send("{\"op\":\"shutdown\"}");
-    assert_eq!(stopped, (true, Some("io".to_owned())));
+    // A shutdown whose checkpoint fails keeps serving, so the reveals
+    // since the last good checkpoint are not lost.
+    let refused = send("{\"op\":\"shutdown\"}");
+    assert_eq!(refused, (false, Some("io".to_owned())));
     assert!(!tmp.exists(), "a failed write left {tmp:?} behind");
     assert!(dir.is_dir());
+    let served = send("{\"op\":\"reveal\",\"tenant\":\"t0\",\"a\":2,\"b\":3}");
+    assert_eq!(served, (false, None));
 }
 
 /// The daemon also speaks the protocol over TCP; a session opened on

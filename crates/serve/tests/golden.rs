@@ -9,12 +9,15 @@
 //!   ends with a since-removed batch planner's 16-byte tuning triple.
 //!   Frozen: no encoder writes format 1 any more.
 //! - `session-v2.ckpt`: the same session in format 2, which drops the
-//!   triple.
+//!   triple. Frozen.
+//! - `session-v3.ckpt`: the same session in format 3, whose segment
+//!   arrangement drops the 8-byte priority counter of a since-replaced
+//!   treap.
 //! - `server-v1.ckpt`: a whole-server checkpoint in format 1, written
 //!   mid-stream by the format-1 daemon on `--shards 3`. Each tenant
 //!   carries a shard label (2 and 1 here), which format 2 drops. Frozen.
 //!
-//! Regenerate `session-v2.ckpt` (after an intentional, versioned format
+//! Regenerate `session-v3.ckpt` (after an intentional, versioned format
 //! change) with:
 //!
 //! ```text
@@ -59,6 +62,10 @@ const FINAL_TOTAL_COST: u128 = 37;
 /// `(window: u64, full_seals: u32, collapse_streak: u32)`.
 const V1_TUNING_BYTES: usize = 16;
 
+/// Bytes formats 1 and 2 stored in every segment arrangement: the treap's
+/// priority counter.
+const V2_COUNTER_BYTES: usize = 8;
+
 fn fixture_spec() -> SessionSpec {
     SessionSpec::new(
         Topology::Cliques,
@@ -79,7 +86,7 @@ fn events(range: std::ops::Range<usize>) -> Vec<RevealEvent> {
 fn read_fixture(name: &str) -> Vec<u8> {
     std::fs::read(format!("{GOLDEN}/{name}")).unwrap_or_else(|err| {
         panic!(
-            "missing fixture {name} ({err}); session-v2.ckpt is written by \
+            "missing fixture {name} ({err}); session-v3.ckpt is written by \
              `cargo test -p mla-serve --test golden -- --ignored`"
         )
     })
@@ -89,7 +96,11 @@ fn read_fixture(name: &str) -> Vec<u8> {
 fn golden_fixture_still_decodes_and_resumes_to_the_historical_outcome() {
     let mut fresh = open_session(fixture_spec()).unwrap();
     fresh.apply_events(&events(0..EVENTS.len())).unwrap();
-    for (name, version) in [("session-v1.ckpt", 1), ("session-v2.ckpt", 2)] {
+    for (name, version) in [
+        ("session-v1.ckpt", 1),
+        ("session-v2.ckpt", 2),
+        ("session-v3.ckpt", 3),
+    ] {
         let bytes = read_fixture(name);
         assert_eq!(checkpoint::open(&bytes).unwrap().0, version, "{name}");
         let mut session = decode_session(&bytes).expect("the fixture must keep decoding");
@@ -112,7 +123,7 @@ fn golden_fixture_still_decodes_and_resumes_to_the_historical_outcome() {
 
 #[test]
 fn reencoding_the_fixture_is_byte_stable() {
-    let bytes = read_fixture("session-v2.ckpt");
+    let bytes = read_fixture("session-v3.ckpt");
     let session = decode_session(&bytes).unwrap();
     assert_eq!(
         encode_session(session.as_ref()),
@@ -122,12 +133,20 @@ fn reencoding_the_fixture_is_byte_stable() {
 }
 
 #[test]
-fn the_v1_fixture_reencodes_as_the_v2_fixture() {
-    let v1 = read_fixture("session-v1.ckpt");
-    let v2 = read_fixture("session-v2.ckpt");
-    let reencoded = encode_session(decode_session(&v1).unwrap().as_ref());
-    assert_eq!(reencoded, v2, "decode v1 → encode must give the v2 fixture");
-    assert_eq!(v2.len(), v1.len() - V1_TUNING_BYTES);
+fn the_old_fixtures_reencode_as_the_v3_fixture() {
+    let v3 = read_fixture("session-v3.ckpt");
+    for (name, dropped) in [
+        ("session-v1.ckpt", V1_TUNING_BYTES + V2_COUNTER_BYTES),
+        ("session-v2.ckpt", V2_COUNTER_BYTES),
+    ] {
+        let old = read_fixture(name);
+        let reencoded = encode_session(decode_session(&old).unwrap().as_ref());
+        assert_eq!(
+            reencoded, v3,
+            "decode {name} → encode must give the v3 fixture"
+        );
+        assert_eq!(v3.len(), old.len() - dropped, "{name}");
+    }
 }
 
 /// One tenant of the server fixture: its `open` request, its reveal
@@ -231,20 +250,24 @@ fn server_v1_fixture_restores_and_resumes_bit_identically() {
         assert_eq!(total_cost(&cost), Some(tenant.mid_total), "{}", tenant.name);
     }
 
-    // The format-2 checkpoint of the restored table drops one shard word
-    // per tenant and the tuning triple of each nested session.
-    let v2 = restored.checkpoint_bytes();
-    assert_eq!(checkpoint::open(&v2).unwrap().0, checkpoint::VERSION);
+    // The current checkpoint of the restored table drops one shard word
+    // per tenant, the tuning triple of each nested session and the
+    // priority counter of the one segment arrangement (`cliques`).
+    let current = restored.checkpoint_bytes();
+    assert_eq!(checkpoint::open(&current).unwrap().0, checkpoint::VERSION);
     assert_eq!(
-        v2.len(),
-        v1.len() - SERVER_TENANTS.len() * (8 + V1_TUNING_BYTES)
+        current.len(),
+        v1.len() - SERVER_TENANTS.len() * (8 + V1_TUNING_BYTES) - V2_COUNTER_BYTES
     );
     let mut reloaded = Server::new(1, 0);
-    assert_eq!(reloaded.restore_bytes(&v2).unwrap(), SERVER_TENANTS.len());
+    assert_eq!(
+        reloaded.restore_bytes(&current).unwrap(),
+        SERVER_TENANTS.len()
+    );
     assert_eq!(
         reloaded.checkpoint_bytes(),
-        v2,
-        "the v2 checkpoint round-trips"
+        current,
+        "the current checkpoint round-trips"
     );
 
     for tenant in &SERVER_TENANTS {
@@ -275,7 +298,12 @@ fn every_committed_fixture_is_checked_here() {
     names.sort();
     assert_eq!(
         names,
-        ["server-v1.ckpt", "session-v1.ckpt", "session-v2.ckpt"]
+        [
+            "server-v1.ckpt",
+            "session-v1.ckpt",
+            "session-v2.ckpt",
+            "session-v3.ckpt"
+        ]
     );
 }
 
@@ -288,7 +316,7 @@ fn regenerate_golden_fixture() {
     let mid_total = session.outcome().total_cost;
     session.apply_events(&events(CUT..EVENTS.len())).unwrap();
     let final_total = session.outcome().total_cost;
-    let path = format!("{GOLDEN}/session-v2.ckpt");
+    let path = format!("{GOLDEN}/session-v3.ckpt");
     std::fs::create_dir_all(GOLDEN).unwrap();
     std::fs::write(&path, &bytes).unwrap();
     println!(

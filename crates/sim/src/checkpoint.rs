@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"MLACKPT\n"
-//!      8     4  format version (currently 2; 1 is still read)
+//!      8     4  format version (currently 3; 1 and 2 are still read)
 //!     12     8  body length in bytes
 //!     20     8  CRC-64/XZ of the body
 //!     28     …  body
@@ -29,8 +29,9 @@ use mla_permutation::codec::{crc64, CodecError};
 pub const MAGIC: [u8; 8] = *b"MLACKPT\n";
 
 /// The container format version this build writes; [`open`] also reads
-/// version 1, whose bodies the session and server decoders still parse.
-pub const VERSION: u32 = 2;
+/// versions 1 and 2, whose bodies the session and server decoders still
+/// parse.
+pub const VERSION: u32 = 3;
 
 /// The oldest container format version this build reads.
 const OLDEST_VERSION: u32 = 1;
@@ -216,13 +217,13 @@ mod tests {
         bad_magic[0] ^= 0xFF;
         assert_eq!(open(&bad_magic).unwrap_err(), CheckpointError::BadMagic);
 
-        for found in [0u32, 3, 99] {
+        for found in [0u32, 4, 99] {
             let mut unsupported = sealed.clone();
             unsupported[8..12].copy_from_slice(&found.to_le_bytes());
             let err = open(&unsupported).unwrap_err();
             assert_eq!(err, CheckpointError::UnsupportedVersion { found });
             assert!(
-                err.to_string().ends_with("(this build reads 1 to 2)"),
+                err.to_string().ends_with("(this build reads 1 to 3)"),
                 "{err}"
             );
         }

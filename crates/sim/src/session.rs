@@ -302,12 +302,13 @@ pub trait ArrCodec: Arrangement + Sized {
     /// permutation).
     fn encode_arr(&self, out: &mut Vec<u8>);
 
-    /// Inverse of [`ArrCodec::encode_arr`].
+    /// Inverse of [`ArrCodec::encode_arr`], for a body written in
+    /// checkpoint format `version`.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on truncated or inconsistent input.
-    fn decode_arr(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+    fn decode_arr(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError>;
 }
 
 impl ArrCodec for Permutation {
@@ -321,7 +322,7 @@ impl ArrCodec for Permutation {
         self.encode_into(out);
     }
 
-    fn decode_arr(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    fn decode_arr(r: &mut ByteReader<'_>, _version: u32) -> Result<Self, CodecError> {
         Permutation::decode_from(r)
     }
 }
@@ -337,8 +338,8 @@ impl ArrCodec for SegmentArrangement {
         self.encode_into(out);
     }
 
-    fn decode_arr(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        SegmentArrangement::decode_from(r)
+    fn decode_arr(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError> {
+        SegmentArrangement::decode_from(r, version)
     }
 }
 
@@ -600,7 +601,7 @@ pub fn decode_session(bytes: &[u8]) -> Result<Box<dyn TenantSession>, Checkpoint
     let spec = SessionSpec::decode_from(&mut r)?;
     spec.validate()
         .map_err(|err| CheckpointError::malformed(err.to_string()))?;
-    let session = build_session(spec, Some(&mut r))?;
+    let session = build_session(spec, Some((&mut r, version)))?;
     if version == 1 {
         // Version 1 ends with the tuning triple `(window, full_seals,
         // collapse_streak)` of a since-removed batch planner; nothing
@@ -614,10 +615,11 @@ pub fn decode_session(bytes: &[u8]) -> Result<Box<dyn TenantSession>, Checkpoint
 }
 
 /// Builds the concrete policy × backend × topology session; with a
-/// reader, decodes the arrangement and restores the serialized state.
+/// reader and the checkpoint format it reads, decodes the arrangement and
+/// restores the serialized state.
 fn build_session(
     spec: SessionSpec,
-    restore: Option<&mut ByteReader<'_>>,
+    restore: Option<(&mut ByteReader<'_>, u32)>,
 ) -> Result<Box<dyn TenantSession>, CheckpointError> {
     match spec.backend {
         BackendKind::Dense => build_with_backend::<Permutation>(spec, restore),
@@ -627,7 +629,7 @@ fn build_session(
 
 fn build_with_backend<Arr>(
     spec: SessionSpec,
-    mut restore: Option<&mut ByteReader<'_>>,
+    restore: Option<(&mut ByteReader<'_>, u32)>,
 ) -> Result<Box<dyn TenantSession>, CheckpointError>
 where
     Arr: ArrCodec + Send + 'static,
@@ -635,10 +637,10 @@ where
     // The arrangement comes before the algorithm: constructors consume
     // it (and `DetClosest::with_backend` snapshots it, which is why the
     // anchor π0 lives in the policy state, restored afterwards).
-    let arr: Arr = match restore.as_deref_mut() {
-        None => Arr::fresh(spec.n),
-        Some(r) => {
-            let arr = Arr::decode_arr(r)?;
+    let (arr, restore): (Arr, _) = match restore {
+        None => (Arr::fresh(spec.n), None),
+        Some((r, version)) => {
+            let arr = Arr::decode_arr(r, version)?;
             if arr.len() != spec.n {
                 return Err(CheckpointError::malformed(format!(
                     "arrangement covers {} nodes but the spec says {}",
@@ -646,7 +648,7 @@ where
                     spec.n
                 )));
             }
-            arr
+            (arr, Some(r))
         }
     };
     let rng = SmallRng::seed_from_u64(spec.seed);

@@ -23,7 +23,7 @@ use mla_core::{
 };
 use mla_graph::{Instance, RevealEvent, Topology};
 use mla_offline::LopConfig;
-use mla_permutation::codec::{put_len, put_u32, put_u64, put_u8};
+use mla_permutation::codec::{put_len, put_u32, put_u8};
 use mla_permutation::{Arrangement, Permutation, SegmentArrangement};
 use mla_sim::{
     checkpoint, decode_session, encode_session, open_session, BackendKind, CheckpointError,
@@ -301,7 +301,6 @@ fn counts_beyond_the_remaining_bytes_are_rejected_before_allocating() {
     put_len(&mut dense, huge);
     let mut segment = spec(huge, BackendKind::Segment);
     put_len(&mut segment, huge);
-    put_u64(&mut segment, 0);
     put_len(&mut segment, 0);
     // A valid one-node session whose union-find declares `u32::MAX`
     // nodes.
