@@ -297,8 +297,8 @@ mod tests {
         );
         // Unequal blocks across the same gap: the mover larger and
         // smaller than the stayer, from either side. The segment fast
-        // path keeps the larger block's storage, so a larger mover's slot
-        // takes over the stayer's tree node first.
+        // path keeps the larger block's storage, so a larger mover takes
+        // over the stayer's rank in the order index.
         let start = [0, 1, 2, 3, 4, 5, 6];
         assert_eq!(
             merge_on_both(&start, 0..3, 5..7, MergeOrder::KEEP),

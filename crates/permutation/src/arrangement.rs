@@ -12,8 +12,9 @@
 //! * [`Permutation`] — the dense backend: `O(1)` lookups, `O(n)` block
 //!   splices (a memmove plus a position refresh);
 //! * [`SegmentArrangement`](crate::SegmentArrangement) — the segment
-//!   backend: an ordered list of component segments over an implicit-key
-//!   treap, `O(log n)` block splices with costs computed in closed form.
+//!   backend: component segments in a flat order index, where positions
+//!   are Fenwick prefix sums, `O(log n)` lookups, and merges of whole
+//!   segments with costs computed in closed form.
 //!
 //! The trait is object-safe: adaptive adversaries receive the online
 //! algorithm's arrangement as `&dyn Arrangement`.
@@ -105,7 +106,7 @@ pub trait Arrangement {
     ///
     /// The default costs one [`position_of`](Arrangement::position_of)
     /// per node; the segment backend answers a path that is exactly one
-    /// segment from its node→offset map with a single rank walk.
+    /// segment from its node→offset map with a single prefix sum.
     ///
     /// # Panics
     ///

@@ -29,7 +29,7 @@ pub enum PermutationError {
     },
     /// The requested node count exceeds the addressable capacity of the
     /// arrangement backends ([`MAX_NODES`](crate::MAX_NODES)): positions
-    /// and arena slots are stored as `u32`, so constructing a larger
+    /// and segment ids are stored as `u32`, so constructing a larger
     /// arrangement would silently truncate instead of corrupting state.
     CapacityExceeded {
         /// The requested node count.

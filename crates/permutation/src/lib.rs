@@ -13,9 +13,10 @@
 //!   `O(1)` bidirectional lookups, block move / reverse / swap operations
 //!   that return their exact cost in adjacent transpositions, and
 //!   `O(n log n)` Kendall tau distance;
-//! * [`SegmentArrangement`] — the **segment** backend: an ordered list of
-//!   component segments over an implicit-key treap, `O(log n)` block
-//!   splices with closed-form costs — the large-`n` workhorse;
+//! * [`SegmentArrangement`] — the **segment** backend: component
+//!   segments in a flat order index (positions are Fenwick prefix sums),
+//!   `O(log n)` lookups and whole-segment merges with closed-form costs —
+//!   the large-`n` workhorse;
 //! * inversion counting ([`count_inversions`], [`FenwickTree`]);
 //! * pair-set utilities mirroring the paper's `L_π` notation
 //!   ([`concordant_pairs`], [`internal_concordant_pairs`],
@@ -57,8 +58,8 @@ pub use error::PermutationError;
 
 /// The maximum node count either arrangement backend can address.
 ///
-/// Both backends store positions (and, for the segment backend, arena
-/// slot ids with `u32::MAX` reserved as the null sentinel) as `u32`, so
+/// Both backends store positions (and, for the segment backend, segment
+/// ids and ranks with `u32::MAX` reserved as a marker) as `u32`, so
 /// arrangements are limited to `u32::MAX` nodes. Constructors enforce the
 /// bound up front — [`Permutation::try_identity`] /
 /// [`SegmentArrangement::try_identity`] return

@@ -79,9 +79,9 @@ struct SegMeta {
 fn fenwick_over(lens: impl Iterator<Item = u32>) -> Vec<u32> {
     let mut tree: Vec<u32> = lens.collect();
     for i in 0..tree.len() {
-        let parent = i | (i + 1);
-        if parent < tree.len() {
-            tree[parent] += tree[i];
+        let covering = i | (i + 1);
+        if covering < tree.len() {
+            tree[covering] += tree[i];
         }
     }
     tree
@@ -743,8 +743,9 @@ impl SegmentArrangement {
         // least 13 bytes), so a short body fails before allocating.
         let n = r.count(crate::MAX_NODES.min(r.remaining() / 4), "arrangement node")?;
         if version < 3 {
-            // Formats 1 and 2 store the allocation counter that seeded the
-            // priorities of the treap this index replaced; nothing reads it.
+            // Formats 1 and 2 store an 8-byte counter here: the state of
+            // the random stream that balanced the search tree this index
+            // replaced. Nothing reads it.
             r.u64()?;
         }
         let seg_count = r.count(n.min(r.remaining() / 13), "segment")?;
@@ -828,10 +829,8 @@ impl SegmentArrangement {
     /// empties `gone`'s rank: two Fenwick point updates. The caller then
     /// folds `gone`'s nodes into the segment at `onto`'s rank.
     fn vacate(&mut self, gone: u32, onto: u32) {
-        let (from, len) = {
-            let meta = self.meta[gone as usize];
-            (meta.rank as usize, meta.len)
-        };
+        let SegMeta { rank, len, .. } = self.meta[gone as usize];
+        let from = rank as usize;
         let ranks = self.fenwick.len();
         let mut i = from;
         while i < ranks {

@@ -11,8 +11,8 @@
 //! - `session-v2.ckpt`: the same session in format 2, which drops the
 //!   triple. Frozen.
 //! - `session-v3.ckpt`: the same session in format 3, whose segment
-//!   arrangement drops the 8-byte priority counter of a since-replaced
-//!   treap.
+//!   arrangement drops an unread 8-byte counter that formats 1 and 2
+//!   stored after its node count.
 //! - `server-v1.ckpt`: a whole-server checkpoint in format 1, written
 //!   mid-stream by the format-1 daemon on `--shards 3`. Each tenant
 //!   carries a shard label (2 and 1 here), which format 2 drops. Frozen.
@@ -62,8 +62,8 @@ const FINAL_TOTAL_COST: u128 = 37;
 /// `(window: u64, full_seals: u32, collapse_streak: u32)`.
 const V1_TUNING_BYTES: usize = 16;
 
-/// Bytes formats 1 and 2 stored in every segment arrangement: the treap's
-/// priority counter.
+/// Bytes formats 1 and 2 stored in every segment arrangement: a counter
+/// of the search tree that format 3's order index replaced.
 const V2_COUNTER_BYTES: usize = 8;
 
 fn fixture_spec() -> SessionSpec {
@@ -252,7 +252,7 @@ fn server_v1_fixture_restores_and_resumes_bit_identically() {
 
     // The current checkpoint of the restored table drops one shard word
     // per tenant, the tuning triple of each nested session and the
-    // priority counter of the one segment arrangement (`cliques`).
+    // counter of the one segment arrangement (`cliques`).
     let current = restored.checkpoint_bytes();
     assert_eq!(checkpoint::open(&current).unwrap().0, checkpoint::VERSION);
     assert_eq!(

@@ -20,7 +20,7 @@
 //!   policy × backend type.
 //! * [`SessionSpec`] + [`encode_session`] / [`decode_session`] — the
 //!   versioned checkpoint codec. Everything that can influence future
-//!   serves is captured: arrangement (including segment-arena partition
+//!   serves is captured: arrangement (including the segment partition
 //!   and orientation flags), graph state (union-find arrays and
 //!   neighbor slots verbatim), RNG streams, per-policy algorithm state
 //!   and the outcome accumulator.
