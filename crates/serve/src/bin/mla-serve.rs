@@ -12,7 +12,9 @@
 //! are the only files the daemon reads or writes: no request names one.
 //! Every tenant serves its reveals on the sequential loop, one at a
 //! time. On TCP, connections are served one at a time — tenants persist
-//! across connections; a `shutdown` op ends the process.
+//! across connections; a `shutdown` op ends the process, unless its
+//! checkpoint write fails: then it answers `io` and the daemon keeps
+//! serving.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpListener;
