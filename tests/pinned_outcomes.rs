@@ -88,7 +88,7 @@ fn policies(name: &str) -> (MovePolicy, RearrangePolicy) {
 }
 
 /// Runs one row's configuration on the arrangement backend `A`.
-fn run_on<A: Arrangement + Clone>(
+fn run_on<A: Arrangement>(
     topology: Topology,
     shape: MergeShape,
     policy: &str,
