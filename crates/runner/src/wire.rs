@@ -13,9 +13,13 @@
 //! Readers are bounds-checked everywhere: oversized declarations,
 //! truncated payloads and malformed JSON all surface as structured
 //! [`WireError`]s, never panics or unbounded allocations.
+//!
+//! A frame that a reader already holds whole in its buffer is parsed
+//! where it lies; [`buffered_frame`] tells a server whether the next
+//! frame is there, so reading it cannot block.
 
 use std::fmt;
-use std::io::{BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use crate::json::{Json, JsonError};
 
@@ -26,7 +30,7 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// Longest accepted length header, newline included. The decimal length
 /// of any frame up to [`MAX_FRAME_LEN`] fits with room to spare, so a
 /// longer header is malformed and is rejected without being buffered.
-const MAX_HEADER_LEN: u64 = 32;
+const MAX_HEADER_LEN: usize = 32;
 
 /// A framing or payload failure on the wire.
 #[derive(Debug)]
@@ -68,28 +72,79 @@ impl From<JsonError> for WireError {
     }
 }
 
+/// Writes one frame without flushing, so a server can hold responses
+/// in a buffered writer; [`write_frame`] is this plus the flush.
+///
+/// # Errors
+///
+/// [`WireError::Io`] if the stream fails.
+pub fn put_frame(w: &mut impl Write, message: &Json) -> Result<(), WireError> {
+    let payload = message.render_compact();
+    write!(w, "{}\n{}\n", payload.len(), payload)?;
+    Ok(())
+}
+
 /// Writes one frame and flushes the stream.
 ///
 /// # Errors
 ///
 /// [`WireError::Io`] if the stream fails.
 pub fn write_frame(w: &mut impl Write, message: &Json) -> Result<(), WireError> {
-    let payload = message.render_compact();
-    write!(w, "{}\n{}\n", payload.len(), payload)?;
+    put_frame(w, message)?;
     w.flush()?;
     Ok(())
 }
 
+/// The frame at the start of `buf`, a reader's buffered bytes, when
+/// `buf` holds all of it: `Some((header_len, payload_len))`, the header's
+/// newline counted in `header_len`, so the frame spans
+/// `header_len + payload_len + 1` bytes. `None` while the frame runs
+/// past the end of `buf`, and for a header that is not plain decimal
+/// digits within the caps; [`read_frame`] judges those.
+#[must_use]
+pub fn buffered_frame(buf: &[u8]) -> Option<(usize, usize)> {
+    let newline = buf
+        .iter()
+        .take(MAX_HEADER_LEN)
+        .position(|&byte| byte == b'\n')?;
+    let digits = &buf[..newline];
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let len = digits.iter().try_fold(0usize, |len, &digit| {
+        len.checked_mul(10)?.checked_add(usize::from(digit - b'0'))
+    })?;
+    (len <= MAX_FRAME_LEN && buf.len() > newline + 1 + len).then_some((newline + 1, len))
+}
+
 /// Reads one frame; `Ok(None)` on a clean end of stream (EOF before any
 /// header byte).
+///
+/// A frame the reader holds whole in its buffer is parsed in place. One
+/// that straddles a refill, exceeds the buffer or is malformed is read
+/// by copying its header and payload out, which reports every error.
 ///
 /// # Errors
 ///
 /// [`WireError`] on malformed headers, truncated payloads, stream
 /// failures or invalid JSON.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
+    let buf = loop {
+        match r.fill_buf() {
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            filled => break filled?,
+        }
+    };
+    if let Some((header, len)) = buffered_frame(buf) {
+        let end = header + len;
+        if buf[end] == b'\n' {
+            let parsed = parse_payload(&buf[header..end]);
+            r.consume(end + 1);
+            return parsed.map(Some);
+        }
+    }
     let mut header = String::new();
-    if Read::take(&mut *r, MAX_HEADER_LEN).read_line(&mut header)? == 0 {
+    if Read::take(&mut *r, MAX_HEADER_LEN as u64).read_line(&mut header)? == 0 {
         return Ok(None);
     }
     if !header.ends_with('\n') {
@@ -124,19 +179,39 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
             "payload not terminated by a newline".to_owned(),
         ));
     }
-    let text = std::str::from_utf8(&payload[..len]).map_err(|_| {
+    Ok(Some(parse_payload(&payload[..len])?))
+}
+
+/// Parses a frame's payload bytes as one JSON document.
+fn parse_payload(payload: &[u8]) -> Result<Json, WireError> {
+    let text = std::str::from_utf8(payload).map_err(|_| {
         WireError::Json(JsonError {
             offset: 0,
             message: "payload is not UTF-8".to_owned(),
         })
     })?;
-    Ok(Some(Json::parse(text)?))
+    Ok(Json::parse(text)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::BufReader;
+
+    /// `bytes` behind readers of every shape: a slice, which holds each
+    /// frame whole and so takes the in-place path, and `BufReader`s so
+    /// small that frames straddle their refills (`Some(capacity)`).
+    fn readers(bytes: &[u8]) -> Vec<(Option<usize>, Box<dyn BufRead + '_>)> {
+        let mut readers: Vec<(Option<usize>, Box<dyn BufRead + '_>)> =
+            vec![(None, Box::new(bytes))];
+        for capacity in [1, 2, 7, 64] {
+            readers.push((
+                Some(capacity),
+                Box::new(BufReader::with_capacity(capacity, bytes)),
+            ));
+        }
+        readers
+    }
 
     #[test]
     fn frames_roundtrip() {
@@ -149,22 +224,28 @@ mod tests {
         for m in &messages {
             write_frame(&mut buf, m).unwrap();
         }
-        let mut r = Cursor::new(buf);
-        for m in &messages {
-            assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(m));
+        for (capacity, mut r) in readers(&buf) {
+            for m in &messages {
+                assert_eq!(
+                    read_frame(&mut r).unwrap().as_ref(),
+                    Some(m),
+                    "{capacity:?}"
+                );
+            }
+            assert!(read_frame(&mut r).unwrap().is_none(), "{capacity:?}");
         }
-        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     type ErrCheck = fn(&WireError) -> bool;
 
     #[test]
     fn malformed_frames_are_structured_errors() {
-        let cases: [(&[u8], ErrCheck); 7] = [
+        let cases: [(&[u8], ErrCheck); 8] = [
             (b"abc\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"10\n{}\n", |e| matches!(e, WireError::Truncated)),
             (b"2\n{]\n", |e| matches!(e, WireError::Json(_))),
+            (b"2\n\xff\xfe\n", |e| matches!(e, WireError::Json(_))),
             (b"999999999999999999\n", |e| {
                 matches!(e, WireError::BadHeader(_))
             }),
@@ -175,15 +256,58 @@ mod tests {
             (b"2", |e| matches!(e, WireError::BadHeader(_))),
         ];
         for (bytes, check) in cases {
-            let err = read_frame(&mut Cursor::new(bytes.to_vec())).unwrap_err();
-            assert!(check(&err), "{bytes:?} -> {err}");
+            for (capacity, mut r) in readers(bytes) {
+                let err = read_frame(&mut r).unwrap_err();
+                assert!(check(&err), "{bytes:?} via {capacity:?} -> {err}");
+            }
         }
     }
 
     #[test]
     fn missing_terminator_is_rejected() {
         // Correct length, but the byte after the payload is not '\n'.
-        let err = read_frame(&mut Cursor::new(b"2\n{}X".to_vec())).unwrap_err();
-        assert!(matches!(err, WireError::BadHeader(_)), "{err}");
+        for (capacity, mut r) in readers(b"2\n{}X") {
+            let err = read_frame(&mut r).unwrap_err();
+            assert!(
+                matches!(err, WireError::BadHeader(_)),
+                "{capacity:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_json_frame_leaves_the_next_frame_readable() {
+        let mut bytes = b"2\n{]\n".to_vec();
+        write_frame(&mut bytes, &Json::UInt(7)).unwrap();
+        for (capacity, mut r) in readers(&bytes) {
+            let err = read_frame(&mut r).unwrap_err();
+            assert!(matches!(err, WireError::Json(_)), "{capacity:?}: {err}");
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                Some(Json::UInt(7)),
+                "{capacity:?}"
+            );
+            assert!(read_frame(&mut r).unwrap().is_none(), "{capacity:?}");
+        }
+    }
+
+    #[test]
+    fn buffered_frame_needs_the_whole_frame() {
+        assert_eq!(buffered_frame(b"2\n{}\n"), Some((2, 2)));
+        assert_eq!(buffered_frame(b"02\n{}\n7\n"), Some((3, 2)));
+        assert_eq!(buffered_frame(b"0\n\n"), Some((2, 0)));
+        // Cut off inside the header, the payload or before the terminator.
+        for partial in [&b""[..], b"2", b"2\n", b"2\n{}"] {
+            assert_eq!(buffered_frame(partial), None, "{partial:?}");
+        }
+        // Headers that are not plain digits are left to `read_frame`.
+        for odd in [
+            &b"+2\n{}\n"[..],
+            b" 2\n{}\n",
+            b"\n{}\n",
+            b"99999999999999999999999\n",
+        ] {
+            assert_eq!(buffered_frame(odd), None, "{odd:?}");
+        }
     }
 }

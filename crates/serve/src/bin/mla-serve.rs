@@ -69,10 +69,8 @@ fn run() -> Result<(), String> {
     }
     match &args.tcp {
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut reader = stdin.lock();
-            let mut writer = BufWriter::new(stdout.lock());
+            let mut reader = BufReader::new(std::io::stdin().lock());
+            let mut writer = BufWriter::new(std::io::stdout().lock());
             serve_loop(&mut server, &mut reader, &mut writer).map_err(|err| err.to_string())?;
             writer.flush().map_err(|err| err.to_string())
         }

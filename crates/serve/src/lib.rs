@@ -15,6 +15,14 @@
 //! `"code"` plus a human-readable `"error"` and never tear down the
 //! server (panic-safety is lint-enforced on this crate).
 //!
+//! Responses go out in request order. [`serve_loop`] holds the response
+//! to a `reveal` frame while the next request is already in its input
+//! buffer, and writes out everything held once that buffer drains or a
+//! frame of another op arrives; every other response is flushed as soon
+//! as it is made. A pipelined stream of reveals thus costs one write per
+//! buffered batch, not one per reveal, and a client that waits for each
+//! response never waits on a held one.
+//!
 //! The `mla-serve` binary wraps [`serve_loop`] around stdin/stdout (the
 //! default) or a TCP listener, with `--restore`/`--checkpoint` flags for
 //! crash recovery. See `docs/ARCHITECTURE.md` § "Sessions and

@@ -13,7 +13,7 @@
 //! |--------------|------------------------------------------|--------|
 //! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target` optional) |
 //! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal |
-//! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time |
+//! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time; if one fails, the error also carries `applied` (this frame's reveals served before it, which stay served) and the totals |
 //! | `position`   | `tenant`, `node`                         | arrangement position mid-stream |
 //! | `cost`       | `tenant`                                 | exact cost totals so far |
 //! | `outcome`    | `tenant`                                 | totals plus the current permutation |
@@ -38,13 +38,13 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::codec::{put_len, ByteReader};
 use mla_permutation::{Node, Permutation};
-use mla_runner::{read_frame, write_frame, Json, WireError};
+use mla_runner::{buffered_frame, put_frame, read_frame, write_frame, Json, WireError};
 use mla_sim::checkpoint;
 use mla_sim::{
     decode_session, encode_session, open_session, BackendKind, CheckpointError, PolicyKind,
@@ -301,13 +301,20 @@ impl Server {
             };
             events.push(parse_event(a, b, n)?);
         }
-        let applied = session
-            .apply_events(&events)
-            .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
-        Ok(cost_fields(
-            ok_response().field("applied", applied),
-            session,
-        ))
+        let before = session.steps();
+        match session.apply_events(&events) {
+            Ok(applied) => Ok(cost_fields(
+                ok_response().field("applied", applied),
+                session,
+            )),
+            // The reveals before the failing one stay served; saying how
+            // many lets a pipelining client resynchronize without asking.
+            Err(err) => Err(cost_fields(
+                err_response(sim_code(&err), err.to_string())
+                    .field("applied", session.steps() - before),
+                session,
+            )),
+        }
     }
 
     fn op_position(&mut self, request: &Json) -> Result<Json, Json> {
@@ -554,6 +561,15 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
 /// loop — on a TCP daemon, end-of-stream means "peer disconnected, keep
 /// accepting" while shutdown means "exit the process".
 ///
+/// Responses go out in request order, and the loop writes them at
+/// drain boundaries. The response to a `reveal` frame stays in `writer`
+/// while another whole frame is already in `reader`'s buffer. Everything
+/// held is flushed before the loop would wait for input and before it
+/// serves any other frame, whose own response is flushed at once. A
+/// client that waits for each response before sending the next request
+/// therefore never waits on a held one, and a pipelining client gets one
+/// write per buffered batch of reveals instead of one per reveal.
+///
 /// Malformed JSON in a well-framed payload gets a `bad-json` error
 /// response and the loop continues (the frame boundary is intact). A
 /// broken frame header, truncation or an I/O failure desyncs the byte
@@ -563,27 +579,45 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
 /// # Errors
 ///
 /// [`WireError`] when the stream desyncs or the transport fails.
-pub fn serve_loop(
+pub fn serve_loop<R: Read>(
     server: &mut Server,
-    reader: &mut impl BufRead,
+    reader: &mut BufReader<R>,
     writer: &mut impl Write,
 ) -> Result<bool, WireError> {
+    // Whether `writer` holds `reveal` responses it has not flushed.
+    let mut held = false;
     loop {
-        match read_frame(reader) {
+        if held && buffered_frame(reader.buffer()).is_none() {
+            writer.flush()?;
+            held = false;
+        }
+        let request = match read_frame(reader) {
+            Ok(Some(request)) => request,
             Ok(None) => return Ok(false),
-            Ok(Some(request)) => match server.handle(&request) {
-                Reply::Continue(response) => write_frame(writer, &response)?,
-                Reply::Shutdown(response) => {
-                    write_frame(writer, &response)?;
-                    return Ok(true);
-                }
-            },
             Err(WireError::Json(err)) => {
                 write_frame(writer, &err_response("bad-json", err.to_string()))?;
+                held = false;
+                continue;
             }
             Err(err) => {
                 let _ = write_frame(writer, &err_response("wire", err.to_string()));
                 return Err(err);
+            }
+        };
+        let reveal = request.get("op").and_then(Json::as_str) == Some("reveal");
+        if held && !reveal {
+            writer.flush()?;
+            held = false;
+        }
+        match server.handle(&request) {
+            Reply::Continue(response) if reveal => {
+                put_frame(writer, &response)?;
+                held = true;
+            }
+            Reply::Continue(response) => write_frame(writer, &response)?,
+            Reply::Shutdown(response) => {
+                write_frame(writer, &response)?;
+                return Ok(true);
             }
         }
     }
@@ -592,6 +626,8 @@ pub fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn ok(response: &Json) -> bool {
         response.get("ok").and_then(Json::as_bool) == Some(true)
@@ -894,8 +930,12 @@ mod tests {
             }
         }
         let mut output = Vec::new();
-        let shut_down =
-            serve_loop(&mut server, &mut std::io::Cursor::new(input), &mut output).unwrap();
+        let shut_down = serve_loop(
+            &mut server,
+            &mut BufReader::new(input.as_slice()),
+            &mut output,
+        )
+        .unwrap();
         assert!(shut_down);
         let mut r = std::io::Cursor::new(output);
         let mut responses = Vec::new();
@@ -910,5 +950,184 @@ mod tests {
             responses[3].get("shutdown").and_then(Json::as_bool),
             Some(true)
         );
+    }
+
+    #[test]
+    fn a_failed_reveals_frame_says_what_it_served() {
+        let mut server = Server::new(1, 0);
+        let opened = continue_response(server.handle(&request(
+            "{\"op\":\"open\",\"tenant\":\"a\",\"topology\":\"lines\",\"n\":6,\"policy\":\"det\"}",
+        )));
+        assert!(ok(&opened), "{opened:?}");
+        // The fourth reveal would close the path 0-1-2-3 into a cycle.
+        let failed = continue_response(server.handle(&request(
+            "{\"op\":\"reveals\",\"tenant\":\"a\",\"events\":[[0,1],[2,3],[1,2],[0,3]]}",
+        )));
+        assert_eq!(code(&failed), "graph", "{failed:?}");
+        assert_eq!(failed.get("applied").and_then(Json::as_usize), Some(3));
+        let cost = continue_response(server.handle(&request("{\"op\":\"cost\",\"tenant\":\"a\"}")));
+        assert_eq!(cost.get("steps").and_then(Json::as_usize), Some(3));
+        for key in ["steps", "moving_cost", "rearranging_cost"] {
+            assert!(failed.get(key).is_some(), "{key} missing from {failed:?}");
+            assert_eq!(failed.get(key), cost.get(key), "{key}");
+        }
+        // A frame that fails before serving anything applied nothing.
+        let refused = continue_response(server.handle(&request(
+            "{\"op\":\"reveals\",\"tenant\":\"a\",\"events\":[[0,3],[4,5]]}",
+        )));
+        assert_eq!(code(&refused), "graph", "{refused:?}");
+        assert_eq!(refused.get("applied").and_then(Json::as_usize), Some(0));
+        assert_eq!(refused.get("steps").and_then(Json::as_usize), Some(3));
+    }
+
+    /// The serve loop's two ends, shared so that every read of its input
+    /// can check what it had sent by then. Output counts as sent once it
+    /// is flushed.
+    #[derive(Debug, Default)]
+    struct Pipe {
+        input: Vec<u8>,
+        /// End offset of each request frame in `input`.
+        frame_ends: Vec<usize>,
+        /// Bytes of `input` handed out so far.
+        delivered: usize,
+        /// Largest read to hand out.
+        chunk: usize,
+        /// Written output awaiting a flush.
+        pending: Vec<u8>,
+        /// Flushed output.
+        sent: Vec<u8>,
+        /// Response frames in `sent`.
+        answered: usize,
+        flushes: usize,
+    }
+
+    struct PipeIn(Rc<RefCell<Pipe>>);
+
+    impl Read for PipeIn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let mut pipe = self.0.borrow_mut();
+            let complete = pipe
+                .frame_ends
+                .iter()
+                .filter(|&&end| end <= pipe.delivered)
+                .count();
+            assert!(
+                pipe.answered >= complete,
+                "waiting for input with {complete} frames delivered but {} answered",
+                pipe.answered
+            );
+            let start = pipe.delivered;
+            let len = buf.len().min(pipe.chunk).min(pipe.input.len() - start);
+            buf[..len].copy_from_slice(&pipe.input[start..start + len]);
+            pipe.delivered += len;
+            Ok(len)
+        }
+    }
+
+    struct PipeOut(Rc<RefCell<Pipe>>);
+
+    impl Write for PipeOut {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().pending.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            let mut pipe = self.0.borrow_mut();
+            let pending = std::mem::take(&mut pipe.pending);
+            let mut frames = pending.as_slice();
+            while read_frame(&mut frames).unwrap().is_some() {
+                pipe.answered += 1;
+            }
+            pipe.sent.extend_from_slice(&pending);
+            pipe.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// Appends `text` as one frame, valid JSON or not.
+    fn put_text_frame(input: &mut Vec<u8>, text: &str) {
+        input.extend_from_slice(format!("{}\n{text}\n", text.len()).as_bytes());
+    }
+
+    #[test]
+    fn serve_loop_never_waits_for_input_while_holding_a_response() {
+        let mut texts = Vec::new();
+        for (name, topology) in [("a", "cliques"), ("b", "lines")] {
+            texts.push(format!(
+                "{{\"op\":\"open\",\"tenant\":\"{name}\",\"topology\":\"{topology}\",\
+                 \"n\":128,\"policy\":\"rand\",\"seed\":3}}"
+            ));
+        }
+        for i in 0..100 {
+            for name in ["a", "b"] {
+                texts.push(format!(
+                    "{{\"op\":\"reveal\",\"tenant\":\"{name}\",\"a\":{i},\"b\":{}}}",
+                    i + 1
+                ));
+            }
+            if i == 50 {
+                texts.push("{\"op\":\"cost\",\"tenant\":\"b\"}".to_owned());
+            }
+        }
+        texts.push("not json".to_owned());
+        texts.push("{\"op\":\"checkpoint\"}".to_owned());
+        // The expected bytes: each frame served on its own by a fresh
+        // server and written with `write_frame`. The restore frame
+        // carries the checkpoint this run answers.
+        let mut reference = Server::new(1, 0);
+        let mut want = Vec::new();
+        let mut input = Vec::new();
+        let mut frame_ends = Vec::new();
+        let mut index = 0;
+        while index < texts.len() {
+            let text = &texts[index];
+            put_text_frame(&mut input, text);
+            frame_ends.push(input.len());
+            let response = match Json::parse(text) {
+                Ok(message) => match reference.handle(&message) {
+                    Reply::Continue(response) | Reply::Shutdown(response) => response,
+                },
+                Err(err) => err_response("bad-json", err.to_string()),
+            };
+            if let Some(hex) = response.get("bytes").and_then(Json::as_str) {
+                texts.push(format!("{{\"op\":\"restore\",\"bytes\":\"{hex}\"}}"));
+                texts.push("{\"op\":\"cost\",\"tenant\":\"a\"}".to_owned());
+                texts.push("{\"op\":\"shutdown\"}".to_owned());
+            }
+            write_frame(&mut want, &response).unwrap();
+            index += 1;
+        }
+        assert_eq!(texts.len(), 208);
+        // The restore frame is larger than the reader's buffer.
+        assert!(texts[205].len() > 8192, "{}", texts[205].len());
+
+        for chunk in [1, 7, 64, usize::MAX] {
+            let pipe = Rc::new(RefCell::new(Pipe {
+                input: input.clone(),
+                frame_ends: frame_ends.clone(),
+                chunk,
+                ..Pipe::default()
+            }));
+            let mut server = Server::new(1, 0);
+            let mut reader = BufReader::new(PipeIn(Rc::clone(&pipe)));
+            let mut writer = PipeOut(Rc::clone(&pipe));
+            assert!(serve_loop(&mut server, &mut reader, &mut writer).unwrap());
+            let pipe = pipe.borrow();
+            assert!(
+                pipe.pending.is_empty(),
+                "chunk {chunk}: output left unflushed"
+            );
+            assert_eq!(pipe.answered, texts.len(), "chunk {chunk}");
+            assert!(pipe.sent == want, "chunk {chunk}: the output bytes differ");
+            if chunk == usize::MAX {
+                assert!(
+                    pipe.flushes * 8 < texts.len(),
+                    "{} flushes for {} frames",
+                    pipe.flushes,
+                    texts.len()
+                );
+            }
+        }
     }
 }
