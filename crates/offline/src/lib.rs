@@ -17,8 +17,6 @@
 //!   [`brute_force`] — pure LOP solvers over a [`BlockWeights`] matrix;
 //! * [`minla_exact`] — exact general MinLA (`O(2ⁿ·n)`, `n ≤ 20`), used to
 //!   validate the model's structural facts;
-//! * [`minla_anneal`] — simulated annealing for arbitrary guest graphs
-//!   (extension beyond the paper);
 //! * the [`oracle`] subsystem — **certifying polynomial-time oracles**
 //!   for the tractable guest classes: linear-time proper-interval MinLA
 //!   ([`interval_minla`]), polynomial series-parallel chain MinLA
@@ -57,7 +55,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod anneal;
 mod blocks;
 mod closest;
 mod config;
@@ -69,7 +66,6 @@ pub mod oracle;
 mod placement;
 mod weights;
 
-pub use anneal::{minla_anneal, AnnealConfig};
 pub use blocks::{free_order_block, hierarchical_block, oriented_block, BlockDescriptor};
 pub use closest::{closest_feasible, feasible_distance_lower_bound, state_blocks};
 pub use config::{LopConfig, LopStrategy};
