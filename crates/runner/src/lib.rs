@@ -54,4 +54,4 @@ pub use campaign::{resolve_threads, Campaign, RunSpec};
 pub use json::{format_number, Json, JsonError};
 pub use pool::run_indexed;
 pub use seed::SeedSequence;
-pub use wire::{buffered_frame, put_frame, read_frame, write_frame, WireError};
+pub use wire::{buffered_frame, fill_payload, put_frame, read_frame, write_frame, WireError};

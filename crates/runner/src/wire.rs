@@ -16,7 +16,8 @@
 //!
 //! A frame that a reader already holds whole in its buffer is parsed
 //! where it lies; [`buffered_frame`] tells a server whether the next
-//! frame is there, so reading it cannot block.
+//! frame is there, so reading it cannot block, and [`fill_payload`]
+//! hands out such a frame's payload bytes for a server to read itself.
 
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
@@ -39,7 +40,8 @@ pub enum WireError {
     /// The underlying stream failed.
     Io(std::io::Error),
     /// The length header was not a newline-terminated decimal integer
-    /// of at most 32 bytes, or exceeded [`MAX_FRAME_LEN`].
+    /// of at most 32 bytes (non-UTF-8 bytes included), or exceeded
+    /// [`MAX_FRAME_LEN`].
     BadHeader(String),
     /// The stream ended inside a declared payload.
     Truncated,
@@ -117,41 +119,62 @@ pub fn buffered_frame(buf: &[u8]) -> Option<(usize, usize)> {
     (len <= MAX_FRAME_LEN && buf.len() > newline + 1 + len).then_some((newline + 1, len))
 }
 
+/// Fills `r`'s buffer if it is empty, retrying interrupted reads, and
+/// returns the payload of the frame at its start when the buffer holds
+/// that whole frame and its terminating newline: `Some((payload,
+/// frame_len))`, where `frame_len` is what to [`BufRead::consume`] once
+/// the payload has been read. `None` when the frame runs past the
+/// buffer, its header is not one [`buffered_frame`] accepts, or its
+/// terminator is wrong; [`read_frame`] reads those and judges them.
+///
+/// # Errors
+///
+/// The stream's error if filling the buffer fails.
+pub fn fill_payload<R: BufRead + ?Sized>(r: &mut R) -> io::Result<Option<(&[u8], usize)>> {
+    loop {
+        match r.fill_buf() {
+            Ok([]) => return Ok(None),
+            Ok(_) => break,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    // The buffer is not empty, so this hands it out without reading.
+    let buf = r.fill_buf()?;
+    Ok(buffered_frame(buf).and_then(|(header, len)| {
+        let end = header + len;
+        (buf.get(end) == Some(&b'\n')).then(|| (&buf[header..end], end + 1))
+    }))
+}
+
 /// Reads one frame; `Ok(None)` on a clean end of stream (EOF before any
 /// header byte).
 ///
-/// A frame the reader holds whole in its buffer is parsed in place. One
-/// that straddles a refill, exceeds the buffer or is malformed is read
-/// by copying its header and payload out, which reports every error.
+/// A frame the reader holds whole in its buffer ([`fill_payload`]) is
+/// parsed in place. One that straddles a refill, exceeds the buffer or
+/// is malformed is read by copying its header and payload out, which
+/// reports every error.
 ///
 /// # Errors
 ///
 /// [`WireError`] on malformed headers, truncated payloads, stream
 /// failures or invalid JSON.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
-    let buf = loop {
-        match r.fill_buf() {
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            filled => break filled?,
-        }
-    };
-    if let Some((header, len)) = buffered_frame(buf) {
-        let end = header + len;
-        if buf[end] == b'\n' {
-            let parsed = parse_payload(&buf[header..end]);
-            r.consume(end + 1);
-            return parsed.map(Some);
-        }
+    if let Some((payload, frame_len)) = fill_payload(r)? {
+        let parsed = parse_payload(payload);
+        r.consume(frame_len);
+        return parsed.map(Some);
     }
-    let mut header = String::new();
-    if Read::take(&mut *r, MAX_HEADER_LEN as u64).read_line(&mut header)? == 0 {
+    let mut header = Vec::new();
+    if Read::take(&mut *r, MAX_HEADER_LEN as u64).read_until(b'\n', &mut header)? == 0 {
         return Ok(None);
     }
-    if !header.ends_with('\n') {
+    if header.last() != Some(&b'\n') {
         return Err(WireError::BadHeader(format!(
             "length header unterminated within {MAX_HEADER_LEN} bytes"
         )));
     }
+    let header = String::from_utf8_lossy(&header);
     let trimmed = header.trim();
     if trimmed.is_empty() {
         return Err(WireError::BadHeader("empty length header".to_owned()));
@@ -240,9 +263,12 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_structured_errors() {
-        let cases: [(&[u8], ErrCheck); 8] = [
+        let cases: [(&[u8], ErrCheck); 10] = [
             (b"abc\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"\n", |e| matches!(e, WireError::BadHeader(_))),
+            // Header bytes that are not UTF-8.
+            (b"\xff\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
+            (b"2\xff\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"10\n{}\n", |e| matches!(e, WireError::Truncated)),
             (b"2\n{]\n", |e| matches!(e, WireError::Json(_))),
             (b"2\n\xff\xfe\n", |e| matches!(e, WireError::Json(_))),

@@ -23,6 +23,13 @@
 //! buffered batch, not one per reveal, and a client that waits for each
 //! response never waits on a held one.
 //!
+//! A `reveal` request written compactly (the members `op`, `tenant`, `a`
+//! and `b` only, no whitespace, no escapes, plain decimal numbers) skips
+//! the `Json` tree: [`serve_loop`] reads its four fields where they lie
+//! in the input buffer and writes the cost response straight into the
+//! output. The response bytes are the ones [`Server::handle`] gives; any
+//! other frame takes that general path.
+//!
 //! The `mla-serve` binary wraps [`serve_loop`] around stdin/stdout (the
 //! default) or a TCP listener, with `--restore`/`--checkpoint` flags for
 //! crash recovery. See `docs/ARCHITECTURE.md` § "Sessions and

@@ -12,7 +12,7 @@
 //! | op           | required fields                          | effect |
 //! |--------------|------------------------------------------|--------|
 //! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target` optional) |
-//! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal |
+//! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal; a compact frame is read without a `Json` tree (see [`serve_loop`]) and answered with the same bytes |
 //! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time; if one fails, the error also carries `applied` (this frame's reveals served before it, which stay served) and the totals |
 //! | `position`   | `tenant`, `node`                         | arrangement position mid-stream |
 //! | `cost`       | `tenant`                                 | exact cost totals so far |
@@ -38,13 +38,15 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::codec::{put_len, ByteReader};
 use mla_permutation::{Node, Permutation};
-use mla_runner::{buffered_frame, put_frame, read_frame, write_frame, Json, WireError};
+use mla_runner::{
+    buffered_frame, fill_payload, put_frame, read_frame, write_frame, Json, WireError,
+};
 use mla_sim::checkpoint;
 use mla_sim::{
     decode_session, encode_session, open_session, BackendKind, CheckpointError, PolicyKind,
@@ -240,7 +242,10 @@ impl Server {
     }
 
     fn session_mut(&mut self, request: &Json) -> Result<&mut dyn TenantSession, Json> {
-        let name = want_str(request, "tenant")?;
+        self.tenant_mut(want_str(request, "tenant")?)
+    }
+
+    fn tenant_mut(&mut self, name: &str) -> Result<&mut dyn TenantSession, Json> {
         match self.tenants.get_mut(name) {
             Some(session) => Ok(session.as_mut()),
             None => Err(err_response(
@@ -271,12 +276,41 @@ impl Server {
     fn op_reveal(&mut self, request: &Json) -> Result<Json, Json> {
         let a = want_usize(request, "a")?;
         let b = want_usize(request, "b")?;
-        let session = self.session_mut(request)?;
+        let session = self.apply_reveal(want_str(request, "tenant")?, a, b)?;
+        Ok(cost_fields(ok_response(), session))
+    }
+
+    /// The `reveal` op once its fields are read: serves the reveal
+    /// `(a, b)` on tenant `name` and returns the session.
+    fn apply_reveal(
+        &mut self,
+        name: &str,
+        a: usize,
+        b: usize,
+    ) -> Result<&mut dyn TenantSession, Json> {
+        let session = self.tenant_mut(name)?;
         let event = parse_event(a, b, session.spec().n)?;
         session
             .apply_events(&[event])
             .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
-        Ok(cost_fields(ok_response(), session))
+        Ok(session)
+    }
+
+    /// Serves a `reveal` request read without a `Json` tree and writes
+    /// its response frame to `writer` without flushing. The bytes are
+    /// those [`Server::handle`] and [`put_frame`] give for the same
+    /// request; a successful response is rendered straight into `writer`.
+    fn reveal(
+        &mut self,
+        name: &str,
+        a: usize,
+        b: usize,
+        writer: &mut impl Write,
+    ) -> Result<(), WireError> {
+        match self.apply_reveal(name, a, b) {
+            Ok(session) => Ok(put_cost_frame(writer, session)?),
+            Err(response) => put_frame(writer, &response),
+        }
     }
 
     fn op_reveals(&mut self, request: &Json) -> Result<Json, Json> {
@@ -448,6 +482,32 @@ fn cost_fields(response: Json, session: &dyn TenantSession) -> Json {
         .field("rearranging_cost", session.rearranging_cost())
 }
 
+/// The payload of [`put_cost_frame`] without its three numbers.
+const COST_FRAME_BYTES: usize = r#"{"ok":true,"steps":,"moving_cost":,"rearranging_cost":}"#.len();
+
+/// Writes the frame `put_frame(writer, &cost_fields(ok_response(),
+/// session))` writes, without building the `Json` object or rendering
+/// it into a `String` first.
+fn put_cost_frame(writer: &mut impl Write, session: &dyn TenantSession) -> io::Result<()> {
+    let steps = session.steps();
+    let moving = session.moving_cost();
+    let rearranging = session.rearranging_cost();
+    let len = COST_FRAME_BYTES
+        + decimal_len(steps as u128)
+        + decimal_len(moving)
+        + decimal_len(rearranging);
+    write!(
+        writer,
+        "{len}\n{{\"ok\":true,\"steps\":{steps},\"moving_cost\":{moving},\
+         \"rearranging_cost\":{rearranging}}}\n"
+    )
+}
+
+/// The number of decimal digits of `x`.
+fn decimal_len(x: u128) -> usize {
+    x.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
 /// A bounds-checked reveal event (the check keeps [`Node::new`]'s
 /// capacity panic unreachable from wire input).
 fn parse_event(a: usize, b: usize, n: usize) -> Result<RevealEvent, Json> {
@@ -556,6 +616,104 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
     Ok(spec)
 }
 
+/// A `reveal` request in the one shape [`serve_loop`] reads in place.
+#[derive(Debug, PartialEq, Eq)]
+struct CompactReveal<'a> {
+    tenant: &'a str,
+    a: usize,
+    b: usize,
+}
+
+/// Reads `payload` as a compact `reveal` request: an object with exactly
+/// the members `op` (`"reveal"`), `tenant` (a string with no escape or
+/// control byte), `a` and `b` (plain decimal digits with no sign,
+/// fraction, exponent or leading zero that fit `usize`), each once and in
+/// any order, with no whitespace anywhere. `None` for every other
+/// payload, which [`read_frame`] and [`Server::handle`] then serve.
+///
+/// A payload this accepts means to `Json::parse` exactly what it says
+/// here: the keys and values carry no escapes, and the rest of the
+/// payload is ASCII, so it is UTF-8 iff the tenant name is.
+fn compact_reveal(payload: &[u8]) -> Option<CompactReveal<'_>> {
+    let mut rest = payload.strip_prefix(b"{")?;
+    let (mut op, mut tenant, mut a, mut b) = (false, None, None, None);
+    loop {
+        let key = quoted(&mut rest)?;
+        rest = rest.strip_prefix(b":")?;
+        match key {
+            b"op" if !op => {
+                rest = rest.strip_prefix(b"\"reveal\"")?;
+                op = true;
+            }
+            b"tenant" if tenant.is_none() => {
+                let name = quoted(&mut rest)?;
+                if name.iter().any(|&byte| byte == b'\\' || byte < 0x20) {
+                    return None;
+                }
+                tenant = Some(std::str::from_utf8(name).ok()?);
+            }
+            b"a" if a.is_none() => a = Some(plain_usize(&mut rest)?),
+            b"b" if b.is_none() => b = Some(plain_usize(&mut rest)?),
+            _ => return None,
+        }
+        match rest {
+            [b',', more @ ..] => rest = more,
+            [b'}'] => break,
+            _ => return None,
+        }
+    }
+    if !op {
+        return None;
+    }
+    Some(CompactReveal {
+        tenant: tenant?,
+        a: a?,
+        b: b?,
+    })
+}
+
+/// Takes the string at the start of `rest`: the bytes between its quote
+/// and the next one, escapes left as they are.
+fn quoted<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let body = rest.strip_prefix(b"\"")?;
+    let close = body.iter().position(|&byte| byte == b'"')?;
+    *rest = &body[close + 1..];
+    Some(&body[..close])
+}
+
+/// Takes the plain decimal `usize` at the start of `rest`: at least one
+/// digit, and no leading zero.
+fn plain_usize(rest: &mut &[u8]) -> Option<usize> {
+    let digits = rest.iter().take_while(|byte| byte.is_ascii_digit()).count();
+    let (number, after) = rest.split_at(digits);
+    if matches!(number, [] | [b'0', _, ..]) {
+        return None;
+    }
+    let value = number.iter().try_fold(0usize, |value, &digit| {
+        value
+            .checked_mul(10)?
+            .checked_add(usize::from(digit - b'0'))
+    })?;
+    *rest = after;
+    Some(value)
+}
+
+/// The compact `reveal` frame at the start of `reader`'s buffer, if
+/// there is one, and the length of its frame. The buffer is filled first
+/// if it is empty, so a frame that arrives on its own, as every frame of
+/// a client that waits for each response does, is found too.
+fn buffered_reveal<R: BufRead>(reader: &mut R) -> io::Result<Option<(CompactReveal<'_>, usize)>> {
+    Ok(fill_payload(reader)?
+        .and_then(|(payload, frame_len)| Some((compact_reveal(payload)?, frame_len))))
+}
+
+/// Sends the best-effort `wire` error response to a failure that ends
+/// [`serve_loop`], and returns the failure.
+fn wire_failure(writer: &mut impl Write, err: WireError) -> WireError {
+    let _ = write_frame(writer, &err_response("wire", err.to_string()));
+    err
+}
+
 /// Serves frames from `reader` until end of stream, a `shutdown` op, or
 /// a wire-level failure. Returns `true` iff a `shutdown` op stopped the
 /// loop — on a TCP daemon, end-of-stream means "peer disconnected, keep
@@ -569,6 +727,18 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
 /// client that waits for each response before sending the next request
 /// therefore never waits on a held one, and a pipelining client gets one
 /// write per buffered batch of reveals instead of one per reveal.
+///
+/// A `reveal` frame with a compact payload that `reader`'s buffer holds
+/// whole, once filled, is served without a `Json` tree. Compact means
+/// exactly the members `op`, `tenant`, `a` and `b`, each once and in any
+/// order, with no whitespace, no escape or control byte in the tenant
+/// name, and `a` and `b` as plain decimal digits (no sign, fraction,
+/// exponent or leading zero) that fit `usize`. The loop reads the four
+/// fields where they lie and renders a successful response straight into
+/// `writer`. Every response byte, an error's included, is what the `Json`
+/// path answers. Every other frame (other ops, `reveals`, any other
+/// spelling of a `reveal`, a frame that straddles a refill) goes through
+/// [`read_frame`] and [`Server::handle`].
 ///
 /// Malformed JSON in a well-framed payload gets a `bad-json` error
 /// response and the loop continues (the frame boundary is intact). A
@@ -591,6 +761,19 @@ pub fn serve_loop<R: Read>(
             writer.flush()?;
             held = false;
         }
+        let compact = match buffered_reveal(reader) {
+            Ok(compact) => compact,
+            Err(err) => return Err(wire_failure(writer, err.into())),
+        };
+        if let Some((reveal, frame_len)) = compact {
+            server.reveal(reveal.tenant, reveal.a, reveal.b, writer)?;
+            reader.consume(frame_len);
+            held = true;
+            continue;
+        }
+        if reader.buffer().is_empty() {
+            return Ok(false);
+        }
         let request = match read_frame(reader) {
             Ok(Some(request)) => request,
             Ok(None) => return Ok(false),
@@ -599,10 +782,7 @@ pub fn serve_loop<R: Read>(
                 held = false;
                 continue;
             }
-            Err(err) => {
-                let _ = write_frame(writer, &err_response("wire", err.to_string()));
-                return Err(err);
-            }
+            Err(err) => return Err(wire_failure(writer, err)),
         };
         let reveal = request.get("op").and_then(Json::as_str) == Some("reveal");
         if held && !reveal {
@@ -626,6 +806,9 @@ pub fn serve_loop<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -992,6 +1175,9 @@ mod tests {
         delivered: usize,
         /// Largest read to hand out.
         chunk: usize,
+        /// Whether a read also stops at the end of a frame, as the reads
+        /// of a client that waits for each response do.
+        frame_per_read: bool,
         /// Written output awaiting a flush.
         pending: Vec<u8>,
         /// Flushed output.
@@ -1017,7 +1203,16 @@ mod tests {
                 pipe.answered
             );
             let start = pipe.delivered;
-            let len = buf.len().min(pipe.chunk).min(pipe.input.len() - start);
+            let mut end = pipe.input.len();
+            if pipe.frame_per_read {
+                end = pipe
+                    .frame_ends
+                    .iter()
+                    .copied()
+                    .find(|&e| e > start)
+                    .unwrap_or(end);
+            }
+            let len = buf.len().min(pipe.chunk).min(end - start);
             buf[..len].copy_from_slice(&pipe.input[start..start + len]);
             pipe.delivered += len;
             Ok(len)
@@ -1127,6 +1322,409 @@ mod tests {
                     pipe.flushes,
                     texts.len()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn compact_reveal_reads_only_the_plain_shape() {
+        let want = |tenant, a, b| Some(CompactReveal { tenant, a, b });
+        let cases: [(&[u8], Option<CompactReveal<'_>>); 27] = [
+            (
+                br#"{"op":"reveal","tenant":"t0","a":0,"b":12}"#,
+                want("t0", 0, 12),
+            ),
+            (
+                br#"{"b":3,"a":2,"tenant":"t0","op":"reveal"}"#,
+                want("t0", 2, 3),
+            ),
+            (
+                "{\"tenant\":\"été\",\"a\":7,\"op\":\"reveal\",\"b\":1}".as_bytes(),
+                want("été", 7, 1),
+            ),
+            (
+                br#"{"op":"reveal","tenant":"","a":0,"b":0}"#,
+                want("", 0, 0),
+            ),
+            (
+                br#"{"op":"reveal","tenant":"x","a":18446744073709551615,"b":1}"#,
+                want("x", usize::MAX, 1),
+            ),
+            // Whitespace, escapes, other members and other numbers.
+            (br#"{"op": "reveal","tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":0,"b":1} "#, None),
+            (br#" {"op":"reveal","tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t\u0030","a":0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t\"0","a":0,"b":1}"#, None),
+            (
+                b"{\"op\":\"reveal\",\"tenant\":\"t\x01\",\"a\":0,\"b\":1}",
+                None,
+            ),
+            (
+                b"{\"op\":\"reveal\",\"tenant\":\"\xff\",\"a\":0,\"b\":1}",
+                None,
+            ),
+            (br#"{"\u006fp":"reveal","tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":0,"b":1,"c":2}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":0,"a":2,"b":1}"#, None),
+            (
+                br#"{"op":"reveal","op":"reveal","tenant":"t0","a":0,"b":1}"#,
+                None,
+            ),
+            (
+                br#"{"op":"reveal","tenant":"t0","tenant":"t1","a":0,"b":1}"#,
+                None,
+            ),
+            (br#"{"op":"reveal","tenant":"t0","a":0}"#, None),
+            (br#"{"tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"reveals","tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"Reveal","tenant":"t0","a":0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":01,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":-0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":1.0,"b":1}"#, None),
+            (br#"{"op":"reveal","tenant":"t0","a":1e2,"b":1}"#, None),
+            (
+                br#"{"op":"reveal","tenant":"t0","a":18446744073709551616,"b":1}"#,
+                None,
+            ),
+            (br#"{"op":"reveal","tenant":"t0","a":"0","b":1}"#, None),
+        ];
+        for (payload, want) in cases {
+            assert_eq!(
+                compact_reveal(payload),
+                want,
+                "{}",
+                String::from_utf8_lossy(payload)
+            );
+        }
+    }
+
+    /// Hands out one whole frame per read, the way the requests of a
+    /// client that waits for each response arrive.
+    struct FramePerRead(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for FramePerRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(frame) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            buf[..frame.len()].copy_from_slice(&frame);
+            Ok(frame.len())
+        }
+    }
+
+    #[test]
+    fn a_reveal_that_arrives_on_its_own_takes_the_compact_path() {
+        let frames = [
+            r#"{"op":"reveal","tenant":"t0","a":0,"b":1}"#,
+            r#"{"op":"cost","tenant":"t0"}"#,
+            r#"{"op":"reveal","tenant":"t0","a":2,"b":3}"#,
+        ]
+        .map(|text| {
+            let mut frame = Vec::new();
+            put_text_frame(&mut frame, text);
+            frame
+        });
+        let mut reader = BufReader::new(FramePerRead(frames.to_vec().into()));
+        // Each frame lands in an empty buffer: the decision must come
+        // after the fill, or no such frame ever takes the compact path.
+        assert!(reader.buffer().is_empty());
+        let (reveal, len) = buffered_reveal(&mut reader).unwrap().unwrap();
+        assert_eq!((reveal.tenant, reveal.a, reveal.b), ("t0", 0, 1));
+        assert_eq!(len, frames[0].len());
+        reader.consume(len);
+        assert!(reader.buffer().is_empty());
+        assert!(buffered_reveal(&mut reader).unwrap().is_none());
+        assert_eq!(reader.buffer(), frames[1].as_slice());
+        assert!(read_frame(&mut reader).unwrap().is_some());
+        let (reveal, _) = buffered_reveal(&mut reader).unwrap().unwrap();
+        assert_eq!((reveal.a, reveal.b), (2, 3));
+    }
+
+    /// The tenants of the decoder test: name, topology, n.
+    const DECODER_TENANTS: [(&str, &str, usize); 3] = [
+        ("t0", "cliques", 40),
+        ("t1", "lines", 40),
+        ("été", "cliques", 16),
+    ];
+
+    /// Numbers that are not plain decimal digits, or do not fit `usize`.
+    const ODD_NUMBERS: [&str; 12] = [
+        "01",
+        "00",
+        "-0",
+        "-1",
+        "1.0",
+        "0.5",
+        "1e2",
+        "1E0",
+        "18446744073709551616",
+        "18446744073709551615",
+        "\"3\"",
+        "null",
+    ];
+
+    /// The 24 orders of the four members of a `reveal` request.
+    fn member_orders() -> Vec<[usize; 4]> {
+        (0..256)
+            .map(|code| [code % 4, code / 4 % 4, code / 16 % 4, code / 64])
+            .filter(|order| (0..4).all(|member| order.contains(&member)))
+            .collect()
+    }
+
+    /// The value of member `key`.
+    fn member<'m>(members: &'m mut [(String, String)], key: &str) -> &'m mut String {
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// A `reveal` payload drawn at random: the four members in the given
+    /// order (an index into [`member_orders`]) or a random one, then at
+    /// most one change that takes it off the compact shape or probes its
+    /// edges.
+    fn reveal_payload(rng: &mut SmallRng, order: Option<usize>) -> Vec<u8> {
+        let &(name, _, n) = DECODER_TENANTS.choose(rng).unwrap();
+        // Now and then one past the end, to draw the bounds check.
+        let number = |rng: &mut SmallRng| rng.gen_range(0..n + 1).to_string();
+        let members: Vec<(String, String)> = vec![
+            ("op".into(), "\"reveal\"".into()),
+            ("tenant".into(), format!("\"{name}\"")),
+            ("a".into(), number(rng)),
+            ("b".into(), number(rng)),
+        ];
+        let orders = member_orders();
+        let order = orders[order.unwrap_or_else(|| rng.gen_range(0..orders.len()))];
+        let mut members: Vec<_> = order.iter().map(|&i| members[i].clone()).collect();
+        let pick = rng.gen_range(0..members.len());
+        let mut raw_tenant: Option<&[u8]> = None;
+        match rng.gen_range(0..20) {
+            // A duplicated member, mostly with another value.
+            0 | 1 => {
+                let (key, value) = members[pick].clone();
+                let other = match key.as_str() {
+                    "op" => ["\"reveal\"", "\"cost\""].choose(rng).unwrap().to_string(),
+                    "tenant" => ["\"t0\"", "\"t1\"", "\"ghost\""]
+                        .choose(rng)
+                        .unwrap()
+                        .to_string(),
+                    _ if rng.gen_bool(0.2) => value,
+                    _ => number(rng),
+                };
+                members.insert(rng.gen_range(0..=members.len()), (key, other));
+            }
+            2 => {
+                members.remove(pick);
+            }
+            3 => {
+                let (key, value) = [
+                    ("seq", "7"),
+                    ("x", "null"),
+                    ("events", "[[0,1]]"),
+                    ("A", "1"),
+                ]
+                .choose(rng)
+                .unwrap();
+                members.insert(
+                    rng.gen_range(0..=members.len()),
+                    (key.to_string(), value.to_string()),
+                );
+            }
+            4 | 5 => {
+                let key = ["a", "b"].choose(rng).unwrap();
+                *member(&mut members, key) = ODD_NUMBERS.choose(rng).unwrap().to_string();
+            }
+            6 => {
+                *member(&mut members, "tenant") = match name {
+                    "été" => "\"\\u00e9t\\u00e9\"",
+                    "t0" => "\"\\u00740\"",
+                    _ => "\"t\\u0031\"",
+                }
+                .into();
+            }
+            7 => {
+                let other = ["\"ghost\"", "\"\"", "\"t\\\"0\"", "\"gh\u{200b}ost\""];
+                *member(&mut members, "tenant") = other.choose(rng).unwrap().to_string();
+            }
+            8 => {
+                let op = [
+                    "\"reveals\"",
+                    "\"Reveal\"",
+                    "\"reveal \"",
+                    "\"\\u0072eveal\"",
+                ];
+                *member(&mut members, "op") = op.choose(rng).unwrap().to_string();
+            }
+            // A key spelled with an escape.
+            9 => {
+                let key = &mut members[pick].0;
+                *key = format!("\\u{:04x}{}", key.as_bytes()[0], &key[1..]);
+            }
+            // Bytes that are not UTF-8, or a raw control byte, in the name.
+            10 => {
+                let bytes: [&[u8]; 4] = [b"\xff", b"t\xc3", b"\xed\xa0\x80", b"t\x01"];
+                raw_tenant = Some(bytes.choose(rng).unwrap());
+            }
+            _ => {}
+        }
+        let mut payload = b"{".to_vec();
+        for (index, (key, value)) in members.iter().enumerate() {
+            if index > 0 {
+                payload.push(b',');
+            }
+            payload.extend_from_slice(format!("\"{key}\":").as_bytes());
+            match raw_tenant {
+                Some(raw) if key == "tenant" => {
+                    payload.push(b'"');
+                    payload.extend_from_slice(raw);
+                    payload.push(b'"');
+                }
+                _ => payload.extend_from_slice(value.as_bytes()),
+            }
+        }
+        payload.push(b'}');
+        if rng.gen_range(0..20) == 0 {
+            // Whitespace at a random place between tokens.
+            let places: Vec<usize> = payload
+                .iter()
+                .enumerate()
+                .filter(|(_, &byte)| matches!(byte, b'{' | b',' | b':'))
+                .map(|(at, _)| at + 1)
+                .chain([0, payload.len() - 1, payload.len()])
+                .collect();
+            let at = *places.choose(rng).unwrap();
+            payload.insert(at, *[b' ', b'\n', b'\t', b'\r'].choose(rng).unwrap());
+        }
+        payload
+    }
+
+    /// A request of another op, or a frame that is not a request.
+    fn other_payload(rng: &mut SmallRng) -> Vec<u8> {
+        let &(name, _, n) = DECODER_TENANTS.choose(rng).unwrap();
+        let text = match rng.gen_range(0..8) {
+            0 => format!("{{\"op\":\"cost\",\"tenant\":\"{name}\"}}"),
+            1 => format!(
+                "{{\"op\":\"position\",\"tenant\":\"{name}\",\"node\":{}}}",
+                rng.gen_range(0..n)
+            ),
+            2 => format!("{{\"op\":\"outcome\",\"tenant\":\"{name}\"}}"),
+            3 => "{\"op\":\"tenants\"}".to_owned(),
+            4 | 5 => format!(
+                "{{\"op\":\"reveals\",\"tenant\":\"{name}\",\"events\":[[{},{}],[{},{}]]}}",
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n)
+            ),
+            6 => "{\"op\":\"reveal\"".to_owned(),
+            _ => "not json".to_owned(),
+        };
+        text.into_bytes()
+    }
+
+    #[test]
+    fn compact_and_json_decoders_agree_byte_for_byte() {
+        for seed in 0..4 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut payloads: Vec<Vec<u8>> = DECODER_TENANTS
+                .iter()
+                .map(|(name, topology, n)| {
+                    format!(
+                        "{{\"op\":\"open\",\"tenant\":\"{name}\",\"topology\":\"{topology}\",\
+                         \"n\":{n},\"policy\":\"rand\",\"seed\":{seed}}}"
+                    )
+                    .into_bytes()
+                })
+                .collect();
+            for index in 0..400 {
+                payloads.push(if index < 24 {
+                    reveal_payload(&mut rng, Some(index))
+                } else if rng.gen_range(0..4) == 0 {
+                    other_payload(&mut rng)
+                } else {
+                    reveal_payload(&mut rng, None)
+                });
+            }
+            payloads.push(b"{\"op\":\"shutdown\"}".to_vec());
+            let compact = payloads
+                .iter()
+                .filter(|p| compact_reveal(p).is_some())
+                .count();
+            assert!(compact > 100, "seed {seed}: only {compact} compact reveals");
+
+            // The reference: each frame read, handled and written on its
+            // own, by a twin server.
+            let mut twin = Server::new(1, 0);
+            let (mut input, mut frame_ends, mut want) = (Vec::new(), Vec::new(), Vec::new());
+            let mut codes = std::collections::BTreeSet::new();
+            for payload in &payloads {
+                let start = input.len();
+                input.extend_from_slice(format!("{}\n", payload.len()).as_bytes());
+                input.extend_from_slice(payload);
+                input.push(b'\n');
+                frame_ends.push(input.len());
+                let response = match read_frame(&mut &input[start..]) {
+                    Ok(Some(request)) => match twin.handle(&request) {
+                        Reply::Continue(response) | Reply::Shutdown(response) => response,
+                    },
+                    Err(WireError::Json(err)) => err_response("bad-json", err.to_string()),
+                    other => panic!("{other:?}"),
+                };
+                codes.insert(code(&response).to_owned());
+                write_frame(&mut want, &response).unwrap();
+            }
+            for drawn in [
+                "bad-json",
+                "bad-request",
+                "unknown-op",
+                "unknown-tenant",
+                "graph",
+            ] {
+                assert!(codes.contains(drawn), "seed {seed} drew no {drawn:?} error");
+            }
+
+            for (chunk, frame_per_read) in [
+                (1, false),
+                (7, false),
+                (usize::MAX, false),
+                (usize::MAX, true),
+            ] {
+                let pipe = Rc::new(RefCell::new(Pipe {
+                    input: input.clone(),
+                    frame_ends: frame_ends.clone(),
+                    chunk,
+                    frame_per_read,
+                    ..Pipe::default()
+                }));
+                let mut server = Server::new(1, 0);
+                let mut reader = BufReader::new(PipeIn(Rc::clone(&pipe)));
+                let mut writer = PipeOut(Rc::clone(&pipe));
+                assert!(serve_loop(&mut server, &mut reader, &mut writer).unwrap());
+                let pipe = pipe.borrow();
+                let what = format!("seed {seed}, chunk {chunk}, frame per read {frame_per_read}");
+                assert_eq!(pipe.answered, payloads.len(), "{what}");
+                if pipe.sent != want {
+                    let mut got = pipe.sent.as_slice();
+                    let mut expected = want.as_slice();
+                    for payload in &payloads {
+                        let (got, expected) = (read_frame(&mut got), read_frame(&mut expected));
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{expected:?}"),
+                            "{what}: the answers to {} differ",
+                            String::from_utf8_lossy(payload)
+                        );
+                    }
+                    panic!("{what}: the output bytes differ");
+                }
+                for (name, _, _) in DECODER_TENANTS {
+                    let outcome = request(&format!("{{\"op\":\"outcome\",\"tenant\":\"{name}\"}}"));
+                    let got = continue_response(server.handle(&outcome));
+                    assert!(ok(&got), "{what}: {got:?}");
+                    assert_eq!(
+                        got,
+                        continue_response(twin.handle(&outcome)),
+                        "{what}: {name}"
+                    );
+                }
             }
         }
     }

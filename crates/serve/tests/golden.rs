@@ -16,18 +16,26 @@
 //! - `server-v1.ckpt`: a whole-server checkpoint in format 1, written
 //!   mid-stream by the format-1 daemon on `--shards 3`. Each tenant
 //!   carries a shard label (2 and 1 here), which format 2 drops. Frozen.
+//! - `wire.requests` and `wire.responses`: a short request stream and
+//!   the exact bytes the daemon answered it with, so the wire protocol's
+//!   bytes are pinned against the implementation that wrote them, not
+//!   only against today's `Json` path.
 //!
 //! Regenerate `session-v3.ckpt` (after an intentional, versioned format
-//! change) with:
+//! change) or the wire transcript (after an intentional change of the
+//! wire bytes, never to make a failing comparison pass) with:
 //!
 //! ```text
-//! cargo test -p mla-serve --test golden -- --ignored
+//! cargo test -p mla-serve --test golden -- --ignored regenerate_golden_fixture
+//! cargo test -p mla-serve --test golden -- --ignored regenerate_wire_transcript
 //! ```
+
+use std::io::BufReader;
 
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::Node;
 use mla_runner::Json;
-use mla_serve::{Reply, Server};
+use mla_serve::{serve_loop, Reply, Server};
 use mla_sim::checkpoint;
 use mla_sim::{decode_session, encode_session, open_session, BackendKind, PolicyKind, SessionSpec};
 
@@ -86,8 +94,8 @@ fn events(range: std::ops::Range<usize>) -> Vec<RevealEvent> {
 fn read_fixture(name: &str) -> Vec<u8> {
     std::fs::read(format!("{GOLDEN}/{name}")).unwrap_or_else(|err| {
         panic!(
-            "missing fixture {name} ({err}); session-v3.ckpt is written by \
-             `cargo test -p mla-serve --test golden -- --ignored`"
+            "missing fixture {name} ({err}); session-v3.ckpt and the wire \
+             transcript are written by this file's `--ignored` regenerate tests"
         )
     })
 }
@@ -293,7 +301,6 @@ fn every_committed_fixture_is_checked_here() {
     let mut names: Vec<String> = std::fs::read_dir(GOLDEN)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".ckpt"))
         .collect();
     names.sort();
     assert_eq!(
@@ -302,7 +309,9 @@ fn every_committed_fixture_is_checked_here() {
             "server-v1.ckpt",
             "session-v1.ckpt",
             "session-v2.ckpt",
-            "session-v3.ckpt"
+            "session-v3.ckpt",
+            "wire.requests",
+            "wire.responses"
         ]
     );
 }
@@ -322,5 +331,100 @@ fn regenerate_golden_fixture() {
     println!(
         "wrote {} bytes to {path}\nMID_TOTAL_COST = {mid_total}\nFINAL_TOTAL_COST = {final_total}",
         bytes.len()
+    );
+}
+
+/// The wire transcript's request payloads, one frame each. Opens on both
+/// topologies and backends, compact and non-compact `reveal` frames, a
+/// `reveal` frame for every error code one can draw while the stream
+/// stays in sync (`bad-json`, `bad-request`, `unknown-op`,
+/// `unknown-tenant`, `graph`, `feasibility`), then `cost`, `outcome` and
+/// `shutdown`.
+const TRANSCRIPT: [&[u8]; 37] = [
+    br#"{"op":"open","tenant":"c","topology":"cliques","n":8,"policy":"rand","backend":"segment","seed":3}"#,
+    br#"{"op":"open","tenant":"d","topology":"cliques","n":6,"policy":"fair","backend":"dense","seed":4}"#,
+    br#"{"op":"open","tenant":"l","topology":"lines","n":8,"policy":"rand","backend":"dense","seed":5,"check_feasibility":true}"#,
+    br#"{"op":"open","tenant":"s","topology":"lines","n":6,"policy":"smaller-moves","backend":"segment","seed":6}"#,
+    b"{\"op\":\"open\",\"tenant\":\"\xc3\xa9t\xc3\xa9\",\"topology\":\"cliques\",\"n\":4,\"policy\":\"rand\"}",
+    br#"{"op":"open","tenant":"o","topology":"cliques","n":4,"policy":"opt","target":[0,1,2,3],"check_feasibility":true}"#,
+    // Compact reveals, in several key orders.
+    br#"{"op":"reveal","tenant":"c","a":0,"b":5}"#,
+    br#"{"tenant":"c","op":"reveal","b":7,"a":2}"#,
+    br#"{"a":5,"b":0,"tenant":"d","op":"reveal"}"#,
+    br#"{"b":5,"tenant":"l","a":0,"op":"reveal"}"#,
+    br#"{"op":"reveal","tenant":"s","a":2,"b":5}"#,
+    b"{\"op\":\"reveal\",\"tenant\":\"\xc3\xa9t\xc3\xa9\",\"a\":3,\"b\":0}",
+    // Non-compact reveals: whitespace, an escape, extra and duplicated
+    // members, numbers that are not plain digits.
+    br#"{"op": "reveal", "tenant": "c", "a": 4, "b": 1}"#,
+    b"{\n  \"op\": \"reveal\",\n  \"tenant\": \"l\",\n  \"a\": 2,\n  \"b\": 7\n}",
+    br#"{"op":"reveal","tenant":"\u0063","a":6,"b":3}"#,
+    br#"{"op":"reveal","tenant":"d","a":1,"b":4,"seq":9}"#,
+    br#"{"op":"reveal","tenant":"s","a":0,"a":4,"b":3}"#,
+    br#"{"op":"reveal","tenant":"l","a":4.0,"b":-0}"#,
+    br#"{"op":"reveal","tenant":"l","a":6,"b":7e0}"#,
+    // Errors.
+    br#"{"op":"reveal","tenant":"c","a":01,"b":2}"#,
+    b"{\"op\":\"reveal\",\"tenant\":\"\xff\",\"a\":0,\"b\":1}",
+    br#"{"op":"reveal","tenant":"c","a":0,"b":8}"#,
+    br#"{"op":"reveal","tenant":"c","a":18446744073709551616,"b":1}"#,
+    br#"{"op":"reveal","tenant":"c","a":0}"#,
+    br#"{"op":"reveal","tenant":"c","a":"0","b":2}"#,
+    br#"{"op":"reveal","a":0,"b":2}"#,
+    br#"{"op":"Reveal","tenant":"c","a":0,"b":2}"#,
+    br#"{"op":"reveal","tenant":"ghost","a":0,"b":2}"#,
+    b"{\"op\":\"reveal\",\"tenant\":\"gh\xe2\x80\x8bost\",\"a\":0,\"b\":2}",
+    br#"{"op":"reveal","tenant":"c","a":5,"b":0}"#,
+    br#"{"op":"reveal","tenant":"l","a":5,"b":0}"#,
+    br#"{"op":"reveal","tenant":"o","a":0,"b":2}"#,
+    br#"{"op":"cost","tenant":"c"}"#,
+    br#"{"op":"cost","tenant":"l"}"#,
+    br#"{"op":"outcome","tenant":"d"}"#,
+    br#"{"op":"outcome","tenant":"s"}"#,
+    br#"{"op":"shutdown"}"#,
+];
+
+/// Runs a request stream through [`serve_loop`] on a fresh server,
+/// reading it through a buffer of `capacity` bytes.
+fn serve_transcript(requests: &[u8], capacity: usize) -> Vec<u8> {
+    let mut responses = Vec::new();
+    let mut reader = BufReader::with_capacity(capacity, requests);
+    let shut_down = serve_loop(&mut Server::new(1, 0), &mut reader, &mut responses).unwrap();
+    assert!(shut_down, "the transcript ends with a shutdown");
+    responses
+}
+
+#[test]
+fn the_wire_transcript_is_answered_byte_for_byte() {
+    let requests = read_fixture("wire.requests");
+    let want = read_fixture("wire.responses");
+    // A buffer of one byte makes every frame straddle a refill; the
+    // default holds the whole stream.
+    for capacity in [1, 7, 64, 8 * 1024] {
+        let got = serve_transcript(&requests, capacity);
+        assert!(
+            got == want,
+            "buffer of {capacity} bytes: the responses differ from wire.responses:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    }
+}
+
+#[test]
+#[ignore = "writes the committed wire transcript; run only after an intentional wire change"]
+fn regenerate_wire_transcript() {
+    let mut requests = Vec::new();
+    for payload in TRANSCRIPT {
+        requests.extend_from_slice(format!("{}\n", payload.len()).as_bytes());
+        requests.extend_from_slice(payload);
+        requests.push(b'\n');
+    }
+    let responses = serve_transcript(&requests, 8 * 1024);
+    std::fs::write(format!("{GOLDEN}/wire.requests"), &requests).unwrap();
+    std::fs::write(format!("{GOLDEN}/wire.responses"), &responses).unwrap();
+    println!(
+        "wrote {} request and {} response bytes to {GOLDEN}/wire.*",
+        requests.len(),
+        responses.len()
     );
 }

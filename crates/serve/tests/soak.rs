@@ -1,5 +1,6 @@
 //! The 64-tenant soak: a long interleaved session script against the
-//! real daemon — reveals in ragged frames, mid-stream position and cost
+//! real daemon — reveals in ragged frames (single reveals as `reveal`
+//! requests, larger frames as `reveals`), mid-stream position and cost
 //! queries, and two `kill -9` + restore cycles — with every tenant's
 //! final costs and permutation checked against a single-process
 //! reference run. A wall-clock budget keeps the suite CI-friendly.
@@ -156,11 +157,22 @@ fn soak_64_tenants_survive_two_kill9_cycles_with_identical_costs() {
         let frame = script_rng
             .gen_range(1usize..=4)
             .min(plan.pairs.len() - cursor);
-        let response = daemon.request_ok(&format!(
-            "{{\"op\":\"reveals\",\"tenant\":\"{}\",\"events\":{}}}",
-            plan.name,
-            events_json(&plan.pairs[cursor..cursor + frame])
-        ));
+        // A frame of one reveal goes out as a `reveal` request, which the
+        // daemon reads without a `Json` tree.
+        let request = if frame == 1 {
+            let (a, b) = plan.pairs[cursor];
+            format!(
+                "{{\"op\":\"reveal\",\"tenant\":\"{}\",\"a\":{a},\"b\":{b}}}",
+                plan.name
+            )
+        } else {
+            format!(
+                "{{\"op\":\"reveals\",\"tenant\":\"{}\",\"events\":{}}}",
+                plan.name,
+                events_json(&plan.pairs[cursor..cursor + frame])
+            )
+        };
+        let response = daemon.request_ok(&request);
         cursors[tenant] += frame;
         served += frame;
         assert_eq!(
