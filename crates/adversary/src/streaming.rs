@@ -3,12 +3,13 @@
 //! [`random_line_instance`](crate::random_line_instance).
 //!
 //! The whole generator is a pull-based state machine, [`WorkloadCore`]:
-//! component deques (lines keep path order) plus, for the size-biased
-//! shape, a Fenwick weight index — advanced **one merge per pull**. The
-//! materialized generators in `random.rs` simply drain the same core, so
-//! a [`StreamingWorkload`] and a materialized instance built from the
-//! same seed produce *identical* event sequences by construction (and
-//! the property tests in `tests/streaming.rs` pin this down).
+//! component slots, a table of deques for the merged components (lines
+//! keep path order) plus, for the size-biased shape, a Fenwick weight
+//! index — advanced **one merge per pull**. The materialized generators
+//! in `random.rs` simply drain the same core, so a [`StreamingWorkload`]
+//! and a materialized instance built from the same seed produce
+//! *identical* event sequences by construction (and the property tests
+//! in `tests/streaming.rs` pin this down).
 //!
 //! Memory: the core never holds a `Vec<RevealEvent>` — its footprint is
 //! the `O(n)` component state, which is what makes `n = 10⁷` runs fit in
@@ -32,78 +33,90 @@ pub(crate) struct WorkloadCore<R> {
     emitted: usize,
     rng: R,
     shape: ShapeState,
+    deques: Deques,
 }
 
 /// One component, in path order for lines (arbitrary order for
-/// cliques). Singletons are stored **inline**: the initial state is `n`
-/// singletons, and a deque per singleton would cost ten million
-/// one-element heap allocations at `n = 10⁷` — a third of the whole
-/// run's memory budget. Multi-node components promote to a deque on
-/// their first merge.
+/// cliques), as an 8-byte slot. The initial state is `n` singletons, and
+/// a deque per singleton would cost ten million one-element heap
+/// allocations at `n = 10⁷`, so a singleton holds its node inline; a
+/// component takes a deque in the core's [`Deques`] table on its first
+/// merge.
+#[derive(Clone, Copy)]
 enum Comp {
-    /// A singleton component (no heap).
+    /// A singleton component.
     One(Node),
-    /// A merged component in logical (path) order.
-    Many(VecDeque<Node>),
+    /// A merged component: the slot of its deque in [`Deques`], in
+    /// logical (path) order.
+    Many(u32),
 }
 
-impl Default for Comp {
-    /// Placeholder for `mem::take`; taken slots are always overwritten
-    /// or permanently retired (weight 0) before the next access.
-    fn default() -> Self {
-        Comp::One(Node::new(0))
-    }
+/// The deques of the merged components, by slot. A component's slot is
+/// freed when a merge absorbs it and reused by the next promotion.
+#[derive(Default)]
+struct Deques {
+    slots: Vec<VecDeque<Node>>,
+    free: Vec<u32>,
 }
 
-impl Comp {
-    fn len(&self) -> usize {
-        match self {
+impl Deques {
+    fn len(&self, comp: Comp) -> usize {
+        match comp {
             Comp::One(_) => 1,
-            Comp::Many(nodes) => nodes.len(),
+            Comp::Many(slot) => self.slots[slot as usize].len(),
         }
     }
 
-    fn front(&self) -> Node {
-        match self {
-            Comp::One(v) => *v,
-            Comp::Many(nodes) => *nodes.front().expect("non-empty component"),
-        }
-    }
-
-    fn back(&self) -> Node {
-        match self {
-            Comp::One(v) => *v,
-            Comp::Many(nodes) => *nodes.back().expect("non-empty component"),
-        }
-    }
-
-    fn get(&self, index: usize) -> Node {
-        match self {
+    fn get(&self, comp: Comp, index: usize) -> Node {
+        match comp {
             Comp::One(v) => {
                 debug_assert_eq!(index, 0);
-                *v
+                v
             }
-            Comp::Many(nodes) => *nodes.get(index).expect("index in range"),
+            Comp::Many(slot) => self.slots[slot as usize][index],
         }
     }
 
-    /// The component as a deque (promoting a singleton), pre-reserving
-    /// room for `extra` absorbed nodes.
-    fn into_deque(self, extra: usize) -> VecDeque<Node> {
-        match self {
-            Comp::One(v) => {
-                let mut nodes = VecDeque::with_capacity(1 + extra);
-                nodes.push_back(v);
-                nodes
+    fn front(&self, comp: Comp) -> Node {
+        self.get(comp, 0)
+    }
+
+    fn back(&self, comp: Comp) -> Node {
+        self.get(comp, self.len(comp) - 1)
+    }
+
+    /// The slot of `comp`'s deque; a singleton takes a free or new slot,
+    /// pre-reserving room for `extra` absorbed nodes.
+    fn promote(&mut self, comp: Comp, extra: usize) -> u32 {
+        let v = match comp {
+            Comp::Many(slot) => return slot,
+            Comp::One(v) => v,
+        };
+        let mut nodes = VecDeque::with_capacity(1 + extra);
+        nodes.push_back(v);
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = nodes;
+                slot
             }
-            Comp::Many(nodes) => nodes,
+            None => {
+                self.slots.push(nodes);
+                (self.slots.len() - 1) as u32
+            }
         }
     }
 
-    fn into_iter_logical(self) -> impl DoubleEndedIterator<Item = Node> {
-        // Both arms as one deque iterator keeps the type simple; the
-        // singleton arm allocates nothing beyond the enum itself.
-        self.into_deque(0).into_iter()
+    /// Retires `comp`, returning its nodes in logical order and freeing
+    /// its slot.
+    fn take(&mut self, comp: Comp) -> impl DoubleEndedIterator<Item = Node> {
+        let (lone, nodes) = match comp {
+            Comp::One(v) => (Some(v), VecDeque::new()),
+            Comp::Many(slot) => {
+                self.free.push(slot);
+                (None, std::mem::take(&mut self.slots[slot as usize]))
+            }
+        };
+        lone.into_iter().chain(nodes)
     }
 }
 
@@ -173,6 +186,7 @@ impl<R: Rng> WorkloadCore<R> {
             emitted: 0,
             rng,
             shape,
+            deques: Deques::default(),
         }
     }
 
@@ -200,6 +214,7 @@ impl<R: Rng> WorkloadCore<R> {
         }
         let topology = self.topology;
         let rng = &mut self.rng;
+        let deques = &mut self.deques;
         let event = match &mut self.shape {
             ShapeState::Uniform { comps } => {
                 debug_assert!(comps.len() > 1);
@@ -208,9 +223,7 @@ impl<R: Rng> WorkloadCore<R> {
                 while j == i {
                     j = rng.gen_range(0..comps.len());
                 }
-                let first = std::mem::take(&mut comps[i]);
-                let second = std::mem::take(&mut comps[j]);
-                let (event, merged) = join(topology, first, second, rng);
+                let (event, merged) = join(topology, comps[i], comps[j], deques, rng);
                 comps[i] = merged;
                 comps.swap_remove(j);
                 event
@@ -225,10 +238,10 @@ impl<R: Rng> WorkloadCore<R> {
                 while j == i {
                     j = weights.select(rng.gen_range(0..n));
                 }
-                let first = std::mem::take(&mut comps[i]);
-                let second = std::mem::take(&mut comps[j]);
-                let absorbed = second.len() as u64;
-                let (event, merged) = join(topology, first, second, rng);
+                // Slot `j` keeps a stale component, never read again: its
+                // weight drops to 0, so `select` never returns it.
+                let absorbed = deques.len(comps[j]) as u64;
+                let (event, merged) = join(topology, comps[i], comps[j], deques, rng);
                 comps[i] = merged;
                 weights.add(i, absorbed);
                 weights.sub(j, absorbed);
@@ -241,8 +254,7 @@ impl<R: Rng> WorkloadCore<R> {
             } => {
                 let v = order[*cursor];
                 *cursor += 1;
-                let taken = std::mem::take(anchor);
-                let (event, merged) = join(topology, taken, Comp::One(v), rng);
+                let (event, merged) = join(topology, *anchor, Comp::One(v), deques, rng);
                 *anchor = merged;
                 event
             }
@@ -260,7 +272,7 @@ impl<R: Rng> WorkloadCore<R> {
                 }
                 let second = round.pop().expect("round holds a pair");
                 let first = round.pop().expect("round holds a pair");
-                let (event, merged) = join(topology, first, second, rng);
+                let (event, merged) = join(topology, first, second, deques, rng);
                 next.push(merged);
                 event
             }
@@ -283,30 +295,32 @@ fn join<R: Rng + ?Sized>(
     topology: Topology,
     a_comp: Comp,
     b_comp: Comp,
+    deques: &mut Deques,
     rng: &mut R,
 ) -> (RevealEvent, Comp) {
-    let pick = |comp: &Comp, rng: &mut R| match topology {
-        Topology::Cliques => comp.get(rng.gen_range(0..comp.len())),
+    let pick = |comp: Comp, rng: &mut R| match topology {
+        Topology::Cliques => deques.get(comp, rng.gen_range(0..deques.len(comp))),
         Topology::Lines => {
             if rng.gen_bool(0.5) {
-                comp.front()
+                deques.front(comp)
             } else {
-                comp.back()
+                deques.back(comp)
             }
         }
     };
-    let a = pick(&a_comp, rng);
-    let b = pick(&b_comp, rng);
+    let a = pick(a_comp, rng);
+    let b = pick(b_comp, rng);
     let event = RevealEvent::new(a, b);
-    let (into, other, junction_into, junction_other) = if a_comp.len() >= b_comp.len() {
+    let (into, other, junction_into, junction_other) = if deques.len(a_comp) >= deques.len(b_comp) {
         (a_comp, b_comp, a, b)
     } else {
         (b_comp, a_comp, b, a)
     };
-    let junction_at_back = into.back() == junction_into;
-    let other_junction_first = other.front() == junction_other;
-    let mut into = into.into_deque(other.len());
-    let other = other.into_iter_logical();
+    let junction_at_back = deques.back(into) == junction_into;
+    let other_junction_first = deques.front(other) == junction_other;
+    let slot = deques.promote(into, deques.len(other));
+    let other = deques.take(other);
+    let into = &mut deques.slots[slot as usize];
     match topology {
         Topology::Cliques => into.extend(other),
         Topology::Lines => {
@@ -320,7 +334,7 @@ fn join<R: Rng + ?Sized>(
             }
         }
     }
-    (event, Comp::Many(into))
+    (event, Comp::Many(slot))
 }
 
 /// A Fenwick-indexed weight table with O(log n) weighted sampling — the
@@ -505,6 +519,22 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn merged_components_share_one_deque_table() {
+        assert_eq!(std::mem::size_of::<Comp>(), 8);
+        for shape in MergeShape::all() {
+            let mut core =
+                WorkloadCore::new(Topology::Lines, 40, shape, SmallRng::seed_from_u64(5));
+            while core.next_event().is_some() {}
+            // One component is left: every other slot went back to the
+            // free list, emptied.
+            let Deques { slots, free } = &core.deques;
+            assert_eq!(free.len() + 1, slots.len(), "{shape:?}");
+            assert_eq!(slots.iter().map(VecDeque::len).sum::<usize>(), 40);
+            assert!(free.iter().all(|&slot| slots[slot as usize].is_empty()));
         }
     }
 

@@ -34,6 +34,15 @@
 //!   operation sequences; no algorithm run reaches them, which tests
 //!   check with a counter.
 //!
+//! **Storage.** A segment of two or more nodes keeps them in a
+//! double-ended queue in a side table of storage slots. A one-node
+//! segment — every segment of a fresh arrangement or of a decoded young
+//! session — owns no slot: its node sits in its `SegMeta` as `head`.
+//! A segment takes a slot when a fold first gives it a second node and
+//! returns it when it is folded away, freed, or cut down to one node, so
+//! the identity costs 36 bytes per node: a 20-byte `SegMeta` plus four
+//! `u32` arrays, and no heap block per node.
+//!
 //! The backend is observably identical to the dense [`Permutation`]:
 //! same layouts, same costs, same panics (see the equivalence property
 //! tests in `tests/properties.rs`).
@@ -53,25 +62,43 @@ use crate::inversions::count_inversions;
 use crate::node::Node;
 use crate::perm::Permutation;
 
-/// Marks a rank whose segment was folded into another.
+/// Marks a rank whose segment was folded into another, and a segment
+/// that owns no storage slot.
 const NIL: u32 = u32::MAX;
 
 /// The lookup fields of one segment. A locate reads all of them for the
 /// same segment, so they sit together rather than in parallel arrays.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct SegMeta {
-    /// Node count: a mirror of the segment's storage length, kept in sync
-    /// by every content mutator (`0` for free ids).
+    /// Node count (`0` for free ids). For a segment with a storage slot
+    /// it mirrors the slot's length, kept in sync by every content
+    /// mutator.
     len: u32,
     /// Offset of the storage front: the node at storage index `i` has
     /// `node_off == head + i` (wrapping), so nodes join at either end
-    /// without renumbering the rest.
+    /// without renumbering the rest. A one-node segment owns no slot and
+    /// its `head` is its node, so `node_off == head + 0` still holds.
     head: u32,
     /// The segment's place in the rank space.
     rank: u32,
+    /// The segment's slot in `stores` iff it has two or more nodes, else
+    /// `NIL`.
+    store: u32,
     /// Lazy orientation: `true` means the segment reads as the reversed
-    /// storage order.
+    /// storage order. One-node segments keep theirs too: a checkpoint
+    /// records it.
     reversed: bool,
+}
+
+impl SegMeta {
+    /// A free id: no nodes, no rank, no slot.
+    const FREE: SegMeta = SegMeta {
+        len: 0,
+        head: 0,
+        rank: NIL,
+        store: NIL,
+        reversed: false,
+    };
 }
 
 /// A Fenwick tree over `lens` (one entry per rank), built in `O(len)`:
@@ -104,13 +131,17 @@ fn fenwick_over(lens: impl Iterator<Item = u32>) -> Vec<u32> {
 /// ```
 #[derive(Clone)]
 pub struct SegmentArrangement {
-    /// Per segment id: its nodes in storage order (read back to front
-    /// when the segment is reversed).
-    content: Vec<VecDeque<Node>>,
-    /// Per segment id: length, head, rank and orientation.
+    /// Per segment id: length, head, rank, storage slot and orientation.
     meta: Vec<SegMeta>,
     /// Segment ids that hold no nodes, for reuse.
     free: Vec<u32>,
+    /// Storage slots: the nodes of one segment of two or more nodes each,
+    /// in storage order (read back to front when the segment is
+    /// reversed).
+    stores: Vec<VecDeque<Node>>,
+    /// Slots that belong to no segment, for reuse (each holds an empty,
+    /// unallocated deque).
+    free_stores: Vec<u32>,
     /// Per rank: the segment there, or `NIL` once it was folded away.
     at_rank: Vec<u32>,
     /// Fenwick tree over the per-rank segment lengths (`0` at `NIL`
@@ -171,9 +202,7 @@ impl SegmentArrangement {
     fn from_order(nodes: impl Iterator<Item = Node>, n: usize) -> Self {
         debug_assert!(n <= crate::MAX_NODES, "capacity must be checked upstream");
         let mut arr = Self::with_segments(n, n);
-        let order: Vec<u32> = nodes
-            .map(|v| arr.alloc_seg(vec![v].into(), false))
-            .collect();
+        let order: Vec<u32> = nodes.map(|v| arr.alloc_one(v, false)).collect();
         debug_assert_eq!(order.len(), n, "builder must supply exactly n nodes");
         arr.rank(order);
         arr
@@ -183,9 +212,10 @@ impl SegmentArrangement {
     /// the caller allocates and ranks them.
     fn with_segments(n: usize, segments: usize) -> Self {
         SegmentArrangement {
-            content: Vec::with_capacity(segments),
             meta: Vec::with_capacity(segments),
             free: Vec::new(),
+            stores: Vec::new(),
+            free_stores: Vec::new(),
             at_rank: Vec::new(),
             fenwick: Vec::new(),
             node_seg: vec![NIL; n],
@@ -211,7 +241,7 @@ impl SegmentArrangement {
     /// coalesced component in algorithm runs).
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.content.len() - self.free.len()
+        self.meta.len() - self.free.len()
     }
 
     /// The node at `position`.
@@ -228,12 +258,15 @@ impl SegmentArrangement {
         );
         let (id, index) = self.seg_at(position);
         let meta = self.meta[id as usize];
+        if meta.store == NIL {
+            return Node::from(meta.head);
+        }
         let storage = if meta.reversed {
             meta.len as usize - 1 - index
         } else {
             index
         };
-        self.content[id as usize][storage]
+        self.stores[meta.store as usize][storage]
     }
 
     /// The position of `node`.
@@ -416,9 +449,10 @@ impl SegmentArrangement {
     /// Panics if the sizes differ.
     pub fn assign(&mut self, target: &Permutation) -> u64 {
         let cost = self.kendall_to(target);
-        self.content.clear();
         self.meta.clear();
         self.free.clear();
+        self.stores.clear();
+        self.free_stores.clear();
         let order = if target.is_empty() {
             Vec::new()
         } else {
@@ -628,24 +662,46 @@ impl SegmentArrangement {
     }
 
     /// Checks internal consistency: ranks and segment ids must point at
-    /// each other, the Fenwick tree must sum the per-rank lengths, the
-    /// length mirror and the node maps must agree with the storage, every
-    /// id must be live or free (and free ones empty), and both lookup
-    /// directions must agree with the materialized order. Used by tests.
+    /// each other, the Fenwick tree must sum the per-rank lengths, every
+    /// id must be live or free (free ones empty and slotless), a live
+    /// segment must own a storage slot iff it has two or more nodes, the
+    /// length mirror must agree with its slot, every slot must belong to
+    /// exactly one live segment or be free (free ones unallocated), the
+    /// node maps must agree with the storage (a slotless segment's `head`
+    /// is its node), and both lookup directions must agree with the
+    /// materialized order. Used by tests.
     #[doc(hidden)]
     #[must_use]
     pub fn check_consistent(&self) -> bool {
         let order = self.collect_all();
-        if order.len() != self.len()
-            || self
-                .content
-                .iter()
-                .zip(&self.meta)
-                .any(|(nodes, meta)| nodes.len() != meta.len as usize)
-        {
+        if order.len() != self.len() {
             return false;
         }
         let live = self.live_order();
+        // Every slot is claimed exactly once: by the live segment it
+        // stores, or by the free list.
+        let mut claimed = vec![false; self.stores.len()];
+        let mut claim = |slot: u32| match claimed.get_mut(slot as usize) {
+            Some(seen) if !*seen => {
+                *seen = true;
+                true
+            }
+            _ => false,
+        };
+        let slots_agree = live.iter().all(|&id| {
+            let meta = self.meta[id as usize];
+            if meta.len < 2 {
+                meta.store == NIL
+            } else {
+                claim(meta.store) && self.stores[meta.store as usize].len() == meta.len as usize
+            }
+        }) && self
+            .free_stores
+            .iter()
+            .all(|&slot| claim(slot) && self.stores[slot as usize].capacity() == 0);
+        if !slots_agree || claimed.contains(&false) {
+            return false;
+        }
         let ranked = self.at_rank.iter().enumerate().all(|(rank, &id)| {
             id == NIL || (self.meta[id as usize].rank as usize == rank && self.seg_len(id) > 0)
         });
@@ -658,14 +714,17 @@ impl SegmentArrangement {
         });
         if !ranked
             || fenwick_over(lens) != self.fenwick
-            || live.len() + self.free.len() != self.content.len()
-            || self.free.iter().any(|&id| self.seg_len(id) != 0)
+            || live.len() + self.free.len() != self.meta.len()
+            || self.free.iter().any(|&id| {
+                let meta = self.meta[id as usize];
+                meta.len != 0 || meta.store != NIL
+            })
         {
             return false;
         }
         let maps_agree = live.iter().all(|&id| {
             let head = self.meta[id as usize].head;
-            self.content[id as usize].iter().enumerate().all(|(i, v)| {
+            self.storage(id).enumerate().all(|(i, v)| {
                 self.node_seg[v.index()] == id
                     && self.node_off[v.index()] == head.wrapping_add(i as u32)
             })
@@ -711,15 +770,18 @@ impl SegmentArrangement {
         crate::codec::put_len(out, self.len());
         crate::codec::put_len(out, self.segment_count());
         for id in self.live_order() {
-            let nodes = &self.content[id as usize];
-            crate::codec::put_bool(out, self.meta[id as usize].reversed);
-            crate::codec::put_len(out, nodes.len());
-            let (front, back) = nodes.as_slices();
-            for half in [front, back] {
-                for v in half {
-                    // mla-lint: allow(cast-hygiene): node ids are bounded by MAX_NODES = u32::MAX
-                    crate::codec::put_u32(out, v.index() as u32);
-                }
+            let meta = self.meta[id as usize];
+            crate::codec::put_bool(out, meta.reversed);
+            crate::codec::put_len(out, meta.len as usize);
+            if meta.store == NIL {
+                crate::codec::put_u32(out, meta.head);
+                continue;
+            }
+            // The slot's two slices, not `storage`: that iterator made
+            // this loop up to a third slower on small segments.
+            let (front, back) = self.stores[meta.store as usize].as_slices();
+            for v in front.iter().chain(back) {
+                crate::codec::put_u32(out, v.raw());
             }
         }
     }
@@ -751,32 +813,39 @@ impl SegmentArrangement {
         let seg_count = r.count(n.min(r.remaining() / 13), "segment")?;
         let mut arr = Self::with_segments(n, seg_count);
         let mut seen = vec![false; n];
+        let mut node = |r: &mut crate::codec::ByteReader<'_>| {
+            let raw = r.u32()? as usize;
+            if raw >= n {
+                return Err(CodecError::invalid(format!(
+                    "segment node {raw} out of range for n = {n}"
+                )));
+            }
+            if seen[raw] {
+                return Err(CodecError::invalid(format!(
+                    "node {raw} appears in two segments"
+                )));
+            }
+            seen[raw] = true;
+            Ok(Node::new(raw))
+        };
         let mut covered = 0usize;
         let mut order = Vec::with_capacity(seg_count);
         for _ in 0..seg_count {
             let reversed = r.bool("segment reversal")?;
             let len = r.count((n - covered).min(r.remaining() / 4), "segment length")?;
-            if len == 0 {
-                return Err(CodecError::invalid("empty segment in arrangement"));
-            }
-            let mut nodes = VecDeque::with_capacity(len);
-            for _ in 0..len {
-                let raw = r.u32()? as usize;
-                if raw >= n {
-                    return Err(CodecError::invalid(format!(
-                        "segment node {raw} out of range for n = {n}"
-                    )));
+            let id = match len {
+                0 => return Err(CodecError::invalid("empty segment in arrangement")),
+                1 => arr.alloc_one(node(r)?, reversed),
+                _ => {
+                    let mut nodes = VecDeque::with_capacity(len);
+                    for _ in 0..len {
+                        nodes.push_back(node(r)?);
+                    }
+                    arr.alloc_seg(nodes, reversed)
                 }
-                if seen[raw] {
-                    return Err(CodecError::invalid(format!(
-                        "node {raw} appears in two segments"
-                    )));
-                }
-                seen[raw] = true;
-                nodes.push_back(Node::new(raw));
-            }
+            };
             covered += len;
-            order.push(arr.alloc_seg(nodes, reversed));
+            order.push(id);
         }
         if covered != n {
             return Err(CodecError::invalid(format!(
@@ -904,13 +973,13 @@ impl SegmentArrangement {
     }
 
     /// Allocates an unranked segment holding `nodes` in storage order and
-    /// points their node-map entries at it.
+    /// points their node-map entries at it. A single node takes no
+    /// storage slot (see [`alloc_one`](Self::alloc_one)).
     fn alloc_seg(&mut self, nodes: VecDeque<Node>, reversed: bool) -> u32 {
-        let id = self.free.pop().unwrap_or_else(|| {
-            self.content.push(VecDeque::new());
-            self.meta.push(SegMeta::default());
-            (self.content.len() - 1) as u32
-        });
+        if nodes.len() == 1 {
+            return self.alloc_one(nodes[0], reversed);
+        }
+        let id = self.alloc_id();
         for (off, v) in nodes.iter().enumerate() {
             self.node_seg[v.index()] = id;
             self.node_off[v.index()] = off as u32;
@@ -920,37 +989,98 @@ impl SegmentArrangement {
             len: nodes.len() as u32,
             head: 0,
             rank: NIL,
+            store: self.put_store(nodes),
             reversed,
         };
-        self.content[id as usize] = nodes;
         id
     }
 
-    /// Returns `id` to the free list, dropping its content.
+    /// Allocates an unranked one-node segment holding `v`: it owns no
+    /// storage slot, and its `head` is `v`.
+    fn alloc_one(&mut self, v: Node, reversed: bool) -> u32 {
+        let id = self.alloc_id();
+        self.node_seg[v.index()] = id;
+        self.node_off[v.index()] = v.raw();
+        self.node_map_writes += 1;
+        self.meta[id as usize] = SegMeta {
+            len: 1,
+            head: v.raw(),
+            rank: NIL,
+            store: NIL,
+            reversed,
+        };
+        id
+    }
+
+    /// A free segment id, reused or new.
+    fn alloc_id(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.meta.push(SegMeta::FREE);
+            (self.meta.len() - 1) as u32
+        })
+    }
+
+    /// Puts `nodes` in a storage slot, reused or new, and returns it.
+    fn put_store(&mut self, nodes: VecDeque<Node>) -> u32 {
+        match self.free_stores.pop() {
+            Some(slot) => {
+                self.stores[slot as usize] = nodes;
+                slot
+            }
+            None => {
+                self.stores.push(nodes);
+                (self.stores.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Returns storage slot `slot` to the free slots, dropping its nodes.
+    fn free_store(&mut self, slot: u32) {
+        self.stores[slot as usize] = VecDeque::new();
+        self.free_stores.push(slot);
+    }
+
+    /// Returns `id` to the free list, and its storage slot, if any, to
+    /// the free slots.
     fn free_seg(&mut self, id: u32) {
-        self.content[id as usize] = VecDeque::new();
-        self.meta[id as usize].len = 0;
+        let meta = std::mem::replace(&mut self.meta[id as usize], SegMeta::FREE);
+        if meta.store != NIL {
+            self.free_store(meta.store);
+        }
         self.free.push(id);
     }
 
     /// Cuts the first `cut` arrangement-order nodes off segment `id`,
     /// keeping them in `id`; returns a new unranked segment holding the
-    /// remainder. `O(segment)`.
+    /// remainder. A piece left with one node gives up its storage slot.
+    /// `O(segment)`.
     fn split_seg(&mut self, id: u32, cut: usize) -> u32 {
         let i = id as usize;
-        let reversed = self.meta[i].reversed;
-        let len = self.seg_len(id);
-        debug_assert!(cut > 0 && cut < len, "interior cut expected");
+        let SegMeta {
+            len,
+            store,
+            reversed,
+            ..
+        } = self.meta[i];
+        debug_assert!(cut > 0 && cut < len as usize, "interior cut expected");
         // A reversed segment reads its storage back to front, so its
         // first `cut` arrangement nodes are its last `cut` storage nodes:
         // they stay in `id` under a head advanced past the cut-off front.
-        let at = if reversed { len - cut } else { cut };
-        let mut rest = self.content[i].split_off(at);
+        let at = if reversed { len as usize - cut } else { cut };
+        let kept = &mut self.stores[store as usize];
+        let mut rest = kept.split_off(at);
         if reversed {
-            std::mem::swap(&mut self.content[i], &mut rest);
+            std::mem::swap(kept, &mut rest);
             self.meta[i].head = self.meta[i].head.wrapping_add(at as u32);
         }
-        self.meta[i].len = self.content[i].len() as u32;
+        self.meta[i].len = kept.len() as u32;
+        if kept.len() == 1 {
+            let v = kept[0];
+            self.meta[i].head = v.raw();
+            self.meta[i].store = NIL;
+            self.node_off[v.index()] = v.raw();
+            self.free_store(store);
+        }
         self.alloc_seg(rest, reversed)
     }
 
@@ -1000,36 +1130,51 @@ impl SegmentArrangement {
     /// rewritten only when its segment at least doubles. Ranks and the
     /// Fenwick tree are NOT touched — callers do that.
     fn absorb(&mut self, keep: u32, gone: u32, gone_is_left: bool) {
-        let nodes = std::mem::take(&mut self.content[gone as usize]);
-        // `gone`'s nodes go in nearest the seam first: its arrangement
-        // order when it joins on the right, reversed when on the left.
-        let backward = gone_is_left != self.meta[gone as usize].reversed;
+        let gone_meta = self.meta[gone as usize];
+        let moved = gone_meta.len;
+        // A one-node `gone` holds its node as its head; a longer one
+        // hands over its slot's nodes.
+        let (lone, nodes) = match gone_meta.store {
+            NIL => (Some(Node::from(gone_meta.head)), VecDeque::new()),
+            slot => (None, std::mem::take(&mut self.stores[slot as usize])),
+        };
         self.free_seg(gone);
         let k = keep as usize;
+        if self.meta[k].store == NIL {
+            // A fold first gives `keep` a second node: its one node moves
+            // into a slot at storage index 0, where `head` already is.
+            let mut storage = VecDeque::with_capacity(1 + moved as usize);
+            storage.push_back(Node::from(self.meta[k].head));
+            self.meta[k].store = self.put_store(storage);
+        }
+        // `gone`'s nodes go in nearest the seam first: its arrangement
+        // order when it joins on the right, reversed when on the left.
+        let backward = gone_is_left != gone_meta.reversed;
         let at_front = gone_is_left != self.meta[k].reversed;
-        let storage = &mut self.content[k];
-        storage.reserve(nodes.len());
+        let storage = &mut self.stores[self.meta[k].store as usize];
+        storage.reserve(moved as usize);
         let head = &mut self.meta[k].head;
         let (node_seg, node_off) = (&mut self.node_seg, &mut self.node_off);
-        let mut push = |v: &Node| {
+        let push = |v: Node| {
             let off = if at_front {
-                storage.push_front(*v);
+                storage.push_front(v);
                 *head = head.wrapping_sub(1);
                 *head
             } else {
-                storage.push_back(*v);
+                storage.push_back(v);
                 head.wrapping_add((storage.len() - 1) as u32)
             };
             node_seg[v.index()] = keep;
             node_off[v.index()] = off;
         };
+        let nodes = lone.into_iter().chain(nodes);
         if backward {
-            nodes.iter().rev().for_each(&mut push);
+            nodes.rev().for_each(push);
         } else {
-            nodes.iter().for_each(&mut push);
+            nodes.for_each(push);
         }
-        self.node_map_writes += nodes.len() as u64;
-        self.meta[k].len = self.content[k].len() as u32;
+        self.node_map_writes += u64::from(moved);
+        self.meta[k].len += moved;
     }
 
     /// Reverses segment `id`'s reading order by flipping its lazy flag.
@@ -1042,13 +1187,23 @@ impl SegmentArrangement {
         }
     }
 
+    /// Segment `id`'s nodes in storage order.
+    fn storage(&self, id: u32) -> impl DoubleEndedIterator<Item = Node> + '_ {
+        static NO_SLOT: VecDeque<Node> = VecDeque::new();
+        let meta = self.meta[id as usize];
+        let (lone, stored) = match meta.store {
+            NIL => (Some(Node::from(meta.head)), &NO_SLOT),
+            slot => (None, &self.stores[slot as usize]),
+        };
+        lone.into_iter().chain(stored.iter().copied())
+    }
+
     /// Appends segment `id`'s nodes in arrangement order.
     fn extend_arranged(&self, out: &mut impl Extend<Node>, id: u32) {
-        let nodes = &self.content[id as usize];
         if self.meta[id as usize].reversed {
-            out.extend(nodes.iter().rev().copied());
+            out.extend(self.storage(id).rev());
         } else {
-            out.extend(nodes.iter().copied());
+            out.extend(self.storage(id));
         }
     }
 
@@ -1178,6 +1333,100 @@ mod tests {
         assert_eq!(arr.to_permutation(), Permutation::identity(5));
     }
 
+    /// Segment ids of `arr` that own a storage slot.
+    fn slotted(arr: &SegmentArrangement) -> Vec<u32> {
+        arr.live_order()
+            .into_iter()
+            .filter(|&id| arr.meta[id as usize].store != NIL)
+            .collect()
+    }
+
+    fn reencoded(arr: &SegmentArrangement) -> (Vec<u8>, SegmentArrangement) {
+        let mut bytes = Vec::new();
+        arr.encode_into(&mut bytes);
+        let mut r = crate::codec::ByteReader::new(&bytes);
+        let back = SegmentArrangement::decode_from(&mut r, FORMAT).unwrap();
+        r.finish().unwrap();
+        (bytes, back)
+    }
+
+    #[test]
+    fn one_node_segments_own_no_storage() {
+        assert_eq!(std::mem::size_of::<SegMeta>(), 20);
+        let arr = seg(&[3, 1, 4, 0, 2]);
+        assert!(arr.stores.is_empty() && slotted(&arr).is_empty());
+        for v in 0..5 {
+            let meta = arr.meta[arr.node_seg[v] as usize];
+            assert_eq!((meta.head, arr.node_off[v]), (v as u32, v as u32));
+        }
+        assert!(arr.check_consistent());
+        // A decoded all-singleton body takes no slot either.
+        let (bytes, back) = reencoded(&arr);
+        assert!(back.stores.is_empty() && back.check_consistent());
+        assert_eq!(reencoded(&back).0, bytes);
+    }
+
+    #[test]
+    fn folds_take_and_return_storage_slots() {
+        let mut arr = SegmentArrangement::identity(8);
+        // Two singletons fold into one slot.
+        arr.coalesce_range(1..3);
+        assert_eq!((arr.stores.len(), arr.free_stores.len()), (1, 0));
+        assert_eq!(slotted(&arr), vec![arr.node_seg[1]]);
+        assert!(arr.check_consistent());
+        // A singleton folds into a slotted segment without a new slot.
+        arr.merge_move(0..1, 1..3, MergeOrder::KEEP);
+        assert_eq!((arr.stores.len(), arr.free_stores.len()), (1, 0));
+        // Two slotted segments fold: the smaller one's slot is freed...
+        arr.coalesce_range(3..5);
+        assert_eq!(slotted(&arr).len(), 2);
+        arr.coalesce_range(0..5);
+        assert_eq!((arr.stores.len(), arr.free_stores.len()), (2, 1));
+        assert!(arr.check_consistent());
+        // ...and the next fold of two singletons reuses it.
+        arr.coalesce_range(6..8);
+        assert_eq!((arr.stores.len(), arr.free_stores.len()), (2, 0));
+        assert!(arr.check_consistent());
+        arr.merge_move(5..6, 0..5, MergeOrder::KEEP);
+        arr.merge_move(0..6, 6..8, MergeOrder::KEEP);
+        assert_eq!((arr.segment_count(), slotted(&arr).len()), (1, 1));
+        assert!(arr.check_consistent());
+    }
+
+    #[test]
+    fn cuts_leave_one_node_pieces_without_storage() {
+        // Node 3 ends up as the one-node piece at the arrangement-left
+        // end of a reversed segment, node 0 at its right end; both keep
+        // the segment's orientation flag, which a checkpoint records.
+        let mut arr = SegmentArrangement::identity(6);
+        let mut pi = Permutation::identity(6);
+        arr.coalesce_range(0..4);
+        arr.reverse_block(0..4);
+        pi.reverse_block(0..4);
+        assert_eq!(arr.reverse_block(1..3), pi.reverse_block(1..3));
+        assert_eq!(arr.to_permutation(), pi);
+        assert!(arr.check_consistent());
+        for v in [3, 0] {
+            let meta = arr.meta[arr.node_seg[v] as usize];
+            assert_eq!((meta.len, meta.store, meta.head), (1, NIL, v as u32));
+            assert!(meta.reversed);
+        }
+        assert_eq!(slotted(&arr).len(), 1);
+        let (bytes, back) = reencoded(&arr);
+        assert!(back.check_consistent());
+        assert_eq!(back.to_permutation(), pi);
+        assert_eq!(reencoded(&back).0, bytes);
+        // A forward segment cut down to one node at either end too.
+        let mut arr = SegmentArrangement::identity(5);
+        let mut pi = Permutation::identity(5);
+        arr.coalesce_range(0..5);
+        assert_eq!(arr.move_block(1..4, 2), pi.move_block(1..4, 2));
+        assert_eq!(arr.to_permutation(), pi);
+        assert!(arr.check_consistent());
+        let (bytes, back) = reencoded(&arr);
+        assert_eq!(reencoded(&back).0, bytes);
+    }
+
     #[test]
     fn codec_roundtrip_preserves_partition_and_orientation() {
         // Build an arrangement whose segments are multi-node, reversed and
@@ -1192,7 +1441,8 @@ mod tests {
         arr.coalesce_range(8..13);
         let wrapped = arr.node_seg[8] as usize;
         assert_ne!(arr.meta[wrapped].head, 0);
-        assert!(!arr.content[wrapped].as_slices().1.is_empty());
+        let slot = arr.meta[wrapped].store as usize;
+        assert!(!arr.stores[slot].as_slices().1.is_empty());
         assert!(arr.check_consistent());
         let order = arr.to_permutation();
         let segments = arr.segment_count();

@@ -192,7 +192,7 @@ impl Server {
             let session = decode_session(r.bytes(blob_len)?)?;
             if tenants.insert(name.clone(), session).is_some() {
                 return Err(CheckpointError::malformed(format!(
-                    "duplicate tenant {name:?} in checkpoint"
+                    "duplicate tenant \"{name}\" in checkpoint"
                 )));
             }
         }
@@ -237,7 +237,10 @@ impl Server {
             "close" => self.op_close(request),
             "checkpoint" => self.op_checkpoint(request),
             "restore" => self.op_restore(request),
-            other => Err(err_response("unknown-op", format!("unknown op {other:?}"))),
+            other => Err(err_response(
+                "unknown-op",
+                format!("unknown op \"{other}\""),
+            )),
         }
     }
 
@@ -250,7 +253,7 @@ impl Server {
             Some(session) => Ok(session.as_mut()),
             None => Err(err_response(
                 "unknown-tenant",
-                format!("no tenant {name:?}"),
+                format!("no tenant \"{name}\""),
             )),
         }
     }
@@ -260,7 +263,7 @@ impl Server {
         if self.tenants.contains_key(&name) {
             return Err(err_response(
                 "duplicate-tenant",
-                format!("tenant {name:?} is already open"),
+                format!("tenant \"{name}\" is already open"),
             ));
         }
         let spec = parse_spec(request)?;
@@ -353,16 +356,9 @@ impl Server {
 
     fn op_position(&mut self, request: &Json) -> Result<Json, Json> {
         let node = want_usize(request, "node")?;
-        let session = self.session_mut(request)?;
-        let n = session.spec().n;
-        if node >= n {
-            return Err(err_response(
-                "bad-request",
-                format!("node {node} out of range for n = {n}"),
-            ));
-        }
-        let position = session
-            .position_of(Node::new(node))
+        let position = self
+            .session_mut(request)?
+            .position_of(node)
             .map_err(|err| err_response(sim_code(&err), err.to_string()))?;
         Ok(ok_response()
             .field("node", node)
@@ -408,7 +404,7 @@ impl Server {
             Some(_) => Ok(ok_response().field("tenant", name)),
             None => Err(err_response(
                 "unknown-tenant",
-                format!("no tenant {name:?}"),
+                format!("no tenant \"{name}\""),
             )),
         }
     }
@@ -528,7 +524,7 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
         other => {
             return Err(err_response(
                 "bad-request",
-                format!("unknown topology {other:?} (want \"cliques\" or \"lines\")"),
+                format!("unknown topology \"{other}\" (want \"cliques\" or \"lines\")"),
             ))
         }
     };
@@ -543,7 +539,7 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
             return Err(err_response(
                 "bad-request",
                 format!(
-                    "unknown policy {other:?} (want \"rand\", \"fair\", \"smaller-moves\", \
+                    "unknown policy \"{other}\" (want \"rand\", \"fair\", \"smaller-moves\", \
                      \"det\" or \"opt\")"
                 ),
             ))
@@ -555,7 +551,7 @@ fn parse_spec(request: &Json) -> Result<SessionSpec, Json> {
         Some(other) => {
             return Err(err_response(
                 "bad-request",
-                format!("unknown backend {other:?} (want \"dense\" or \"segment\")"),
+                format!("unknown backend \"{other}\" (want \"dense\" or \"segment\")"),
             ))
         }
     };
@@ -882,6 +878,34 @@ mod tests {
         let gone =
             continue_response(server.handle(&request("{\"op\":\"cost\",\"tenant\":\"t0\"}")));
         assert_eq!(code(&gone), "unknown-tenant");
+    }
+
+    #[test]
+    fn position_past_the_last_node_is_a_bad_request() {
+        let mut server = Server::new(1, 1);
+        assert!(ok(&open_tenant(&mut server, "t0", 8)));
+        // Node n, nodes far past it, and indices that no `u32` node id
+        // can hold: each is answered, never a panic.
+        for node in ["8", "1000", "4294967296", "18446744073709551615"] {
+            let response = continue_response(server.handle(&request(&format!(
+                "{{\"op\":\"position\",\"tenant\":\"t0\",\"node\":{node}}}"
+            ))));
+            let mut frame = Vec::new();
+            put_frame(&mut frame, &response).unwrap();
+            let payload = format!(
+                "{{\"ok\":false,\"code\":\"bad-request\",\
+                 \"error\":\"node {node} out of range for n = 8\"}}"
+            );
+            let want = format!("{}\n{payload}\n", payload.len());
+            assert_eq!(String::from_utf8(frame).unwrap(), want, "node {node}");
+        }
+        let last = continue_response(server.handle(&request(
+            "{\"op\":\"position\",\"tenant\":\"t0\",\"node\":7}",
+        )));
+        assert_eq!(
+            last.render_compact(),
+            "{\"ok\":true,\"node\":7,\"position\":7}"
+        );
     }
 
     #[test]

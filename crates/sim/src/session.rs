@@ -471,12 +471,13 @@ pub trait TenantSession: Send {
     /// session remains usable for queries and checkpoints.
     fn apply_events(&mut self, events: &[RevealEvent]) -> Result<usize, SimError>;
 
-    /// Current position of `node`.
+    /// Current position of the node with index `node`. The index comes
+    /// off the wire unchecked, so it may exceed any node id.
     ///
     /// # Errors
     ///
-    /// [`SimError::Other`] for an out-of-range node.
-    fn position_of(&self, node: Node) -> Result<usize, SimError>;
+    /// [`SimError::Other`] for an index `>= n`.
+    fn position_of(&self, node: usize) -> Result<usize, SimError>;
 
     /// Mid-stream outcome snapshot.
     fn outcome(&self) -> RunOutcome;
@@ -526,16 +527,19 @@ where
         Ok(events.len())
     }
 
-    fn position_of(&self, node: Node) -> Result<usize, SimError> {
+    fn position_of(&self, node: usize) -> Result<usize, SimError> {
         // Queries come off the wire; they must not panic the server.
-        if node.index() >= self.spec.n {
+        if node >= self.spec.n {
             return Err(SimError::Other(format!(
-                "node {} out of range for n = {}",
-                node.index(),
+                "node {node} out of range for n = {}",
                 self.spec.n
             )));
         }
-        Ok(self.step.algorithm.arrangement().position_of(node))
+        Ok(self
+            .step
+            .algorithm
+            .arrangement()
+            .position_of(Node::new(node)))
     }
 
     fn outcome(&self) -> RunOutcome {
@@ -814,8 +818,8 @@ mod tests {
             1,
         );
         let session = open_session(spec).unwrap();
-        assert!(session.position_of(Node::new(4)).is_err());
-        assert_eq!(session.position_of(Node::new(3)).unwrap(), 3);
+        assert!(session.position_of(4).is_err());
+        assert_eq!(session.position_of(3).unwrap(), 3);
     }
 
     #[test]
