@@ -1,22 +1,16 @@
 //! # `mla-bench`
 //!
 //! Criterion benchmark harness for the online MinLA reproduction. This
-//! crate has no library API — all content lives in `benches/`:
+//! crate has no library API — all content lives in `benches/`, and CI
+//! runs both targets as speed gates:
 //!
-//! * `kendall` — Kendall tau distance, inversion counting, block moves;
-//! * `online_update` — full runs of each online algorithm per topology;
-//! * `offline_lop` — the LOP solver ladder and the placement DP;
-//! * `adversary_gen` — workload generation throughput;
-//! * `experiments` — one target per experiment (`Scale::Tiny`), so
-//!   `cargo bench` exercises every table-producing code path;
-//! * `campaign` — sequential vs parallel campaign throughput
-//!   (`BENCH`-artifact-free);
 //! * `arrangement` — dense vs segment backend over full online runs
-//!   (`BENCH_arrangement.json`, CI speedup gate);
+//!   (`BENCH_arrangement.json`);
 //! * `merge_throughput` — lazy vs eager merge snapshots on streamed runs
-//!   (`BENCH_merge.json`, CI speedup gate).
+//!   (`BENCH_merge.json`).
 //!
-//! Run `cargo bench --workspace`; results land in `target/criterion/`.
+//! Run `cargo bench -p mla-bench`; the artifacts land in
+//! `target/bench-artifacts/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,7 +69,7 @@ impl MergeLayout {
     /// joined endpoint) landed inside the block.
     ///
     /// Sound because the engine only enables lazy snapshots for algorithm
-    /// runs, where every component is kept a single coalesced block, so
+    /// runs, where every component is kept a single block, so
     /// the slot lookup is exact. Debug builds cross-check against the
     /// full member walk via the snapshots' shadow lists.
     ///
@@ -82,10 +82,10 @@ impl MergeLayout {
         let resolve = |snapshot: &mla_graph::ComponentSnapshot| {
             let (range, anchor_pos) = arr
                 .locate_component(snapshot.joined(), snapshot.len())
-                // mla-lint: allow(panic-safety): trusted O(log n) locate; a miss means the feasibility/coalesce contract is already broken, and the debug shadow walk below cross-checks every hit
+                // mla-lint: allow(panic-safety): trusted O(log n) locate; a miss means the feasibility/one-segment contract is already broken, and the debug shadow walk below cross-checks every hit
                 .expect(
                     "lazy locate missed: component is not a single block \
-                     (feasibility invariant or coalesce contract broken)",
+                     (feasibility invariant or one-segment contract broken)",
                 );
             let forward = snapshot.len() <= 1
                 || if snapshot.joined_at_end() {

@@ -245,12 +245,19 @@ mod tests {
         let _ = locate(&perm, &x, &z);
     }
 
+    /// Folds the one-node segments of `block` into one segment by
+    /// zero-gap merges, which leave the layout as it is.
+    fn fold(segment: &mut SegmentArrangement, block: Range<usize>) {
+        for i in (block.start..block.end - 1).rev() {
+            segment.merge_move(i..i + 1, i + 1..block.end, MergeOrder::KEEP);
+        }
+    }
+
     /// Runs one `merge_move` from `start` on the dense backend and on the
-    /// segment backend — once with both blocks already one segment each
-    /// (the fast path), once from singleton segments (the primitive
-    /// fallback). All three must agree on the cost and the layout, and
-    /// the segment backend must end with the merged block as one segment.
-    /// Returns the cost and the layout.
+    /// segment backend, with each block first folded into one segment as
+    /// an algorithm run keeps it. Both must agree on the cost and the
+    /// layout, and the segment backend must end with the merged block as
+    /// one segment. Returns the cost and the layout.
     fn merge_on_both(
         start: &[usize],
         mover: Range<usize>,
@@ -260,25 +267,19 @@ mod tests {
         let base = Permutation::from_indices(start).unwrap();
         let mut dense = base.clone();
         let cost = Arrangement::merge_move(&mut dense, mover.clone(), stayer.clone(), order);
-        for coalesced in [true, false] {
-            let mut segment = SegmentArrangement::from_permutation(&base);
-            if coalesced {
-                segment.coalesce_range(mover.clone());
-                segment.coalesce_range(stayer.clone());
-            }
-            let segment_cost = segment.merge_move(mover.clone(), stayer.clone(), order);
-            assert_eq!(segment_cost, cost, "coalesced blocks: {coalesced}");
-            assert_eq!(
-                segment.to_permutation(),
-                dense,
-                "coalesced blocks: {coalesced}"
-            );
-            let merged_len = mover.len() + stayer.len();
-            let (range, _) = segment
-                .locate_component(base.node_at(stayer.start), merged_len)
-                .expect("the merged block is one segment");
-            assert_eq!(range.len(), merged_len);
-        }
+        let mut segment = SegmentArrangement::from_permutation(&base);
+        fold(&mut segment, mover.clone());
+        fold(&mut segment, stayer.clone());
+        assert_eq!(
+            segment.merge_move(mover.clone(), stayer.clone(), order),
+            cost
+        );
+        assert_eq!(segment.to_permutation(), dense);
+        let merged_len = mover.len() + stayer.len();
+        let (range, _) = segment
+            .locate_component(base.node_at(stayer.start), merged_len)
+            .expect("the merged block is one segment");
+        assert_eq!(range.len(), merged_len);
         (cost, dense.to_index_vec())
     }
 
@@ -425,7 +426,7 @@ mod tests {
 
     #[test]
     fn merge_update_is_backend_agnostic() {
-        // A whole lines update — move over a gap, rearrange, coalesce —
+        // A whole lines update — move over a gap, then rearrange —
         // priced the same on both backends and landing on the same layout
         // (`merge_on_both` compares the backends).
         let x = ComponentSnapshot::eager(vec![Node::new(0), Node::new(1)], Node::new(1));

@@ -109,9 +109,8 @@ impl<R: Rng, P: Arrangement> OnlineMinla for RandCliques<R, P> {
 
     fn serve(&mut self, _event: RevealEvent, info: &MergeInfo, state: &GraphState) -> UpdateReport {
         debug_assert_eq!(state.topology(), Topology::Cliques);
-        // One locate, then the whole update — move + coalesce — as a
-        // single backend operation, via the decide / plan / apply
-        // decomposition.
+        // One locate, then the whole update as a single backend
+        // operation, via the decide / plan / apply decomposition.
         let layout = MergeLayout::locate(&self.perm, info);
         let decision = self.decide(info, &layout);
         let plan = Self::build_plan(info, &layout, decision);

@@ -27,7 +27,7 @@ use crate::union_find::UnionFind;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CliqueState {
-    dsu: UnionFind,
+    pub(crate) dsu: UnionFind,
 }
 
 impl CliqueState {

@@ -310,6 +310,30 @@ impl LineState {
             .expect("commit requires a successfully peeked event");
     }
 
+    /// Returns `true` iff every path is exactly one block of the
+    /// partition `block_of` describes and reads in block order. Checks
+    /// that every edge joins two neighbours in one block and that every
+    /// union-find root's block is as long as its component. That is
+    /// enough: such edges form no cycle, so a component's `m − 1` edges
+    /// (as [`decode_from`](Self::decode_from) checks) connect its `m`
+    /// nodes, all in its root's block, which then holds nothing else,
+    /// and they are the block's `m − 1` neighbouring pairs. One pass, with
+    /// no `find`.
+    pub(crate) fn paths_are_blocks(&self, block_of: &impl Fn(Node) -> (u32, usize, usize)) -> bool {
+        self.neighbors.iter().enumerate().all(|(v, slots)| {
+            let (block, len, at) = block_of(Node::new(v));
+            self.dsu
+                .root_size(Node::new(v))
+                .is_none_or(|size| len == size)
+                && slots.iter().all(|&u| {
+                    u == NO_NEIGHBOR || (u as usize) < v || {
+                        let (u_block, _, u_at) = block_of(Node::from(u));
+                        u_block == block && u_at.abs_diff(at) == 1
+                    }
+                })
+        })
+    }
+
     /// Serializes the state (adjacency slots **verbatim** — slot order is
     /// determinism-sensitive because `commit` fills the first free slot —
     /// then the union-find) for the checkpoint stack.

@@ -452,6 +452,25 @@ impl GraphState {
         }
     }
 
+    /// Returns `true` iff every component is exactly one block of a
+    /// partition of the nodes into blocks and, for lines, reads in path
+    /// order inside it. `block_of(v)` gives `v`'s block as any id shared
+    /// by exactly its members, the block's length, and `v`'s index in the
+    /// block. On the segment backend's segments this is the layout every
+    /// randomized policy keeps; a checkpoint restore checks it before it
+    /// trusts a decoded arrangement.
+    ///
+    /// One flat pass over the nodes — their union-find parents for
+    /// cliques, their path neighbours for lines — with no `find` and no
+    /// allocation.
+    #[must_use]
+    pub fn components_are_blocks(&self, block_of: impl Fn(Node) -> (u32, usize, usize)) -> bool {
+        match self {
+            GraphState::Cliques(s) => s.dsu.sets_are_blocks(&block_of),
+            GraphState::Lines(s) => s.paths_are_blocks(&block_of),
+        }
+    }
+
     /// Incremental per-reveal feasibility: assuming `pi` was a MinLA of
     /// the graph *before* the merge recorded in `info`, is it still one
     /// now? Only the merged component can have broken the invariant —
@@ -623,9 +642,9 @@ mod tests {
         assert!(!lines.merge_keeps_minla(&scrambled, &info));
         assert!(!lines.is_minla(&scrambled));
 
-        // Lines, lazy snapshots: the path 0-1-2 coalesced into one segment
+        // Lines, lazy snapshots: the path 0-1-2 folded into one segment
         // must still read in path order, not merely be contiguous.
-        use mla_permutation::SegmentArrangement;
+        use mla_permutation::{MergeOrder, SegmentArrangement};
         let mut lines = GraphState::new(Topology::Lines, 4);
         lines.apply_with(ev(0, 1), SnapshotMode::Lazy).unwrap();
         let info = lines.apply_with(ev(1, 2), SnapshotMode::Lazy).unwrap();
@@ -633,7 +652,10 @@ mod tests {
         for (order, feasible) in [([1, 0, 2, 3], false), ([2, 1, 0, 3], true)] {
             let mut arr =
                 SegmentArrangement::from_permutation(&Permutation::from_indices(&order).unwrap());
-            arr.coalesce_range(0..3);
+            // Zero-gap merges fold positions 0..3 into one segment and
+            // leave the layout as it is.
+            arr.merge_move(1..2, 2..3, MergeOrder::KEEP);
+            arr.merge_move(0..1, 1..3, MergeOrder::KEEP);
             assert_eq!(arr.segment_count(), 2);
             assert_eq!(lines.merge_keeps_minla(&arr, &info), feasible, "{order:?}");
             assert_eq!(lines.is_minla(&arr), feasible, "{order:?}");

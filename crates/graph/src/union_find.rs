@@ -176,6 +176,27 @@ impl UnionFind {
             .collect()
     }
 
+    /// The size of `v`'s component if `v` is its root, else `None`.
+    pub(crate) fn root_size(&self, v: Node) -> Option<usize> {
+        (self.parent[v.index()] as usize == v.index()).then(|| self.size[v.index()] as usize)
+    }
+
+    /// Returns `true` iff every component is exactly one block of the
+    /// partition `block_of` describes (see
+    /// [`GraphState::components_are_blocks`](crate::GraphState::components_are_blocks)):
+    /// each node shares its parent's block, so by induction its root's,
+    /// and each root's block is as long as its component. One flat pass
+    /// over the parent array, with no `find`.
+    pub(crate) fn sets_are_blocks(&self, block_of: &impl Fn(Node) -> (u32, usize, usize)) -> bool {
+        self.parent.iter().enumerate().all(|(v, &parent)| {
+            let (block, len, _) = block_of(Node::new(v));
+            match self.root_size(Node::new(v)) {
+                Some(size) => len == size,
+                None => block == block_of(Node::from(parent)).0,
+            }
+        })
+    }
+
     /// Serializes the structure **exactly** — parent forest (including
     /// any path-halving compression already applied), circular member
     /// lists and per-root sizes — for the checkpoint stack.

@@ -3,18 +3,19 @@
 //! Every online MinLA algorithm in this workspace manipulates a linear
 //! arrangement through the same small vocabulary: position/node lookups,
 //! the contiguity and path-order queries behind the feasibility
-//! invariant, and the three block operations of the paper's update
-//! mechanics (move, reverse, swap), each priced in **adjacent
-//! transpositions**. This trait captures exactly
-//! that vocabulary so the algorithms, the simulation engine and the
-//! experiments are generic over the storage layout:
+//! invariant, the paper's merge update as one [`Arrangement::merge_move`]
+//! (slide one component flush against the other, then reverse or swap
+//! the two blocks), and jumps to a target, each priced in **adjacent
+//! transpositions**. This trait captures exactly that vocabulary so the
+//! algorithms, the simulation engine and the experiments are generic over
+//! the storage layout:
 //!
 //! * [`Permutation`] — the dense backend: `O(1)` lookups, `O(n)` block
 //!   splices (a memmove plus a position refresh);
 //! * [`SegmentArrangement`](crate::SegmentArrangement) — the segment
-//!   backend: component segments in a flat order index, where positions
-//!   are Fenwick prefix sums, `O(log n)` lookups, and merges of whole
-//!   segments with costs computed in closed form.
+//!   backend: one segment per component in a flat order index, where
+//!   positions are Fenwick prefix sums, `O(log n)` lookups, and merges of
+//!   whole segments with costs computed in closed form.
 //!
 //! The trait is object-safe: adaptive adversaries receive the online
 //! algorithm's arrangement as `&dyn Arrangement`.
@@ -30,7 +31,15 @@ use crate::perm::Permutation;
 /// transpositions — the unit of cost in the online learning MinLA model —
 /// and every implementation must be **observably identical** to the dense
 /// [`Permutation`] reference: same layouts, same costs, same panics on
-/// invalid ranges (see the backend-equivalence property tests).
+/// invalid ranges (see the backend-equivalence property tests). That
+/// holds for the calls an algorithm run makes, which keep every
+/// [`merge_move`](Arrangement::merge_move) on **whole components**: each
+/// of its two blocks is either one node that no merge has touched, or
+/// the whole block an earlier `merge_move` produced, and an
+/// [`assign`](Arrangement::assign) makes the whole arrangement one
+/// component. The dense reference merges any two disjoint blocks; the
+/// segment backend stores each component as one segment and panics on a
+/// block that is not one.
 ///
 /// **Cost width.** Per-operation costs fit `u64` for every supported
 /// node count: each is bounded by `C(n, 2) < 2⁶³` at the
@@ -115,7 +124,7 @@ pub trait Arrangement {
         monotone_path_range(path, |v| self.position_of(v))
     }
 
-    /// Resolves a coalesced component's block from a single member in
+    /// Resolves a component's block from a single member in
     /// `O(log n)`, without walking the member list: given any `anchor`
     /// node of a component known to occupy one contiguous block of
     /// exactly `len` positions, returns the block's position range and
@@ -123,7 +132,7 @@ pub trait Arrangement {
     ///
     /// This is the lazy-`MergeInfo` locate primitive. Backends that track
     /// component blocks structurally (the segment backend keeps every
-    /// coalesced component as exactly one segment) override it; the
+    /// component as exactly one segment) override it; the
     /// default — and any backend that cannot certify the block from its
     /// own structure — returns `None`, and the caller falls back to the
     /// member-walking [`contiguous_range`](Arrangement::contiguous_range).
@@ -150,32 +159,6 @@ pub trait Arrangement {
         false
     }
 
-    /// Moves the contiguous block occupying `src` so that it starts at
-    /// position `dest`, preserving its internal order. Returns the cost
-    /// `src.len() × |dest − src.start|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of bounds or `dest` would push the block
-    /// past either end.
-    fn move_block(&mut self, src: Range<usize>, dest: usize) -> u64;
-
-    /// Reverses the block occupying `range`. Returns the cost
-    /// `C(len, 2) = len·(len−1)/2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    fn reverse_block(&mut self, range: Range<usize>) -> u64;
-
-    /// Swaps two adjacent blocks (requires `left.end == right.start`),
-    /// preserving internal orders. Returns the cost `left.len() × right.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks are not adjacent or out of bounds.
-    fn swap_adjacent_blocks(&mut self, left: Range<usize>, right: Range<usize>) -> u64;
-
     /// Kendall's tau distance to a dense target: the minimum number of
     /// adjacent transpositions transforming this arrangement into
     /// `target`.
@@ -193,50 +176,31 @@ pub trait Arrangement {
     /// Panics if the sizes differ.
     fn assign(&mut self, target: &Permutation) -> u64;
 
-    /// Structural hint: the nodes in `range` now form one logical block
-    /// (a merged component) that future operations will treat as a unit.
-    /// Backends may compact internal structure; the arrangement itself is
-    /// **never** observably changed. The dense backend ignores the hint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    fn coalesce_range(&mut self, range: Range<usize>) {
-        let _ = range;
-    }
-
     /// Materializes the arrangement as a dense [`Permutation`].
     fn to_permutation(&self) -> Permutation;
 
     /// Completes one full merge update in a single operation — the hot
-    /// path of every online algorithm, so backends can specialize it:
+    /// path of every online algorithm:
     ///
     /// 1. **Moving part**: the `mover` block travels over the gap to sit
-    ///    flush against `stayer` on its own side (exactly [`move_block`]
-    ///    with the destination derived from the two ranges; the stayer
-    ///    does not move).
+    ///    flush against `stayer` on its own side; the stayer does not
+    ///    move.
     /// 2. **Rearranging part** (lines, the paper's Figure 2): the block
     ///    operations `order` selects — reverse the mover's block, reverse
     ///    the stayer's block, then swap the two adjacent blocks. The
     ///    caller prices this part in closed form (see the mechanics'
     ///    rearrange choices); [`MergeOrder::KEEP`] skips it.
-    /// 3. **Coalesce hint**: as [`coalesce_range`] over the merged range.
     ///
-    /// Returns the moving part's cost, `mover.len() × gap`.
-    ///
-    /// The default runs exactly these primitive operations in this order;
-    /// an override must be observably identical to it — the
-    /// backend-equivalence property tests pin this down.
-    ///
-    /// [`move_block`]: Arrangement::move_block
-    /// [`coalesce_range`]: Arrangement::coalesce_range
+    /// The merged block is one component from then on. Returns the
+    /// moving part's cost, `mover.len() × gap`.
     ///
     /// # Panics
     ///
-    /// Panics if the ranges overlap or are out of bounds.
-    fn merge_move(&mut self, mover: Range<usize>, stayer: Range<usize>, order: MergeOrder) -> u64 {
-        primitive_merge_move(self, mover, stayer, order)
-    }
+    /// Panics if the ranges overlap or are out of bounds. A backend that
+    /// tracks components (the segment backend) also panics unless each
+    /// block is exactly one whole component, as the trait documentation
+    /// defines it.
+    fn merge_move(&mut self, mover: Range<usize>, stayer: Range<usize>, order: MergeOrder) -> u64;
 }
 
 /// The rearranging part of a merge update as the paper's Figure 2 states
@@ -263,37 +227,6 @@ impl MergeOrder {
     };
 }
 
-/// [`Arrangement::merge_move`] as its primitive operations: the trait
-/// default, and the segment backend's fallback for blocks that are not one
-/// segment each.
-pub(crate) fn primitive_merge_move<A: Arrangement + ?Sized>(
-    arr: &mut A,
-    mover: Range<usize>,
-    stayer: Range<usize>,
-    order: MergeOrder,
-) -> u64 {
-    let dest = merge_move_dest(&mover, &stayer);
-    let cost = arr.move_block(mover.clone(), dest);
-    let moved = dest..dest + mover.len();
-    if order.reverse_mover {
-        arr.reverse_block(moved.clone());
-    }
-    if order.reverse_stayer {
-        arr.reverse_block(stayer.clone());
-    }
-    let (left, right) = if mover.start < stayer.start {
-        (moved, stayer)
-    } else {
-        (stayer, moved)
-    };
-    let merged = left.start..right.end;
-    if order.swap {
-        arr.swap_adjacent_blocks(left, right);
-    }
-    arr.coalesce_range(merged);
-    cost
-}
-
 /// [`Arrangement::path_range`] from per-node positions, in one pass: the
 /// positions must move strictly in one direction (so they are distinct),
 /// and then they cover an interval iff its end points lie `len − 1` apart.
@@ -318,8 +251,8 @@ pub(crate) fn monotone_path_range(
     (hi - lo + 1 == path.len()).then_some(lo..hi + 1)
 }
 
-/// The [`move_block`](Arrangement::move_block) destination that lands
-/// `mover` flush against `stayer` on its own side.
+/// The start position that lands `mover` flush against `stayer` on its
+/// own side: the moving part of [`Arrangement::merge_move`].
 ///
 /// # Panics
 ///
@@ -362,18 +295,6 @@ impl Arrangement for Permutation {
         Permutation::contiguous_range(self, nodes)
     }
 
-    fn move_block(&mut self, src: Range<usize>, dest: usize) -> u64 {
-        Permutation::move_block(self, src, dest)
-    }
-
-    fn reverse_block(&mut self, range: Range<usize>) -> u64 {
-        Permutation::reverse_block(self, range)
-    }
-
-    fn swap_adjacent_blocks(&mut self, left: Range<usize>, right: Range<usize>) -> u64 {
-        Permutation::swap_adjacent_blocks(self, left, right)
-    }
-
     fn kendall_to(&self, target: &Permutation) -> u64 {
         self.kendall_distance(target)
     }
@@ -386,6 +307,29 @@ impl Arrangement for Permutation {
 
     fn to_permutation(&self) -> Permutation {
         self.clone()
+    }
+
+    /// The merge as the paper states it, one block operation at a time:
+    /// any two disjoint blocks merge, whole components or not.
+    fn merge_move(&mut self, mover: Range<usize>, stayer: Range<usize>, order: MergeOrder) -> u64 {
+        let dest = merge_move_dest(&mover, &stayer);
+        let cost = self.move_block(mover.clone(), dest);
+        let moved = dest..dest + mover.len();
+        if order.reverse_mover {
+            self.reverse_block(moved.clone());
+        }
+        if order.reverse_stayer {
+            self.reverse_block(stayer.clone());
+        }
+        if order.swap {
+            let (left, right) = if mover.start < stayer.start {
+                (moved, stayer)
+            } else {
+                (stayer, moved)
+            };
+            self.swap_adjacent_blocks(left, right);
+        }
+        cost
     }
 }
 
@@ -402,9 +346,9 @@ mod tests {
     #[test]
     fn trait_is_object_safe_and_delegates() {
         let mut pi = Permutation::identity(4);
-        let cost = Arrangement::move_block(&mut pi, 0..2, 2);
-        assert_eq!(cost, 4);
-        assert_eq!(as_dyn(&pi), vec![2, 3, 0, 1]);
+        let cost = Arrangement::merge_move(&mut pi, 0..1, 3..4, MergeOrder::KEEP);
+        assert_eq!(cost, 2);
+        assert_eq!(as_dyn(&pi), vec![1, 2, 0, 3]);
         assert!(Arrangement::is_left_of(&pi, Node::new(2), Node::new(0)));
         assert!(!Arrangement::is_empty(&pi));
     }
@@ -417,14 +361,6 @@ mod tests {
         assert_eq!(Arrangement::assign(&mut pi, &target), 6);
         assert_eq!(pi, target);
         assert_eq!(Arrangement::assign(&mut pi, &target), 0);
-    }
-
-    #[test]
-    fn coalesce_is_a_no_op_for_dense() {
-        let mut pi = Permutation::from_indices(&[1, 0, 2]).unwrap();
-        let before = pi.clone();
-        Arrangement::coalesce_range(&mut pi, 0..2);
-        assert_eq!(pi, before);
     }
 
     #[test]

@@ -200,20 +200,6 @@ impl FenwickTree {
         sum
     }
 
-    /// Returns the sum of counts of values in `lo..=hi` (inclusive).
-    #[must_use]
-    pub fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        let upper = self.prefix_sum(hi);
-        if lo == 0 {
-            upper
-        } else {
-            upper - self.prefix_sum(lo - 1)
-        }
-    }
-
     /// Returns the total count stored in the tree.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -318,17 +304,6 @@ mod tests {
         }
         assert_eq!(inversions, count_inversions(&seq));
         assert_eq!(tree.total(), seq.len() as u64);
-    }
-
-    #[test]
-    fn fenwick_range_sum() {
-        let mut tree = FenwickTree::new(8);
-        for v in 0..8 {
-            tree.add(v, (v + 1) as u64);
-        }
-        assert_eq!(tree.range_sum(2, 4), 3 + 4 + 5);
-        assert_eq!(tree.range_sum(0, 7), tree.total());
-        assert_eq!(tree.range_sum(5, 3), 0);
     }
 
     #[test]

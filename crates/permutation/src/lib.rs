@@ -6,17 +6,17 @@
 //!
 //! * [`Node`] — dense node identifiers, distinct from positions;
 //! * [`Arrangement`] — the backend-agnostic arrangement abstraction: the
-//!   lookup, contiguity and block-operation vocabulary every online MinLA
-//!   algorithm uses, priced in adjacent transpositions, with
-//!   [`MergeOrder`] naming a merge update's rearranging part;
-//! * [`Permutation`] — the **dense** backend: a linear arrangement with
-//!   `O(1)` bidirectional lookups, block move / reverse / swap operations
-//!   that return their exact cost in adjacent transpositions, and
-//!   `O(n log n)` Kendall tau distance;
-//! * [`SegmentArrangement`] — the **segment** backend: component
-//!   segments in a flat order index (positions are Fenwick prefix sums),
-//!   `O(log n)` lookups and whole-segment merges with closed-form costs —
-//!   the large-`n` workhorse;
+//!   lookup, contiguity and merge vocabulary every online MinLA algorithm
+//!   uses, priced in adjacent transpositions, with [`MergeOrder`] naming
+//!   a merge update's rearranging part;
+//! * [`Permutation`] — the **dense** backend and the reference: a linear
+//!   arrangement with `O(1)` bidirectional lookups, block move / reverse
+//!   / swap operations that return their exact cost in adjacent
+//!   transpositions, and `O(n log n)` Kendall tau distance;
+//! * [`SegmentArrangement`] — the **segment** backend: one segment per
+//!   component in a flat order index (positions are Fenwick prefix
+//!   sums), `O(log n)` lookups and whole-segment merges with closed-form
+//!   costs — the large-`n` workhorse;
 //! * inversion counting ([`count_inversions`], [`FenwickTree`]);
 //! * pair-set utilities mirroring the paper's `L_π` notation
 //!   ([`concordant_pairs`], [`internal_concordant_pairs`],

@@ -286,16 +286,6 @@ impl Permutation {
         Permutation::from_nodes(nodes).expect("composition of permutations is a permutation")
     }
 
-    /// Positions of the given nodes, in the same order as `nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node is out of range.
-    #[must_use]
-    pub fn positions_of(&self, nodes: &[Node]) -> Vec<usize> {
-        nodes.iter().map(|&v| self.position_of(v)).collect()
-    }
-
     /// The given nodes sorted by their current position (left to right).
     ///
     /// # Panics

@@ -2,50 +2,44 @@
 //!
 //! Every revealed graph in the paper is a disjoint union of cliques or
 //! lines, so an online algorithm's arrangement is always a sequence of
-//! **component segments**. A merge slides one segment flush against the
-//! other and, for lines, reverses or swaps the two inside the merged
-//! block (the paper's Figure 2), so over an algorithm run the segments
-//! never change their relative order: only their lengths do. This
-//! backend stores that sequence as a **flat order index**: every live
-//! segment holds a rank in a fixed rank space, and a Fenwick tree over
-//! the per-rank lengths (one `u32` array) turns positions into prefix
-//! sums.
+//! **component blocks**, and this backend stores each component as one
+//! segment. A merge slides one segment flush against the other and, for
+//! lines, reverses or swaps the two inside the merged block (the paper's
+//! Figure 2), so over an algorithm run the segments never change their
+//! relative order and are never split: only their lengths change. The
+//! sequence is a **flat order index**: every live segment holds a rank
+//! in a fixed rank space, and a Fenwick tree over the per-rank lengths
+//! (one `u32` array) turns positions into prefix sums.
 //!
 //! * [`position_of`](SegmentArrangement::position_of) is a prefix sum and
 //!   [`node_at`](SegmentArrangement::node_at) a Fenwick descent:
 //!   `O(log n)` flat array reads each.
-//! * [`merge_move`](SegmentArrangement::merge_move) on two whole segments
-//!   — the steady state of every algorithm run — and the two-segment
-//!   [`coalesce_range`](SegmentArrangement::coalesce_range) cost two
-//!   Fenwick point updates plus a fold. Segment storage is double-ended,
-//!   so the larger segment keeps its storage and only the smaller one's
-//!   nodes get new node→segment/offset entries: as in union by size, a
-//!   node is rewritten only when its segment at least doubles, at most
-//!   `⌊log₂ n⌋` times over any merge order.
-//! * [`reverse_block`](SegmentArrangement::reverse_block) of a single
-//!   segment flips a lazy orientation bit.
-//! * Every other block operation reorders or cuts segments, and costs
-//!   `O(n)`: it cuts the segments at the range ends, applies the op to
-//!   the list of live segments and re-ranks it. These are
-//!   [`move_block`](SegmentArrangement::move_block), a multi-segment
-//!   reversal, [`swap_adjacent_blocks`](SegmentArrangement::swap_adjacent_blocks),
-//!   a general coalesce and the `merge_move` fallback for blocks that
-//!   are not whole segments. They keep the backend correct for arbitrary
-//!   operation sequences; no algorithm run reaches them, which tests
-//!   check with a counter.
+//! * [`merge_move`](SegmentArrangement::merge_move) of two whole segments
+//!   costs two Fenwick point updates plus a fold. Segment storage is
+//!   double-ended, so the larger segment keeps its storage and only the
+//!   smaller one's nodes get new node→segment/offset entries: as in union
+//!   by size, a node is rewritten only when its segment at least
+//!   doubles, at most `⌊log₂ n⌋` times over any merge order. A reversal
+//!   in the merge flips a lazy orientation bit.
+//! * [`assign`](SegmentArrangement::assign) jumps to a target and keeps
+//!   the whole arrangement as one segment.
+//!
+//! A block that is not exactly one segment has no operation here: an
+//! algorithm run never asks for one, and
+//! [`merge_move`](SegmentArrangement::merge_move) panics on it.
 //!
 //! **Storage.** A segment of two or more nodes keeps them in a
 //! double-ended queue in a side table of storage slots. A one-node
 //! segment — every segment of a fresh arrangement or of a decoded young
 //! session — owns no slot: its node sits in its `SegMeta` as `head`.
 //! A segment takes a slot when a fold first gives it a second node and
-//! returns it when it is folded away, freed, or cut down to one node, so
-//! the identity costs 36 bytes per node: a 20-byte `SegMeta` plus four
-//! `u32` arrays, and no heap block per node.
+//! returns it when it is folded away, so the identity costs 36 bytes per
+//! node: a 20-byte `SegMeta` plus four `u32` arrays, and no heap block
+//! per node.
 //!
-//! The backend is observably identical to the dense [`Permutation`]:
-//! same layouts, same costs, same panics (see the equivalence property
-//! tests in `tests/properties.rs`).
+//! On those calls the backend is observably identical to the dense
+//! [`Permutation`]: same layouts, same costs, same panics on invalid
+//! ranges (see the equivalence property tests in `tests/properties.rs`).
 //!
 //! **Supported range:** at most [`MAX_NODES`](crate::MAX_NODES) =
 //! `u32::MAX` nodes. Positions, in-segment offsets, segment ids and ranks
@@ -121,13 +115,19 @@ fn fenwick_over(lens: impl Iterator<Item = u32>) -> Vec<u32> {
 /// # Examples
 ///
 /// ```
-/// use mla_permutation::{Arrangement, Node, Permutation, SegmentArrangement};
+/// use mla_permutation::{MergeOrder, Node, SegmentArrangement};
 ///
 /// let mut arr = SegmentArrangement::identity(4);
-/// let cost = arr.move_block(0..2, 2);
-/// assert_eq!(cost, 4);
-/// assert_eq!(arr.to_permutation().to_index_vec(), vec![2, 3, 0, 1]);
+/// // Node 0 slides over nodes 1 and 2 to sit left of node 3.
+/// let cost = arr.merge_move(0..1, 3..4, MergeOrder::KEEP);
+/// assert_eq!(cost, 2);
+/// assert_eq!(arr.to_permutation().to_index_vec(), vec![1, 2, 0, 3]);
 /// assert_eq!(arr.position_of(Node::new(0)), 2);
+/// // The merged block {0, 3} moves as one segment, and reversing it
+/// // flips a lazy bit.
+/// let flip = MergeOrder { reverse_mover: true, ..MergeOrder::KEEP };
+/// assert_eq!(arr.merge_move(2..4, 0..1, flip), 2);
+/// assert_eq!(arr.to_permutation().to_index_vec(), vec![1, 3, 0, 2]);
 /// ```
 #[derive(Clone)]
 pub struct SegmentArrangement {
@@ -155,8 +155,6 @@ pub struct SegmentArrangement {
     /// Node-map entries written so far: one per node that a segment
     /// allocation or a fold pointed at a new segment.
     node_map_writes: u64,
-    /// `O(n)` index rebuilds caused by ops that reorder or cut segments.
-    index_rebuilds: u64,
 }
 
 impl SegmentArrangement {
@@ -221,7 +219,6 @@ impl SegmentArrangement {
             node_seg: vec![NIL; n],
             node_off: vec![0; n],
             node_map_writes: 0,
-            index_rebuilds: 0,
         }
     }
 
@@ -238,7 +235,7 @@ impl SegmentArrangement {
     }
 
     /// Number of live segments (an internal structure measure: one per
-    /// coalesced component in algorithm runs).
+    /// component in algorithm runs).
     #[must_use]
     pub fn segment_count(&self) -> usize {
         self.meta.len() - self.free.len()
@@ -324,99 +321,6 @@ impl SegmentArrangement {
         }
     }
 
-    /// Moves the block occupying `src` so that it starts at position
-    /// `dest`. Returns the closed-form cost `src.len() × |dest − src.start|`.
-    /// Rebuilds the index in `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of bounds or `dest` would push the block
-    /// past either end.
-    pub fn move_block(&mut self, src: Range<usize>, dest: usize) -> u64 {
-        let n = self.len();
-        assert!(src.end <= n, "block {src:?} out of bounds for length {n}");
-        assert!(src.start <= src.end, "invalid block range {src:?}");
-        let len = src.len();
-        assert!(
-            dest + len <= n,
-            "destination {dest} pushes block of length {len} past length {n}"
-        );
-        if len == 0 || dest == src.start {
-            return 0;
-        }
-        let shift = dest.abs_diff(src.start);
-        let cost = (len as u64) * (shift as u64);
-        let mut order = self.live_order();
-        let first = self.cut(&mut order, src.start);
-        let end = self.cut(&mut order, src.end);
-        let block: Vec<u32> = order.drain(first..end).collect();
-        let at = self.cut(&mut order, dest);
-        order.splice(at..at, block);
-        self.rebuild(order);
-        cost
-    }
-
-    /// Reverses the block occupying `range`. Returns the cost
-    /// `C(len, 2)`. A single-segment range flips a lazy orientation bit;
-    /// any other range rebuilds the index in `O(n)`, and a multi-segment
-    /// one is compacted into one reversed segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn reverse_block(&mut self, range: Range<usize>) -> u64 {
-        assert!(
-            range.end <= self.len(),
-            "block {range:?} out of bounds for length {}",
-            self.len()
-        );
-        let len = range.len() as u64;
-        let cost = len * len.saturating_sub(1) / 2;
-        if range.len() <= 1 {
-            return cost;
-        }
-        if let Some(id) = self.exact_segment(&range) {
-            self.flip_seg(id);
-            return cost;
-        }
-        let mut order = self.live_order();
-        let first = self.cut(&mut order, range.start);
-        let end = self.cut(&mut order, range.end);
-        if end - first == 1 {
-            self.flip_seg(order[first]);
-        } else {
-            self.compact(&mut order, first..end, true);
-        }
-        self.rebuild(order);
-        cost
-    }
-
-    /// Swaps two adjacent blocks, preserving internal orders. Returns the
-    /// cost `left.len() × right.len()`. Rebuilds the index in `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks are not adjacent or out of bounds.
-    pub fn swap_adjacent_blocks(&mut self, left: Range<usize>, right: Range<usize>) -> u64 {
-        assert_eq!(
-            left.end, right.start,
-            "blocks {left:?} and {right:?} are not adjacent"
-        );
-        assert!(
-            right.end <= self.len(),
-            "block {right:?} out of bounds for length {}",
-            self.len()
-        );
-        let cost = (left.len() as u64) * (right.len() as u64);
-        let mut order = self.live_order();
-        let first = self.cut(&mut order, left.start);
-        let mid = self.cut(&mut order, left.start + left.len());
-        let end = self.cut(&mut order, left.start + left.len() + right.len());
-        order[first..end].rotate_left(mid - first);
-        self.rebuild(order);
-        cost
-    }
-
     /// Kendall's tau distance to a dense target, via one `O(n)`
     /// materialization and an `O(n log n)` inversion count.
     ///
@@ -460,57 +364,6 @@ impl SegmentArrangement {
         };
         self.rank(order);
         cost
-    }
-
-    /// Compacts the segments covering `range` into one (the hint emitted
-    /// by the update mechanics after each component merge). Never changes
-    /// the observable arrangement. Two whole adjacent segments — the shape
-    /// a merge leaves — cost `O(smaller segment + log n)`: the larger one
-    /// absorbs the smaller at whichever storage end faces it. Any other
-    /// range rebuilds the index in `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn coalesce_range(&mut self, range: Range<usize>) {
-        assert!(
-            range.end <= self.len(),
-            "block {range:?} out of bounds for length {}",
-            self.len()
-        );
-        if range.len() <= 1 {
-            return;
-        }
-        // Already one segment? Both ends sharing a segment implies the
-        // whole (contiguous) range does. Steady state for repeated hints.
-        let (first, first_index) = self.seg_at(range.start);
-        let (last, last_index) = self.seg_at(range.end - 1);
-        if first == last {
-            return;
-        }
-        // Fast path — the shape every merge update produces: exactly two
-        // adjacent segments. The larger absorbs the smaller, whose rank
-        // is emptied.
-        if first_index == 0
-            && last_index == self.seg_len(last) - 1
-            && self.seg_len(first) + self.seg_len(last) == range.len()
-        {
-            let (keep, gone, gone_is_left) = self.larger_first(first, last);
-            self.vacate(gone, keep);
-            self.absorb(keep, gone, gone_is_left);
-            return;
-        }
-        let mut order = self.live_order();
-        let first = self.cut(&mut order, range.start);
-        let end = self.cut(&mut order, range.end);
-        if end - first == 2 {
-            let (keep, gone, gone_is_left) = self.larger_first(order[first], order[first + 1]);
-            self.absorb(keep, gone, gone_is_left);
-            order.splice(first..end, [keep]);
-        } else {
-            self.compact(&mut order, first..end, false);
-        }
-        self.rebuild(order);
     }
 
     /// Materializes the arrangement as a dense [`Permutation`].
@@ -585,18 +438,20 @@ impl SegmentArrangement {
     }
 
     /// Completes one merge update in a single pass — see
-    /// [`Arrangement::merge_move`] for the contract. The fast path (both
-    /// blocks whole segments, the steady state under coalesce hints) is
-    /// two Fenwick point updates — the mover's length leaves its rank for
-    /// the stayer's — plus a fold of the two segments at the stayer's
-    /// rank. A reversal in `order` flips that segment's lazy orientation
-    /// flag, and the swap only picks the side of the stayer the mover
-    /// folds onto. The fold keeps the larger segment's storage; when that
-    /// is the mover's, the mover takes over the stayer's rank.
+    /// [`Arrangement::merge_move`] for the contract: two Fenwick point
+    /// updates — the mover's length leaves its rank for the stayer's —
+    /// plus a fold of the two segments at the stayer's rank. A reversal
+    /// in `order` flips that segment's lazy orientation flag, and the
+    /// swap only picks the side of the stayer the mover folds onto. The
+    /// fold keeps the larger segment's storage; when that is the mover's,
+    /// the mover takes over the stayer's rank.
     ///
     /// # Panics
     ///
-    /// Panics if the ranges overlap or are out of bounds.
+    /// Panics if the ranges overlap or are out of bounds, or unless each
+    /// block is exactly one segment. Every merge of an algorithm run
+    /// passes: each component is one segment, an initial one-node
+    /// segment or the one a merge left.
     pub fn merge_move(
         &mut self,
         mover: Range<usize>,
@@ -609,12 +464,11 @@ impl SegmentArrangement {
             "blocks {mover:?}/{stayer:?} out of bounds for length {}",
             self.len()
         );
-        // Empty or unaligned blocks take the primitive sequence.
-        let (Some(moving), Some(staying)) =
-            (self.exact_segment(&mover), self.exact_segment(&stayer))
-        else {
-            return crate::arrangement::primitive_merge_move(self, mover, stayer, order);
-        };
+        let (moving, staying) = (self.exact_segment(&mover), self.exact_segment(&stayer));
+        assert!(
+            moving != NIL && staying != NIL,
+            "blocks {mover:?} and {stayer:?} are not one segment each"
+        );
         let gap = dest.abs_diff(mover.start);
         let cost = (mover.len() as u64) * (gap as u64);
         if order.reverse_mover {
@@ -637,15 +491,16 @@ impl SegmentArrangement {
         cost
     }
 
-    /// Resolves a coalesced component's block from one member in
-    /// `O(log n)` — see [`Arrangement::locate_component`] for the full
-    /// contract. The segment backend keeps every coalesced component as
-    /// exactly one segment, so the anchor's segment *is* the block: the
-    /// answer needs one array lookup plus one prefix sum, never a member
-    /// walk. Returns `None` when the anchor's segment length disagrees
-    /// with `len` (the component is not — or not yet — one segment, e.g.
-    /// mid-way through a primitive-op sequence), signalling the caller to
-    /// fall back to the member-walking locate.
+    /// Resolves a component's block from one member in `O(log n)` — see
+    /// [`Arrangement::locate_component`] for the full contract. The
+    /// segment backend keeps every component as exactly one segment, so
+    /// the anchor's segment *is* the block: the answer needs one array
+    /// lookup plus one prefix sum, never a member walk. Returns `None`
+    /// when the anchor's segment length disagrees with `len` (the
+    /// component is not one segment, e.g. after an
+    /// [`assign`](SegmentArrangement::assign) made the whole arrangement
+    /// one), signalling the caller to fall back to the member-walking
+    /// locate.
     ///
     /// # Panics
     ///
@@ -659,6 +514,24 @@ impl SegmentArrangement {
         let start = self.seg_start(id);
         let anchor_pos = start + self.in_seg_index(anchor);
         Some((start..start + len, anchor_pos))
+    }
+
+    /// Where `node` sits among the segments: its segment's id, the
+    /// segment's length, and `node`'s index inside it in arrangement
+    /// order. `O(1)`, with no prefix sum; an id names its segment until
+    /// the next merge or jump.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    // Inlined across crates: a checkpoint restore's consistency check
+    // calls it up to twice per node, and as a call it made that check
+    // about twice as slow.
+    #[must_use]
+    #[inline]
+    pub fn segment_of(&self, node: Node) -> (u32, usize, usize) {
+        let id = self.node_seg[node.index()];
+        (id, self.seg_len(id), self.in_seg_index(node))
     }
 
     /// Checks internal consistency: ranks and segment ids must point at
@@ -745,16 +618,6 @@ impl SegmentArrangement {
         self.node_map_writes
     }
 
-    /// `O(n)` index rebuilds since construction or decode: one per block
-    /// operation that reordered or cut segments. Construction, decode and
-    /// [`assign`](SegmentArrangement::assign) do not count. Used by tests
-    /// to check that algorithm runs never take these paths.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn index_rebuilds(&self) -> u64 {
-        self.index_rebuilds
-    }
-
     /// Serializes the arrangement for the checkpoint stack: node count,
     /// then the live segments in position order (storage-order node list
     /// and lazy-reversal flag each).
@@ -763,7 +626,7 @@ impl SegmentArrangement {
     /// unobservable (every cost is closed-form in positions and sizes)
     /// and a decode ranks the same segments afresh. The partition itself
     /// *is* observable: `locate_component` trusts that an algorithm run
-    /// keeps every component one coalesced segment, so a checkpoint must
+    /// keeps every component one segment, so a checkpoint must
     /// restore the exact segment boundaries, storage orders and
     /// orientation flags, not just the flat permutation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -924,13 +787,6 @@ impl SegmentArrangement {
         self.at_rank = order;
     }
 
-    /// [`rank`](Self::rank) after an op that reordered or cut segments:
-    /// the `O(n)` rebuild that no algorithm run reaches.
-    fn rebuild(&mut self, order: Vec<u32>) {
-        self.index_rebuilds += 1;
-        self.rank(order);
-    }
-
     /// The live segments in position order.
     fn live_order(&self) -> Vec<u32> {
         self.at_rank
@@ -938,38 +794,6 @@ impl SegmentArrangement {
             .copied()
             .filter(|&id| id != NIL)
             .collect()
-    }
-
-    /// Cuts the segments `order` (position order) at `position`: a
-    /// segment that straddles it is split in two. Returns the index in
-    /// `order` of the first segment at or right of `position`.
-    fn cut(&mut self, order: &mut Vec<u32>, position: usize) -> usize {
-        let mut start = 0;
-        for i in 0..order.len() {
-            if start == position {
-                return i;
-            }
-            let len = self.seg_len(order[i]);
-            if position < start + len {
-                let tail = self.split_seg(order[i], position - start);
-                order.insert(i + 1, tail);
-                return i + 1;
-            }
-            start += len;
-        }
-        order.len()
-    }
-
-    /// Replaces the segments `order[range]` by one new segment holding
-    /// their nodes in arrangement order, read reversed if `reversed`.
-    fn compact(&mut self, order: &mut Vec<u32>, range: Range<usize>, reversed: bool) {
-        let mut nodes = VecDeque::new();
-        for &id in &order[range.clone()] {
-            self.extend_arranged(&mut nodes, id);
-            self.free_seg(id);
-        }
-        let id = self.alloc_seg(nodes, reversed);
-        order.splice(range, [id]);
     }
 
     /// Allocates an unranked segment holding `nodes` in storage order and
@@ -1050,40 +874,6 @@ impl SegmentArrangement {
         self.free.push(id);
     }
 
-    /// Cuts the first `cut` arrangement-order nodes off segment `id`,
-    /// keeping them in `id`; returns a new unranked segment holding the
-    /// remainder. A piece left with one node gives up its storage slot.
-    /// `O(segment)`.
-    fn split_seg(&mut self, id: u32, cut: usize) -> u32 {
-        let i = id as usize;
-        let SegMeta {
-            len,
-            store,
-            reversed,
-            ..
-        } = self.meta[i];
-        debug_assert!(cut > 0 && cut < len as usize, "interior cut expected");
-        // A reversed segment reads its storage back to front, so its
-        // first `cut` arrangement nodes are its last `cut` storage nodes:
-        // they stay in `id` under a head advanced past the cut-off front.
-        let at = if reversed { len as usize - cut } else { cut };
-        let kept = &mut self.stores[store as usize];
-        let mut rest = kept.split_off(at);
-        if reversed {
-            std::mem::swap(kept, &mut rest);
-            self.meta[i].head = self.meta[i].head.wrapping_add(at as u32);
-        }
-        self.meta[i].len = kept.len() as u32;
-        if kept.len() == 1 {
-            let v = kept[0];
-            self.meta[i].head = v.raw();
-            self.meta[i].store = NIL;
-            self.node_off[v.index()] = v.raw();
-            self.free_store(store);
-        }
-        self.alloc_seg(rest, reversed)
-    }
-
     /// The segment `nodes` are exactly, if they are one.
     fn whole_segment(&self, nodes: &[Node]) -> Option<u32> {
         let id = self.node_seg[nodes.first()?.index()];
@@ -1102,23 +892,17 @@ impl SegmentArrangement {
         }
     }
 
-    /// Returns the segment iff `range` covers exactly one segment.
-    fn exact_segment(&self, range: &Range<usize>) -> Option<u32> {
+    /// The segment that in-bounds `range` covers exactly, or `NIL` if
+    /// `range` is not one segment.
+    fn exact_segment(&self, range: &Range<usize>) -> u32 {
         if range.is_empty() {
-            return None;
+            return NIL;
         }
         let (id, index) = self.seg_at(range.start);
-        (index == 0 && self.seg_len(id) == range.len()).then_some(id)
-    }
-
-    /// Adjacent segments `first` (arrangement-left) and `second` as
-    /// [`absorb`](Self::absorb)'s `(keep, gone, gone_is_left)`: the
-    /// larger one keeps its storage, `first` on a tie.
-    fn larger_first(&self, first: u32, second: u32) -> (u32, u32, bool) {
-        if self.seg_len(first) >= self.seg_len(second) {
-            (first, second, false)
+        if index == 0 && self.seg_len(id) == range.len() {
+            id
         } else {
-            (second, first, true)
+            NIL
         }
     }
 
@@ -1178,8 +962,7 @@ impl SegmentArrangement {
     }
 
     /// Reverses segment `id`'s reading order by flipping its lazy flag.
-    /// A singleton keeps its flag: reversing it is a no-op, as in
-    /// [`reverse_block`](Self::reverse_block).
+    /// A singleton keeps its flag: reversing it changes nothing.
     fn flip_seg(&mut self, id: u32) {
         if self.seg_len(id) > 1 {
             let reversed = &mut self.meta[id as usize].reversed;
@@ -1233,28 +1016,12 @@ impl Arrangement for SegmentArrangement {
         SegmentArrangement::contiguous_range(self, nodes)
     }
 
-    fn move_block(&mut self, src: Range<usize>, dest: usize) -> u64 {
-        SegmentArrangement::move_block(self, src, dest)
-    }
-
-    fn reverse_block(&mut self, range: Range<usize>) -> u64 {
-        SegmentArrangement::reverse_block(self, range)
-    }
-
-    fn swap_adjacent_blocks(&mut self, left: Range<usize>, right: Range<usize>) -> u64 {
-        SegmentArrangement::swap_adjacent_blocks(self, left, right)
-    }
-
     fn kendall_to(&self, target: &Permutation) -> u64 {
         SegmentArrangement::kendall_to(self, target)
     }
 
     fn assign(&mut self, target: &Permutation) -> u64 {
         SegmentArrangement::assign(self, target)
-    }
-
-    fn coalesce_range(&mut self, range: Range<usize>) {
-        SegmentArrangement::coalesce_range(self, range);
     }
 
     fn to_permutation(&self) -> Permutation {
@@ -1322,6 +1089,27 @@ mod tests {
         SegmentArrangement::from_permutation(&Permutation::from_indices(indices).unwrap())
     }
 
+    /// Folds the one-node segments in `range` into one segment by
+    /// zero-gap merges, right to left: each node in turn joins the
+    /// segment to its right, as a run of adjacent reveals would.
+    fn fold(arr: &mut SegmentArrangement, range: Range<usize>) {
+        for i in (range.start..range.end - 1).rev() {
+            assert_eq!(
+                arr.merge_move(i..i + 1, i + 1..range.end, MergeOrder::KEEP),
+                0
+            );
+        }
+    }
+
+    /// The merge order whose three bits are the low bits of `bits`.
+    fn order_of(bits: usize) -> MergeOrder {
+        MergeOrder {
+            reverse_mover: bits & 1 != 0,
+            reverse_stayer: bits & 2 != 0,
+            swap: bits & 4 != 0,
+        }
+    }
+
     #[test]
     fn identity_round_trip() {
         let arr = SegmentArrangement::identity(5);
@@ -1352,6 +1140,7 @@ mod tests {
 
     #[test]
     fn one_node_segments_own_no_storage() {
+        use crate::codec::{put_bool, put_len, put_u32};
         assert_eq!(std::mem::size_of::<SegMeta>(), 20);
         let arr = seg(&[3, 1, 4, 0, 2]);
         assert!(arr.stores.is_empty() && slotted(&arr).is_empty());
@@ -1364,13 +1153,33 @@ mod tests {
         let (bytes, back) = reencoded(&arr);
         assert!(back.stores.is_empty() && back.check_consistent());
         assert_eq!(reencoded(&back).0, bytes);
+        // A checkpoint records a one-node segment's orientation flag, set
+        // or not, and a decode keeps it: the body re-encodes byte for
+        // byte, and the flag changes no lookup.
+        let mut body = Vec::new();
+        put_len(&mut body, 3);
+        put_len(&mut body, 2);
+        put_bool(&mut body, true);
+        put_len(&mut body, 1);
+        put_u32(&mut body, 2);
+        put_bool(&mut body, false);
+        put_len(&mut body, 2);
+        put_u32(&mut body, 0);
+        put_u32(&mut body, 1);
+        let mut r = crate::codec::ByteReader::new(&body);
+        let flagged = SegmentArrangement::decode_from(&mut r, FORMAT).unwrap();
+        let meta = flagged.meta[flagged.node_seg[2] as usize];
+        assert_eq!((meta.len, meta.store, meta.head), (1, NIL, 2));
+        assert!(meta.reversed && flagged.check_consistent());
+        assert_eq!(flagged.to_permutation().to_index_vec(), vec![2, 0, 1]);
+        assert_eq!(reencoded(&flagged).0, body);
     }
 
     #[test]
     fn folds_take_and_return_storage_slots() {
         let mut arr = SegmentArrangement::identity(8);
         // Two singletons fold into one slot.
-        arr.coalesce_range(1..3);
+        fold(&mut arr, 1..3);
         assert_eq!((arr.stores.len(), arr.free_stores.len()), (1, 0));
         assert_eq!(slotted(&arr), vec![arr.node_seg[1]]);
         assert!(arr.check_consistent());
@@ -1378,13 +1187,13 @@ mod tests {
         arr.merge_move(0..1, 1..3, MergeOrder::KEEP);
         assert_eq!((arr.stores.len(), arr.free_stores.len()), (1, 0));
         // Two slotted segments fold: the smaller one's slot is freed...
-        arr.coalesce_range(3..5);
+        fold(&mut arr, 3..5);
         assert_eq!(slotted(&arr).len(), 2);
-        arr.coalesce_range(0..5);
+        arr.merge_move(3..5, 0..3, MergeOrder::KEEP);
         assert_eq!((arr.stores.len(), arr.free_stores.len()), (2, 1));
         assert!(arr.check_consistent());
         // ...and the next fold of two singletons reuses it.
-        arr.coalesce_range(6..8);
+        fold(&mut arr, 6..8);
         assert_eq!((arr.stores.len(), arr.free_stores.len()), (2, 0));
         assert!(arr.check_consistent());
         arr.merge_move(5..6, 0..5, MergeOrder::KEEP);
@@ -1394,53 +1203,23 @@ mod tests {
     }
 
     #[test]
-    fn cuts_leave_one_node_pieces_without_storage() {
-        // Node 3 ends up as the one-node piece at the arrangement-left
-        // end of a reversed segment, node 0 at its right end; both keep
-        // the segment's orientation flag, which a checkpoint records.
-        let mut arr = SegmentArrangement::identity(6);
-        let mut pi = Permutation::identity(6);
-        arr.coalesce_range(0..4);
-        arr.reverse_block(0..4);
-        pi.reverse_block(0..4);
-        assert_eq!(arr.reverse_block(1..3), pi.reverse_block(1..3));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
-        for v in [3, 0] {
-            let meta = arr.meta[arr.node_seg[v] as usize];
-            assert_eq!((meta.len, meta.store, meta.head), (1, NIL, v as u32));
-            assert!(meta.reversed);
-        }
-        assert_eq!(slotted(&arr).len(), 1);
-        let (bytes, back) = reencoded(&arr);
-        assert!(back.check_consistent());
-        assert_eq!(back.to_permutation(), pi);
-        assert_eq!(reencoded(&back).0, bytes);
-        // A forward segment cut down to one node at either end too.
-        let mut arr = SegmentArrangement::identity(5);
-        let mut pi = Permutation::identity(5);
-        arr.coalesce_range(0..5);
-        assert_eq!(arr.move_block(1..4, 2), pi.move_block(1..4, 2));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
-        let (bytes, back) = reencoded(&arr);
-        assert_eq!(reencoded(&back).0, bytes);
-    }
-
-    #[test]
     fn codec_roundtrip_preserves_partition_and_orientation() {
         // Build an arrangement whose segments are multi-node, reversed and
         // interleaved, then round-trip it through the byte codec.
         let mut arr = seg(&[3, 0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
-        arr.coalesce_range(0..3);
-        arr.reverse_block(4..7);
-        arr.coalesce_range(4..8);
+        fold(&mut arr, 0..3);
+        fold(&mut arr, 4..7);
+        let reverse_mover = MergeOrder {
+            reverse_mover: true,
+            ..MergeOrder::KEEP
+        };
+        arr.merge_move(7..8, 4..7, reverse_mover);
         // A segment that absorbed a node at its storage front: its head
-        // moved off zero and its storage wraps around the deque's buffer.
-        arr.coalesce_range(9..13);
-        arr.coalesce_range(8..13);
-        let wrapped = arr.node_seg[8] as usize;
-        assert_ne!(arr.meta[wrapped].head, 0);
+        // moved down by one and its storage wraps around the deque's
+        // buffer.
+        arr.merge_move(11..12, 12..13, MergeOrder::KEEP);
+        let wrapped = arr.node_seg[11] as usize;
+        assert_eq!(arr.meta[wrapped].head, 11);
         let slot = arr.meta[wrapped].store as usize;
         assert!(!arr.stores[slot].as_slices().1.is_empty());
         assert!(arr.check_consistent());
@@ -1472,8 +1251,8 @@ mod tests {
             from_old.encode_into(&mut reencoded);
             assert_eq!(reencoded, bytes, "format {version}");
         }
-        // Coalesced components stay locatable after the round trip, and
-        // merges keep working on the decoded index.
+        // Components stay locatable after the round trip, and merges keep
+        // working on the decoded index.
         let (range, _) = back.locate_component(Node::new(3), 3).unwrap();
         assert_eq!(range, 0..3);
         back.merge_move(0..3, 3..4, MergeOrder::KEEP);
@@ -1511,7 +1290,7 @@ mod tests {
         // Truncated input.
         let mut arr = SegmentArrangement::identity(4);
         let mut bytes = Vec::new();
-        arr.coalesce_range(0..2);
+        fold(&mut arr, 0..2);
         arr.encode_into(&mut bytes);
         for cut in 0..bytes.len() {
             assert!(
@@ -1544,64 +1323,42 @@ mod tests {
     }
 
     #[test]
-    fn move_block_matches_dense() {
-        let mut arr = SegmentArrangement::identity(5);
-        let mut pi = Permutation::identity(5);
-        assert_eq!(arr.move_block(1..3, 3), pi.move_block(1..3, 3));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
-        assert_eq!(arr.move_block(3..5, 1), pi.move_block(3..5, 1));
-        assert_eq!(arr.to_permutation(), pi);
-        assert_eq!(arr.move_block(1..1, 0), 0);
-        assert_eq!(arr.move_block(0..2, 0), 0);
-    }
-
-    #[test]
-    fn reverse_block_lazy_flag_and_fallback() {
-        let mut arr = SegmentArrangement::identity(6);
-        let mut pi = Permutation::identity(6);
-        // Coalesce 2..5 into one segment, then the reversal is a bit flip.
-        arr.coalesce_range(2..5);
-        assert_eq!(arr.reverse_block(2..5), pi.reverse_block(2..5));
-        assert_eq!(arr.to_permutation(), pi);
-        // Multi-segment reversal falls back to compaction.
-        assert_eq!(arr.reverse_block(0..6), pi.reverse_block(0..6));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
-    }
-
-    #[test]
-    fn reversed_segment_lookups() {
+    #[should_panic(expected = "not one segment each")]
+    fn merge_move_panics_unless_blocks_are_whole_segments() {
+        // Nodes 1 and 2 are one segment; a block holding only node 2 is
+        // part of it.
         let mut arr = SegmentArrangement::identity(4);
-        arr.coalesce_range(0..4);
-        arr.reverse_block(0..4);
-        assert_eq!(arr.position_of(Node::new(0)), 3);
-        assert_eq!(arr.node_at(0), Node::new(3));
-        assert!(arr.check_consistent());
-    }
-
-    #[test]
-    fn swap_adjacent_blocks_matches_dense() {
-        let mut arr = seg(&[0, 1, 2, 3, 4]);
-        let mut pi = Permutation::from_indices(&[0, 1, 2, 3, 4]).unwrap();
-        assert_eq!(arr.swap_adjacent_blocks(1..3, 3..5), 4);
-        pi.swap_adjacent_blocks(1..3, 3..5);
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
-    }
-
-    #[test]
-    #[should_panic(expected = "not adjacent")]
-    fn swap_non_adjacent_panics() {
-        let mut arr = SegmentArrangement::identity(5);
-        let _ = arr.swap_adjacent_blocks(0..1, 3..5);
+        fold(&mut arr, 1..3);
+        let _ = arr.merge_move(2..3, 3..4, MergeOrder::KEEP);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn move_block_out_of_bounds_panics() {
+    fn merge_move_out_of_bounds_panics() {
         let mut arr = SegmentArrangement::identity(3);
-        let _ = arr.move_block(1..4, 0);
+        let _ = arr.merge_move(1..4, 0..1, MergeOrder::KEEP);
+    }
+
+    #[test]
+    fn reversed_segment_lookups() {
+        // The larger mover keeps its storage, reversed, and takes over
+        // the stayer's rank.
+        let mut arr = SegmentArrangement::identity(5);
+        let mut pi = Permutation::identity(5);
+        fold(&mut arr, 0..4);
+        let reverse_mover = MergeOrder {
+            reverse_mover: true,
+            ..MergeOrder::KEEP
+        };
+        assert_eq!(
+            arr.merge_move(0..4, 4..5, reverse_mover),
+            Arrangement::merge_move(&mut pi, 0..4, 4..5, reverse_mover)
+        );
+        assert_eq!(arr.to_permutation(), pi);
+        assert_eq!(arr.position_of(Node::new(0)), 3);
+        assert_eq!(arr.node_at(0), Node::new(3));
+        assert!(arr.meta[arr.node_seg[0] as usize].reversed);
+        assert!(arr.check_consistent());
     }
 
     #[test]
@@ -1613,8 +1370,8 @@ mod tests {
             Some(1..3)
         );
         assert_eq!(arr.contiguous_range(&[Node::new(4), Node::new(3)]), None);
-        // Fast path after coalescing.
-        arr.coalesce_range(1..3);
+        // Fast path after a fold.
+        fold(&mut arr, 1..3);
         assert_eq!(arr.segment_count(), 4);
         assert_eq!(
             arr.contiguous_range(&[Node::new(2), Node::new(3)]),
@@ -1626,47 +1383,37 @@ mod tests {
     #[test]
     fn coalesce_orientation_cases() {
         // Every orientation pair, with the left segment smaller than,
-        // equal to and larger than the right one: the larger absorbs the
-        // smaller at its storage front or back.
+        // equal to and larger than the right one, either one moving and
+        // with or without the swap: the larger absorbs the smaller at its
+        // storage front or back, and the merge matches the dense one.
         for cut in [2, 3, 4] {
-            for (rev_left, rev_right) in
-                [(false, false), (false, true), (true, false), (true, true)]
-            {
-                let case = format!("cut {cut}, ({rev_left}, {rev_right})");
-                let mut arr = SegmentArrangement::identity(6);
-                let mut pi = Permutation::identity(6);
-                arr.coalesce_range(0..cut);
-                arr.coalesce_range(cut..6);
-                if rev_left {
-                    arr.reverse_block(0..cut);
-                    pi.reverse_block(0..cut);
+            for bits in 0..8 {
+                for left_moves in [true, false] {
+                    let order = order_of(bits);
+                    let case = format!("cut {cut}, {order:?}, left moves: {left_moves}");
+                    let mut arr = SegmentArrangement::identity(6);
+                    let mut pi = Permutation::identity(6);
+                    fold(&mut arr, 0..cut);
+                    fold(&mut arr, cut..6);
+                    let (mover, stayer) = if left_moves {
+                        (0..cut, cut..6)
+                    } else {
+                        (cut..6, 0..cut)
+                    };
+                    let writes = arr.node_map_writes();
+                    assert_eq!(
+                        arr.merge_move(mover.clone(), stayer.clone(), order),
+                        Arrangement::merge_move(&mut pi, mover, stayer, order),
+                        "{case}"
+                    );
+                    assert_eq!(arr.segment_count(), 1, "{case}");
+                    assert_eq!(arr.to_permutation(), pi, "{case}");
+                    assert!(arr.check_consistent(), "{case}");
+                    let smaller = cut.min(6 - cut) as u64;
+                    assert_eq!(arr.node_map_writes() - writes, smaller, "{case}");
                 }
-                if rev_right {
-                    arr.reverse_block(cut..6);
-                    pi.reverse_block(cut..6);
-                }
-                let writes = arr.node_map_writes();
-                arr.coalesce_range(0..6);
-                assert_eq!(arr.segment_count(), 1, "{case}");
-                assert_eq!(arr.to_permutation(), pi, "{case}");
-                assert!(arr.check_consistent(), "{case}");
-                let smaller = cut.min(6 - cut) as u64;
-                assert_eq!(arr.node_map_writes() - writes, smaller, "{case}");
             }
         }
-    }
-
-    #[test]
-    fn interior_splits_of_reversed_segments() {
-        let mut arr = SegmentArrangement::identity(8);
-        let mut pi = Permutation::identity(8);
-        arr.coalesce_range(0..8);
-        arr.reverse_block(0..8);
-        pi.reverse_block(0..8);
-        // Move a range that cuts the single reversed segment twice.
-        assert_eq!(arr.move_block(2..5, 4), pi.move_block(2..5, 4));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.check_consistent());
     }
 
     #[test]
@@ -1693,15 +1440,18 @@ mod tests {
         let mut a = SegmentArrangement::identity(4);
         let b = SegmentArrangement::identity(4);
         assert_eq!(a, b);
-        a.coalesce_range(0..4); // structure differs, order identical
+        fold(&mut a, 0..4); // structure differs, order identical
         assert_eq!(a, b);
-        a.reverse_block(0..4);
-        assert_ne!(a, b);
+        let mut c = SegmentArrangement::identity(4);
+        c.merge_move(0..1, 1..2, order_of(4));
+        assert_ne!(c, b);
     }
 
     #[test]
     fn randomized_ops_match_dense() {
-        // Deterministic pseudo-random op fuzz against the dense reference.
+        // Deterministic pseudo-random fuzz of whole-component merges (all
+        // eight merge orders, either side moving, any gap) and jumps
+        // against the dense reference.
         let mut state = 0x1234_5678_u64;
         let mut next = move |bound: usize| {
             state = splitmix64(state);
@@ -1710,40 +1460,39 @@ mod tests {
         for n in [1usize, 2, 3, 7, 16, 33] {
             let mut arr = SegmentArrangement::identity(n);
             let mut pi = Permutation::identity(n);
+            // Components as member lists; every node starts alone.
+            let mut comps: Vec<Vec<Node>> = (0..n).map(|v| vec![Node::new(v)]).collect();
             for _ in 0..120 {
-                match next(4) {
-                    0 => {
-                        let start = next(n + 1);
-                        let end = start + next(n - start + 1);
-                        let len = end - start;
-                        let dest = next(n - len + 1);
-                        assert_eq!(
-                            arr.move_block(start..end, dest),
-                            pi.move_block(start..end, dest)
-                        );
+                if comps.len() < 2 || next(16) == 0 {
+                    let mut target: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        target.swap(i, next(i + 1));
                     }
-                    1 => {
-                        let start = next(n + 1);
-                        let end = start + next(n - start + 1);
-                        assert_eq!(arr.reverse_block(start..end), pi.reverse_block(start..end));
-                    }
-                    2 => {
-                        let start = next(n + 1);
-                        let mid = start + next(n - start + 1);
-                        let end = mid + next(n - mid + 1);
-                        assert_eq!(
-                            arr.swap_adjacent_blocks(start..mid, mid..end),
-                            pi.swap_adjacent_blocks(start..mid, mid..end)
-                        );
-                    }
-                    _ => {
-                        let start = next(n + 1);
-                        let end = start + next(n - start + 1);
-                        arr.coalesce_range(start..end);
-                    }
+                    let target = Permutation::from_indices(&target).unwrap();
+                    assert_eq!(arr.assign(&target), Arrangement::assign(&mut pi, &target));
+                    // The jump leaves the whole arrangement one segment.
+                    comps = vec![pi.iter().copied().collect()];
+                } else {
+                    let a = next(comps.len());
+                    let b = (a + 1 + next(comps.len() - 1)) % comps.len();
+                    let mover = pi.contiguous_range(&comps[a]).unwrap();
+                    let stayer = pi.contiguous_range(&comps[b]).unwrap();
+                    let order = order_of(next(8));
+                    assert_eq!(
+                        arr.merge_move(mover.clone(), stayer.clone(), order),
+                        Arrangement::merge_move(&mut pi, mover, stayer, order)
+                    );
+                    let absorbed = comps.swap_remove(a);
+                    let b = if b == comps.len() { a } else { b };
+                    comps[b].extend(absorbed);
                 }
                 assert_eq!(arr.to_permutation(), pi);
                 assert!(arr.check_consistent());
+                for members in &comps {
+                    let walked = pi.contiguous_range(members).unwrap();
+                    let (range, at) = arr.locate_component(members[0], members.len()).unwrap();
+                    assert_eq!((range, arr.node_at(at)), (walked, members[0]));
+                }
             }
         }
     }
@@ -1751,7 +1500,7 @@ mod tests {
     #[test]
     fn locate_component_matches_walk() {
         let mut arr = SegmentArrangement::identity(8);
-        arr.coalesce_range(2..5);
+        fold(&mut arr, 2..5);
         // Nodes 2..5 now live in one segment: the slot-based locate must
         // agree with the member-walk contiguous_range.
         let members = [Node::new(2), Node::new(3), Node::new(4)];
@@ -1768,39 +1517,17 @@ mod tests {
     #[test]
     fn locate_component_survives_reversal() {
         let mut arr = SegmentArrangement::identity(8);
-        arr.coalesce_range(2..6);
-        arr.reverse_block(2..6);
+        fold(&mut arr, 2..5);
+        let reverse_stayer = MergeOrder {
+            reverse_stayer: true,
+            ..MergeOrder::KEEP
+        };
+        arr.merge_move(5..6, 2..5, reverse_stayer);
         let (range, anchor_pos) = arr.locate_component(Node::new(5), 4).unwrap();
         assert_eq!(range, 2..6);
         assert_eq!(arr.node_at(anchor_pos), Node::new(5));
+        assert_eq!(anchor_pos, 5);
+        let (_, anchor_pos) = arr.locate_component(Node::new(4), 4).unwrap();
         assert_eq!(anchor_pos, 2);
-    }
-
-    #[test]
-    fn only_reorder_and_cut_ops_rebuild_the_index() {
-        let mut arr = SegmentArrangement::identity(8);
-        // The ops of an algorithm run: whole-segment merges, two-segment
-        // coalesces, single-segment reversals and jumps.
-        arr.coalesce_range(0..2);
-        arr.merge_move(5..6, 0..2, MergeOrder::KEEP);
-        arr.merge_move(
-            0..3,
-            6..7,
-            MergeOrder {
-                reverse_mover: true,
-                reverse_stayer: false,
-                swap: true,
-            },
-        );
-        arr.reverse_block(3..7);
-        arr.assign(&Permutation::from_indices(&[7, 6, 5, 4, 3, 2, 1, 0]).unwrap());
-        assert_eq!(arr.index_rebuilds(), 0);
-        assert!(arr.check_consistent());
-        // A move reorders segments and cuts the one it lands in.
-        let mut pi = arr.to_permutation();
-        assert_eq!(arr.move_block(0..2, 3), pi.move_block(0..2, 3));
-        assert_eq!(arr.to_permutation(), pi);
-        assert!(arr.index_rebuilds() >= 1);
-        assert!(arr.check_consistent());
     }
 }

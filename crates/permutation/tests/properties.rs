@@ -188,27 +188,18 @@ proptest! {
 
 use mla_permutation::{Arrangement, MergeOrder, SegmentArrangement};
 
-/// One randomly generated arrangement operation.
+/// One step of a whole-component op sequence.
 #[derive(Debug, Clone)]
 enum Op {
-    Move {
-        src: std::ops::Range<usize>,
-        dest: usize,
-    },
-    Reverse(std::ops::Range<usize>),
-    SwapBlocks {
-        mid: usize,
-        start: usize,
-        end: usize,
-    },
-    Coalesce(std::ops::Range<usize>),
-    Assign(Vec<usize>),
-    /// The composite merge update.
-    MergeMove {
-        mover: std::ops::Range<usize>,
-        stayer: std::ops::Range<usize>,
+    /// Merge two live components. The picks are raw draws, resolved
+    /// modulo the live component count when the step runs.
+    Merge {
+        mover: usize,
+        stayer: usize,
         order: MergeOrder,
     },
+    /// Jump to a target; the whole arrangement is one component after.
+    Assign(Vec<usize>),
 }
 
 /// The merge order whose three bits are the low bits of `bits`.
@@ -234,85 +225,46 @@ fn pattern_of(
     indices
 }
 
-/// Strategy: a random op sequence for an arrangement of `n` nodes,
-/// including the empty/full/boundary-adjacent edge cases the dense
-/// asserts allow. (The vendored proptest has no `prop_oneof`, so the ops
-/// are drawn from the perturbation RNG.)
+/// Strategy: a start permutation and a random whole-component op
+/// sequence for it: merges in all eight orders, with a jump about one
+/// step in twelve. (The vendored proptest has no `prop_oneof`, so the
+/// ops are drawn from the perturbation RNG.)
 fn op_sequence() -> impl Strategy<Value = (Permutation, Vec<Op>)> {
     (1usize..24).prop_flat_map(|n| {
         permutation(n).prop_perturb(move |start, mut rng| {
             let next =
                 |bound: usize, rng: &mut TestRng| (rng.next_u64() % bound.max(1) as u64) as usize;
             let count = next(40, &mut rng);
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                ops.push(match next(15, &mut rng) {
-                    0..=3 => {
-                        let start = next(n + 1, &mut rng);
-                        let end = start + next(n - start + 1, &mut rng);
-                        let dest = next(n - (end - start) + 1, &mut rng);
-                        Op::Move {
-                            src: start..end,
-                            dest,
+            let ops = (0..count)
+                .map(|_| {
+                    if next(12, &mut rng) == 0 {
+                        Op::Assign(pattern_of(n, next, &mut rng))
+                    } else {
+                        Op::Merge {
+                            mover: next(1 << 16, &mut rng),
+                            stayer: next(1 << 16, &mut rng),
+                            order: merge_order_of(next(8, &mut rng)),
                         }
                     }
-                    4..=6 => {
-                        let start = next(n + 1, &mut rng);
-                        let end = start + next(n - start + 1, &mut rng);
-                        Op::Reverse(start..end)
-                    }
-                    7..=9 => {
-                        let start = next(n + 1, &mut rng);
-                        let mid = start + next(n - start + 1, &mut rng);
-                        let end = mid + next(n - mid + 1, &mut rng);
-                        Op::SwapBlocks { start, mid, end }
-                    }
-                    10 | 11 => {
-                        let start = next(n + 1, &mut rng);
-                        let end = start + next(n - start + 1, &mut rng);
-                        Op::Coalesce(start..end)
-                    }
-                    12 => Op::Assign(pattern_of(n, next, &mut rng)),
-                    13 | 14 if n >= 2 => {
-                        // Two disjoint non-empty blocks; mover on a random
-                        // side; each rearranging bit on a coin flip.
-                        let mut cuts = [
-                            next(n + 1, &mut rng),
-                            next(n + 1, &mut rng),
-                            next(n + 1, &mut rng),
-                            next(n + 1, &mut rng),
-                        ];
-                        cuts.sort_unstable();
-                        let [a, mut b, mut c, mut d] = cuts;
-                        if b == a {
-                            b = a + 1;
-                        }
-                        c = c.max(b);
-                        if d <= c {
-                            d = c + 1;
-                        }
-                        if d > n {
-                            Op::Coalesce(0..n)
-                        } else {
-                            let (first, second) = (a..b, c..d);
-                            let (mover, stayer) = if next(2, &mut rng) == 0 {
-                                (first, second)
-                            } else {
-                                (second, first)
-                            };
-                            Op::MergeMove {
-                                mover,
-                                stayer,
-                                order: merge_order_of(next(8, &mut rng)),
-                            }
-                        }
-                    }
-                    _ => Op::Coalesce(0..n),
-                });
-            }
+                })
+                .collect();
             (start, ops)
         })
     })
+}
+
+/// The two distinct component indices that raw picks `first` and
+/// `second` resolve to among `live` components (`live >= 2`).
+fn pick_pair(first: usize, second: usize, live: usize) -> (usize, usize) {
+    let a = first % live;
+    (a, (a + 1 + second % (live - 1)) % live)
+}
+
+/// Merges component `a` into component `b` in the member-list model.
+fn merge_members(comps: &mut Vec<Vec<Node>>, a: usize, b: usize) {
+    let absorbed = std::mem::take(&mut comps[a]);
+    comps[b].extend(absorbed);
+    comps.swap_remove(a);
 }
 
 proptest! {
@@ -320,37 +272,41 @@ proptest! {
     fn segment_backend_is_bit_identical_to_dense((start, ops) in op_sequence()) {
         let mut dense = start.clone();
         let mut segment = SegmentArrangement::from_permutation(&start);
+        let mut comps: Vec<Vec<Node>> = start.iter().map(|&v| vec![v]).collect();
         for operation in &ops {
-            let (dense_cost, segment_cost) = match operation.clone() {
-                Op::Move { src, dest } => (
-                    dense.move_block(src.clone(), dest),
-                    segment.move_block(src, dest),
-                ),
-                Op::Reverse(range) => (
-                    dense.reverse_block(range.clone()),
-                    segment.reverse_block(range),
-                ),
-                Op::SwapBlocks { start, mid, end } => (
-                    dense.swap_adjacent_blocks(start..mid, mid..end),
-                    segment.swap_adjacent_blocks(start..mid, mid..end),
-                ),
-                Op::Coalesce(range) => {
-                    Arrangement::coalesce_range(&mut dense, range.clone());
-                    segment.coalesce_range(range);
-                    (0, 0)
+            let (dense_cost, segment_cost) = match operation {
+                Op::Merge { .. } if comps.len() < 2 => continue,
+                &Op::Merge { mover, stayer, order } => {
+                    let (a, b) = pick_pair(mover, stayer, comps.len());
+                    let mover = dense.contiguous_range(&comps[a]).expect("component is contiguous");
+                    let stayer = dense.contiguous_range(&comps[b]).expect("component is contiguous");
+                    let costs = (
+                        Arrangement::merge_move(&mut dense, mover.clone(), stayer.clone(), order),
+                        segment.merge_move(mover, stayer, order),
+                    );
+                    merge_members(&mut comps, a, b);
+                    costs
                 }
                 Op::Assign(indices) => {
-                    let target = Permutation::from_indices(&indices).expect("valid shuffle");
+                    let target = Permutation::from_indices(indices).expect("valid shuffle");
+                    comps = vec![target.iter().copied().collect()];
                     (Arrangement::assign(&mut dense, &target), segment.assign(&target))
                 }
-                Op::MergeMove { mover, stayer, order } => (
-                    Arrangement::merge_move(&mut dense, mover.clone(), stayer.clone(), order),
-                    segment.merge_move(mover, stayer, order),
-                ),
             };
             prop_assert_eq!(dense_cost, segment_cost, "cost diverged on {:?}", operation);
             prop_assert_eq!(&segment.to_permutation(), &dense, "layout diverged on {:?}", operation);
             prop_assert!(segment.check_consistent());
+            // Every component is one segment: the slot-based locate finds
+            // the block the dense member walk finds.
+            for members in &comps {
+                let walked = dense.contiguous_range(members).expect("component is contiguous");
+                let anchor = members[members.len() / 2];
+                let (range, anchor_pos) = segment
+                    .locate_component(anchor, members.len())
+                    .expect("every component is one segment");
+                prop_assert_eq!(range, walked, "locate diverged on {:?}", operation);
+                prop_assert_eq!(segment.node_at(anchor_pos), anchor);
+            }
         }
         // Lookups agree in both directions after the full sequence.
         for pos in 0..dense.len() {
@@ -381,10 +337,14 @@ proptest! {
         let all_reversed: Vec<Node> = all.iter().rev().copied().collect();
         prop_assert_eq!(segment.contiguous_range(&all), Some(0..p.len()));
         prop_assert_eq!(segment.contiguous_range(&[]), Some(0..0));
-        // Coalescing must never change an answer.
-        for coalesced in [false, true] {
-            if coalesced {
-                segment.coalesce_range(0..p.len());
+        // Folding every node into one segment must never change an answer.
+        for folded in [false, true] {
+            if folded {
+                let n = p.len();
+                for i in (0..n - 1).rev() {
+                    segment.merge_move(i..i + 1, i + 1..n, MergeOrder::KEEP);
+                }
+                prop_assert_eq!(segment.segment_count(), 1);
             }
             prop_assert_eq!(
                 segment.contiguous_range(&nodes),
@@ -411,11 +371,8 @@ proptest! {
 // ---- lazy locate: slot-based locate vs the full member walk ------------
 
 /// Raw schedule picks, resolved against the live component list at
-/// execution time: `(first_pick, second_pick, merge_order,
-/// shuffle_pick)`. Between merges, `shuffle_pick` optionally moves a
-/// whole component elsewhere or reverses it in place — the other two
-/// block operations an algorithm run interleaves with merges.
-type MergePick = (usize, usize, MergeOrder, usize);
+/// execution time: `(mover_pick, stayer_pick, merge_order)`.
+type MergePick = (usize, usize, MergeOrder);
 
 /// Strategy: an initial permutation plus a raw merge schedule. The picks
 /// are drawn as plain integers (the component list shrinks as merges
@@ -432,7 +389,6 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
                         next(1 << 16, &mut rng),
                         next(1 << 16, &mut rng),
                         merge_order_of(next(8, &mut rng)),
-                        next(1 << 16, &mut rng),
                     )
                 })
                 .collect();
@@ -441,11 +397,11 @@ fn merge_schedule() -> impl Strategy<Value = (Permutation, Vec<MergePick>)> {
     })
 }
 
-/// Replays a merge schedule on `arr` and after **every** merge, move and
-/// reverse checks the slot-based `locate_component` against the full
-/// member walk, for every component and every possible anchor, and
-/// `path_range` on each component read in position order, reversed, and
-/// with two adjacent interior nodes swapped.
+/// Replays a merge schedule on `arr` and after **every** merge checks
+/// the slot-based `locate_component` against the full member walk, for
+/// every component and every possible anchor, and `path_range` on each
+/// component read in position order, reversed, and with two adjacent
+/// interior nodes swapped.
 fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
     // Each component is a member list in arbitrary order.
     let mut comps: Vec<Vec<Node>> = (0..arr.len()).map(|pos| vec![arr.node_at(pos)]).collect();
@@ -470,7 +426,7 @@ fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
             for &anchor in members {
                 let (range, anchor_pos) = arr
                     .locate_component(anchor, members.len())
-                    .expect("locate must answer for a coalesced component");
+                    .expect("locate must answer for a merged component");
                 assert_eq!(range, walked, "locate range diverged from the member walk");
                 assert!(range.contains(&anchor_pos));
                 assert_eq!(arr.node_at(anchor_pos), anchor);
@@ -480,51 +436,11 @@ fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
         }
     };
     check_all(arr, &comps);
-    for &(first_pick, second_pick, order, shuffle_pick) in picks {
-        // Interleave the other two whole-block operations a run uses:
-        // move a component to a random spot, or reverse it in place.
-        // Neither may break a later locate.
-        let c = shuffle_pick % comps.len();
-        let range = arr
-            .contiguous_range(&comps[c])
-            .expect("component is contiguous");
-        match shuffle_pick % 3 {
-            0 => {
-                // Valid destinations land flush against another
-                // component (or the start) — anything else would split a
-                // block and break the contiguity invariant the locate
-                // contract rests on.
-                let mut dests = vec![0];
-                for (j, other) in comps.iter().enumerate() {
-                    if j == c {
-                        continue;
-                    }
-                    let rc = arr
-                        .contiguous_range(other)
-                        .expect("component is contiguous");
-                    dests.push(if rc.start > range.start {
-                        rc.end - range.len()
-                    } else {
-                        rc.end
-                    });
-                }
-                let dest = dests[first_pick % dests.len()];
-                arr.move_block(range, dest);
-            }
-            1 => {
-                arr.reverse_block(range);
-            }
-            _ => {}
-        }
-        check_all(arr, &comps);
+    for &(mover_pick, stayer_pick, order) in picks {
         if comps.len() < 2 {
-            continue;
+            break;
         }
-        let a = first_pick % comps.len();
-        let mut b = second_pick % comps.len();
-        if b == a {
-            b = (b + 1) % comps.len();
-        }
+        let (a, b) = pick_pair(mover_pick, stayer_pick, comps.len());
         let mover = arr
             .contiguous_range(&comps[a])
             .expect("component is contiguous");
@@ -534,9 +450,7 @@ fn check_locate_under_merges<A: Arrangement>(arr: &mut A, picks: &[MergePick]) {
         // Random reverse/swap bits, so reversed segments (and
         // reversed-orientation locates) are exercised too.
         arr.merge_move(mover, stayer, order);
-        let absorbed = std::mem::take(&mut comps[a]);
-        comps[b].extend(absorbed);
-        comps.swap_remove(a);
+        merge_members(&mut comps, a, b);
         check_all(arr, &comps);
     }
 }
@@ -566,15 +480,22 @@ proptest! {
 
 #[test]
 fn swap_adjacent_blocks_boundary_cases_match() {
-    // Empty blocks at either side and blocks meeting at the array ends.
+    // Empty blocks at either side and blocks meeting at the array ends:
+    // the cost is the Kendall delta of the swap.
+    let start = Permutation::from_indices(&[2, 0, 3, 1]).unwrap();
     for (left, right) in [(0..0, 0..4), (0..4, 4..4), (0..2, 2..4), (4..4, 4..4)] {
-        let mut dense = Permutation::identity(4);
-        let mut segment = SegmentArrangement::identity(4);
+        let mut dense = start.clone();
+        let cost = dense.swap_adjacent_blocks(left.clone(), right.clone());
         assert_eq!(
-            dense.swap_adjacent_blocks(left.clone(), right.clone()),
-            segment.swap_adjacent_blocks(left.clone(), right.clone()),
+            cost,
+            (left.len() * right.len()) as u64,
             "({left:?}, {right:?})"
         );
-        assert_eq!(segment.to_permutation(), dense, "({left:?}, {right:?})");
+        assert_eq!(
+            cost,
+            start.kendall_distance(&dense),
+            "({left:?}, {right:?})"
+        );
+        assert!(dense.check_consistent());
     }
 }

@@ -181,7 +181,7 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
     }
     let len: usize = trimmed
         .parse()
-        .map_err(|_| WireError::BadHeader(format!("non-numeric length {trimmed:?}")))?;
+        .map_err(|_| WireError::BadHeader(format!("non-numeric length \"{trimmed}\"")))?;
     if len > MAX_FRAME_LEN {
         return Err(WireError::BadHeader(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
@@ -286,6 +286,20 @@ mod tests {
                 let err = read_frame(&mut r).unwrap_err();
                 assert!(check(&err), "{bytes:?} via {capacity:?} -> {err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_non_numeric_length_is_quoted_as_sent() {
+        // A zero-width space between the digits: the message quotes the
+        // header's characters, not their Rust escapes.
+        for (capacity, mut r) in readers("1\u{200b}2\n{}\n".as_bytes()) {
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "bad frame header: non-numeric length \"1\u{200b}2\"",
+                "{capacity:?}"
+            );
         }
     }
 

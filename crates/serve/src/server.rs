@@ -802,6 +802,7 @@ pub fn serve_loop<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mla_permutation::SegmentArrangement;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -1117,6 +1118,61 @@ mod tests {
         assert_eq!(steps(&mut server, "alice"), Some(1));
         assert_eq!(steps(&mut server, "bob"), Some(0));
         assert_eq!(server.tenant_count(), 2);
+    }
+
+    #[test]
+    fn restore_of_a_session_that_splits_a_component_is_refused() {
+        let mut server = Server::new(1, 0);
+        assert!(ok(&open_tenant(&mut server, "alice", 8)));
+        let served = continue_response(server.handle(&request(
+            "{\"op\":\"reveals\",\"tenant\":\"alice\",\"events\":[[0,1],[2,3]]}",
+        )));
+        assert!(ok(&served), "{served:?}");
+        let cost = request("{\"op\":\"cost\",\"tenant\":\"alice\"}");
+        let tenants = request("{\"op\":\"tenants\"}");
+        let before = [&cost, &tenants].map(|r| continue_response(server.handle(r)));
+        // Mallory's session, after reveal (0, 1), re-sealed with four
+        // one-node segments: component {0, 1} is split, so its next
+        // reveal would panic the daemon.
+        let mut mallory = open_session(SessionSpec::new(
+            Topology::Cliques,
+            4,
+            PolicyKind::Rand,
+            BackendKind::Segment,
+            1,
+        ))
+        .unwrap();
+        mallory
+            .apply_events(&[RevealEvent::new(Node::new(0), Node::new(1))])
+            .unwrap();
+        let sealed = encode_session(mallory.as_ref());
+        let (version, body) = checkpoint::open(&sealed).unwrap();
+        let mut r = ByteReader::new(body);
+        SessionSpec::decode_from(&mut r).unwrap();
+        let start = body.len() - r.remaining();
+        SegmentArrangement::decode_from(&mut r, version).unwrap();
+        let mut crafted = body[..start].to_vec();
+        SegmentArrangement::identity(4).encode_into(&mut crafted);
+        crafted.extend_from_slice(&body[body.len() - r.remaining()..]);
+        let blob = checkpoint::seal(&crafted);
+        let mut table = Vec::new();
+        put_len(&mut table, 1);
+        put_len(&mut table, 7);
+        table.extend_from_slice(b"mallory");
+        put_len(&mut table, blob.len());
+        table.extend_from_slice(&blob);
+        let refused = restore(&mut server, &checkpoint::seal(&table));
+        assert!(!ok(&refused), "{refused:?}");
+        assert_eq!(code(&refused), "checkpoint");
+        let after = [&cost, &tenants].map(|r| continue_response(server.handle(r)));
+        assert_eq!(
+            before, after,
+            "alice and the tenant table must stay untouched"
+        );
+        let next = continue_response(server.handle(&request(
+            "{\"op\":\"reveal\",\"tenant\":\"alice\",\"a\":1,\"b\":2}",
+        )));
+        assert!(ok(&next), "{next:?}");
     }
 
     #[test]

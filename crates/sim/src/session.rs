@@ -309,6 +309,11 @@ pub trait ArrCodec: Arrangement + Sized {
     ///
     /// [`CodecError`] on truncated or inconsistent input.
     fn decode_arr(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError>;
+
+    /// Whether every component of `state` sits as the randomized policies
+    /// locate it: one contiguous block, in path order for lines, and on
+    /// the segment backend exactly one segment.
+    fn holds_components(&self, state: &GraphState) -> bool;
 }
 
 impl ArrCodec for Permutation {
@@ -325,6 +330,10 @@ impl ArrCodec for Permutation {
     fn decode_arr(r: &mut ByteReader<'_>, _version: u32) -> Result<Self, CodecError> {
         Permutation::decode_from(r)
     }
+
+    fn holds_components(&self, state: &GraphState) -> bool {
+        state.is_minla(self)
+    }
 }
 
 impl ArrCodec for SegmentArrangement {
@@ -340,6 +349,10 @@ impl ArrCodec for SegmentArrangement {
 
     fn decode_arr(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError> {
         SegmentArrangement::decode_from(r, version)
+    }
+
+    fn holds_components(&self, state: &GraphState) -> bool {
+        state.components_are_blocks(|v| self.segment_of(v))
     }
 }
 
@@ -420,6 +433,18 @@ where
                 self.spec.topology,
                 self.spec.n
             )));
+        }
+        // The randomized policies locate each merging component as one
+        // block and panic when it is not; `det` and `opt` locate none,
+        // and an `opt` session may hold a non-MinLA arrangement.
+        let locates = matches!(
+            self.spec.policy,
+            PolicyKind::Rand | PolicyKind::Fair | PolicyKind::SmallerMoves
+        );
+        if locates && !self.step.algorithm.arrangement().holds_components(&state) {
+            return Err(CheckpointError::malformed(
+                "the arrangement does not hold every component as one block".to_string(),
+            ));
         }
         self.step.state = state;
         self.step.algorithm.restore_state(r)?;

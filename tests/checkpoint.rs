@@ -13,7 +13,8 @@
 //! in-process half.)
 //!
 //! **Corruption.** Any damaged checkpoint — truncated, bit-flipped,
-//! wrong version, wrong magic, trailing garbage — yields a structured
+//! wrong version, wrong magic, trailing garbage, or re-sealed with an
+//! arrangement that disagrees with its graph state — yields a structured
 //! [`CheckpointError`], never a panic and never a silently-wrong
 //! restore.
 
@@ -23,11 +24,11 @@ use mla_core::{
 };
 use mla_graph::{Instance, RevealEvent, Topology};
 use mla_offline::LopConfig;
-use mla_permutation::codec::{put_len, put_u32, put_u8};
-use mla_permutation::{Arrangement, Permutation, SegmentArrangement};
+use mla_permutation::codec::{put_len, put_u32, put_u8, ByteReader};
+use mla_permutation::{Arrangement, MergeOrder, Node, Permutation, SegmentArrangement};
 use mla_sim::{
     checkpoint, decode_session, encode_session, open_session, BackendKind, CheckpointError,
-    PolicyKind, RecordMode, RunOutcome, SessionSpec, Simulation,
+    PolicyKind, RecordMode, RunOutcome, SessionSpec, Simulation, TenantSession,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -319,6 +320,153 @@ fn counts_beyond_the_remaining_bytes_are_rejected_before_allocating() {
             matches!(err, CheckpointError::Malformed { .. }),
             "{label}: {err:?}"
         );
+    }
+}
+
+/// `session`'s checkpoint with its arrangement swapped for what
+/// `encode` writes, re-sealed: the checksum holds, so only the decoder's
+/// own checks can refuse the body.
+fn with_arrangement(session: &dyn TenantSession, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let sealed = encode_session(session);
+    let (version, body) = checkpoint::open(&sealed).unwrap();
+    let mut r = ByteReader::new(body);
+    let backend = SessionSpec::decode_from(&mut r).unwrap().backend;
+    let start = body.len() - r.remaining();
+    match backend {
+        BackendKind::Dense => drop(Permutation::decode_from(&mut r).unwrap()),
+        BackendKind::Segment => drop(SegmentArrangement::decode_from(&mut r, version).unwrap()),
+    }
+    let end = body.len() - r.remaining();
+    let mut crafted = body[..start].to_vec();
+    encode(&mut crafted);
+    crafted.extend_from_slice(&body[end..]);
+    checkpoint::seal(&crafted)
+}
+
+/// A segment arrangement of `order` with each block `start..end` of
+/// `blocks` folded into one segment by zero-gap merges, which leave the
+/// layout as it is.
+fn segments(order: &[usize], blocks: &[(usize, usize)]) -> SegmentArrangement {
+    let mut arr = SegmentArrangement::from_permutation(&Permutation::from_indices(order).unwrap());
+    for &(start, end) in blocks {
+        for i in (start..end - 1).rev() {
+            arr.merge_move(i..i + 1, i + 1..end, MergeOrder::KEEP);
+        }
+    }
+    arr
+}
+
+/// Re-sealed bodies whose arrangement splits a component, or holds a
+/// path out of order, are refused for the policies that locate
+/// components: on restore, their next reveal would panic the serving
+/// thread ("lazy locate missed", or the dense locate's contiguity check)
+/// or silently leave a component scattered. `det` and `opt` locate
+/// nothing and restore such bodies as before.
+#[test]
+fn resealed_arrangements_that_split_a_component_are_refused() {
+    type Encode = Box<dyn Fn(&mut Vec<u8>)>;
+    type Case<'a> = (&'a str, Topology, BackendKind, &'a [(usize, usize)], Encode);
+    let segment = |arr: SegmentArrangement| -> Encode { Box::new(move |out| arr.encode_into(out)) };
+    let dense = |order: &[usize]| -> Encode {
+        let pi = Permutation::from_indices(order).unwrap();
+        Box::new(move |out| pi.encode_into(out))
+    };
+    let clique = [(0, 1)];
+    let cliques = [(0, 1), (2, 3)];
+    let path = [(0, 1), (1, 2)];
+    let paths = [(0, 1), (2, 3)];
+    let cases: [Case; 9] = [
+        (
+            "cliques, segments {0} {1} {2} {3}",
+            Topology::Cliques,
+            BackendKind::Segment,
+            &clique,
+            segment(SegmentArrangement::identity(4)),
+        ),
+        (
+            "cliques, segments {0} {1 2} {3}",
+            Topology::Cliques,
+            BackendKind::Segment,
+            &clique,
+            segment(segments(&[0, 1, 2, 3], &[(1, 3)])),
+        ),
+        // Each segment as long as the component of its first node, but
+        // {0, 1} and {2, 3} split across them.
+        (
+            "cliques, segments {0 2} {1 3}",
+            Topology::Cliques,
+            BackendKind::Segment,
+            &cliques,
+            segment(segments(&[0, 2, 1, 3], &[(0, 2), (2, 4)])),
+        ),
+        // {0, 1} whole inside a segment that also holds node 2.
+        (
+            "cliques, segments {0 1 2} {3}",
+            Topology::Cliques,
+            BackendKind::Segment,
+            &clique,
+            segment(segments(&[0, 1, 2, 3], &[(0, 3)])),
+        ),
+        (
+            "cliques, dense [0 2 1 3]",
+            Topology::Cliques,
+            BackendKind::Dense,
+            &clique,
+            dense(&[0, 2, 1, 3]),
+        ),
+        (
+            "lines, one segment [1 0 2]",
+            Topology::Lines,
+            BackendKind::Segment,
+            &path,
+            segment(segments(&[1, 0, 2, 3], &[(0, 3)])),
+        ),
+        // Each edge joins nodes one apart, but in two segments.
+        (
+            "lines, segments [0 2] [3 1]",
+            Topology::Lines,
+            BackendKind::Segment,
+            &paths,
+            segment(segments(&[0, 2, 3, 1], &[(0, 2), (2, 4)])),
+        ),
+        // The path 0-1-2 in order inside a segment that also holds 3.
+        (
+            "lines, one segment [0 1 2 3]",
+            Topology::Lines,
+            BackendKind::Segment,
+            &path,
+            segment(segments(&[0, 1, 2, 3], &[(0, 4)])),
+        ),
+        (
+            "lines, dense [1 0 2 3]",
+            Topology::Lines,
+            BackendKind::Dense,
+            &path,
+            dense(&[1, 0, 2, 3]),
+        ),
+    ];
+    for (label, topology, backend, reveals, encode) in &cases {
+        let events: Vec<RevealEvent> = reveals
+            .iter()
+            .map(|&(a, b)| RevealEvent::new(Node::new(a), Node::new(b)))
+            .collect();
+        for policy in POLICIES {
+            let mut session = open_session(grid_spec(*topology, 4, policy, *backend, 1)).unwrap();
+            session.apply_events(&events).unwrap();
+            let case = format!("{label}, {policy:?}");
+            assert!(
+                decode_session(&encode_session(session.as_ref())).is_ok(),
+                "{case}"
+            );
+            let crafted = with_arrangement(session.as_ref(), encode);
+            match (policy, decode_session(&crafted)) {
+                (PolicyKind::Det | PolicyKind::Opt, restored) => {
+                    assert!(restored.is_ok(), "{case}: {restored:?}");
+                }
+                (_, Err(CheckpointError::Malformed { .. })) => {}
+                (_, other) => panic!("{case}: {other:?}"),
+            }
+        }
     }
 }
 
