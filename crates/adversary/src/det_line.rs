@@ -83,15 +83,6 @@ impl DetLineAdversary {
         self.x
     }
 
-    /// An upper bound on the offline optimum for the full sequence: move
-    /// `x` to the nearer end of `π0` immediately (`min(pos, n−1−pos)`
-    /// adjacent swaps) and never move again.
-    #[must_use]
-    pub fn opt_upper_bound(&self) -> u64 {
-        let pos = self.pi0.position_of(self.x);
-        pos.min(self.pi0.len() - 1 - pos) as u64
-    }
-
     fn take_left(&mut self) -> Option<Node> {
         if self.left_ptr == usize::MAX {
             return None;
@@ -227,14 +218,6 @@ mod tests {
         let third = adversary.next(&x_right, &state).unwrap();
         // Extending on the right: node 6 attaches to right end 5.
         assert_eq!((third.a().index(), third.b().index()), (6, 5));
-    }
-
-    #[test]
-    fn opt_upper_bound_is_at_most_n() {
-        let pi0 = Permutation::identity(11);
-        let adversary = DetLineAdversary::new(pi0, Topology::Lines);
-        assert!(adversary.opt_upper_bound() <= 11);
-        assert_eq!(adversary.opt_upper_bound(), 5);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! [`SeedSequence`] label paths (`<family>/sizes`, `<family>/attach`,
 //! `<family>/merge`) — no ad-hoc xor derivation anywhere — so distinct
 //! families under one campaign seed consume provably disjoint streams,
-//! and [`FamilyWorkload::stream_key`] exposes the derived node for
-//! regression tests.
+//! which a regression test checks on the derived seed nodes.
 //!
 //! [`FamilyWorkload`] is a lazy [`RevealSource`]: `O(n)` state, one
 //! merge per pull, with [`restart`](RevealSource::restart) replaying the
@@ -250,8 +249,8 @@ impl FamilyWorkload {
     /// The [`SeedSequence::key`] of the family's derived seed node —
     /// what the disjoint-streams regression test compares across
     /// families.
-    #[must_use]
-    pub fn stream_key(&self) -> u64 {
+    #[cfg(test)]
+    fn stream_key(&self) -> u64 {
         self.seq.key()
     }
 }

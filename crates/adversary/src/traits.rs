@@ -121,12 +121,6 @@ impl<S: RevealSource> SourceAdversary<S> {
     pub fn source(&self) -> &S {
         &self.source
     }
-
-    /// Unwraps the source (e.g. to restart it for a replay run).
-    #[must_use]
-    pub fn into_source(self) -> S {
-        self.source
-    }
 }
 
 impl<S: RevealSource> Adversary for SourceAdversary<S> {

@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mla_adversary::{random_clique_instance, random_line_instance, MergeShape};
 use mla_core::{RandCliques, RandLines};
 use mla_graph::{Instance, Topology};
@@ -165,7 +164,7 @@ fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
     write_bench_artifact("BENCH_arrangement", &report).expect("write artifact")
 }
 
-fn bench_arrangement_backends(c: &mut Criterion) {
+fn main() {
     let cells = measure_cells();
     let path = write_artifact(&cells);
     let mut worst_speedup_at_max_n = f64::INFINITY;
@@ -193,22 +192,4 @@ fn bench_arrangement_backends(c: &mut Criterion) {
             NS.last().expect("non-empty"),
         );
     }
-
-    // Criterion-visible targets at the smallest n, so `cargo bench`
-    // integrates the comparison into its normal reporting flow.
-    let n = NS[0];
-    let mut rng = SmallRng::seed_from_u64(5);
-    let instance = random_clique_instance(n, MergeShape::Uniform, &mut rng);
-    let mut group = c.benchmark_group("arrangement_backend");
-    group.throughput(Throughput::Elements(instance.len() as u64));
-    group.bench_with_input(BenchmarkId::new("dense", n), &n, |bencher, _| {
-        bencher.iter(|| run_dense(&instance, 7));
-    });
-    group.bench_with_input(BenchmarkId::new("segment", n), &n, |bencher, _| {
-        bencher.iter(|| run_segment(&instance, 7));
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_arrangement_backends);
-criterion_main!(benches);

@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mla_adversary::{MergeShape, StreamingWorkload};
 use mla_core::{RandCliques, RandLines};
 use mla_graph::Topology;
@@ -149,7 +148,7 @@ fn write_artifact(cells: &[Cell]) -> std::path::PathBuf {
     write_bench_artifact("BENCH_merge", &report).expect("write artifact")
 }
 
-fn bench_merge_throughput(c: &mut Criterion) {
+fn main() {
     let mut cells = Vec::new();
     for &n in NS {
         for topology in [Topology::Cliques, Topology::Lines] {
@@ -184,19 +183,4 @@ fn bench_merge_throughput(c: &mut Criterion) {
             NS.last().expect("non-empty"),
         );
     }
-
-    // Criterion-visible targets at a small n, so `cargo bench` integrates
-    // the comparison into its normal reporting flow.
-    let n = 4_096;
-    let mut group = c.benchmark_group("merge_throughput");
-    group.throughput(Throughput::Elements((n - 1) as u64));
-    for (label, eager) in [("eager", true), ("lazy", false)] {
-        group.bench_with_input(BenchmarkId::new(label, n), &eager, |bencher, &eager| {
-            bencher.iter(|| run_once(Topology::Cliques, n, eager));
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_merge_throughput);
-criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! # `mla-bench`
 //!
-//! Criterion benchmark harness for the online MinLA reproduction. This
-//! crate has no library API — all content lives in `benches/`, and CI
-//! runs both targets as speed gates:
+//! Speed-gate benchmarks for the online MinLA reproduction. This crate
+//! has no library API — all content lives in `benches/`, two plain
+//! `harness = false` mains that CI runs as speed gates:
 //!
 //! * `arrangement` — dense vs segment backend over full online runs
 //!   (`BENCH_arrangement.json`);

@@ -396,9 +396,7 @@ impl LineState {
                 dsu.len()
             )));
         }
-        // Symmetry, component agreement, and per-component edge counts:
-        // a symmetric degree-≤2 graph whose components each hold exactly
-        // size − 1 edges is a disjoint union of simple paths.
+        // Symmetry, component agreement, and per-component edge counts.
         let mut edges_at_root = vec![0u64; n];
         for v in 0..n {
             for &u in &neighbors[v] {
@@ -411,13 +409,15 @@ impl LineState {
                         "line-state edge {v} — {u} is not symmetric"
                     )));
                 }
-                if !dsu.same_set(Node::new(v), Node::new(u)) {
-                    return Err(CodecError::invalid(format!(
-                        "line-state edge {v} — {u} crosses union-find components"
-                    )));
-                }
+                // Symmetric, so each edge is judged once, from its lower end.
                 if v < u {
-                    edges_at_root[dsu.find_immutable(Node::new(v)).index()] += 1;
+                    let root = dsu.find_immutable(Node::new(v));
+                    if root != dsu.find_immutable(Node::new(u)) {
+                        return Err(CodecError::invalid(format!(
+                            "line-state edge {v} — {u} crosses union-find components"
+                        )));
+                    }
+                    edges_at_root[root.index()] += 1;
                 }
             }
         }
@@ -430,6 +430,35 @@ impl LineState {
                     edges_at_root[root.index()]
                 )));
             }
+        }
+        // Size − 1 edges do not make a component one path: a triangle
+        // beside a lone node has 3 edges for 4 nodes. Given the counts
+        // above, every component is one path iff no node lies on a cycle.
+        // The walks from all nodes of degree ≤ 1 visit each node of a
+        // longer path twice, once from each end, and each lone node once,
+        // so that holds iff they make 2n − lone visits in all.
+        let (mut visits, mut lone) = (0, 0);
+        for v in 0..n {
+            if !neighbors[v].contains(&NO_NEIGHBOR) {
+                continue;
+            }
+            lone += usize::from(neighbors[v] == [NO_NEIGHBOR; 2]);
+            let (mut prev, mut at) = (NO_NEIGHBOR, v as u32);
+            loop {
+                visits += 1;
+                let [first, second] = neighbors[at as usize];
+                let next = if first == prev { second } else { first };
+                if next == NO_NEIGHBOR {
+                    break;
+                }
+                (prev, at) = (at, next);
+            }
+        }
+        if visits != 2 * n - lone {
+            return Err(CodecError::invalid(format!(
+                "line-state graph has {} nodes on cycles",
+                (2 * n - lone - visits) / 2
+            )));
         }
         Ok(LineState { neighbors, dsu })
     }
@@ -504,6 +533,22 @@ mod tests {
         // Adjacency starts after the 8-byte length prefix; node 2's first
         // slot sits at offset 8 + 2 * 8 = 24. Point it at node 0.
         bytes[24..28].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            LineState::decode_from(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Invalid { .. })
+        ));
+        // A triangle 0-1-2 and node 3 in one component of size 4 (node 4
+        // alone): size − 1 edges, but not a path.
+        let mut dsu = UnionFind::new(5);
+        for v in 1..4 {
+            dsu.union(Node::new(0), Node::new(v));
+        }
+        let cyclic = LineState {
+            neighbors: vec![[1, 2], [0, 2], [0, 1], [NO_NEIGHBOR; 2], [NO_NEIGHBOR; 2]],
+            dsu,
+        };
+        let mut bytes = Vec::new();
+        cyclic.encode_into(&mut bytes);
         assert!(matches!(
             LineState::decode_from(&mut ByteReader::new(&bytes)),
             Err(CodecError::Invalid { .. })

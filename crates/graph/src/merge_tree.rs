@@ -83,12 +83,6 @@ impl MergeTree {
         }
     }
 
-    /// Number of leaves (graph nodes).
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of internal vertices (reveals).
     #[must_use]
     pub fn internal_count(&self) -> usize {
@@ -191,7 +185,6 @@ mod tests {
     #[test]
     fn structure_of_balanced_tree() {
         let tree = balanced_instance().merge_tree();
-        assert_eq!(tree.leaf_count(), 5);
         assert_eq!(tree.internal_count(), 3);
         assert_eq!(tree.children(5), Some((0, 1)));
         assert_eq!(tree.children(6), Some((2, 3)));

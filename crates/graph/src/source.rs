@@ -125,12 +125,6 @@ impl InstanceSource {
     pub fn instance(&self) -> &Instance {
         &self.instance
     }
-
-    /// Unwraps the inner instance.
-    #[must_use]
-    pub fn into_instance(self) -> Instance {
-        self.instance
-    }
 }
 
 impl From<Instance> for InstanceSource {

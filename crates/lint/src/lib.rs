@@ -27,7 +27,7 @@
 //! non-bench source file of the workspace and exits nonzero on any
 //! finding — it runs as a hard CI gate.
 //!
-//! Like the vendored `rand`/`proptest`/`criterion` stand-ins, the crate
+//! Like the vendored `rand`/`proptest` stand-ins, the crate
 //! is std-only (the build environment has no registry access): the
 //! scanner is a hand-rolled lexer (see [`mod@scan`]), not a full parser, and
 //! the rules are scoped so that lexical matching is sound in practice —

@@ -1,7 +1,7 @@
 //! The hand-rolled line scanner behind the lint pass.
 //!
 //! The environment has no registry access, so — like the vendored
-//! `proptest`/`criterion` stand-ins — this is a deliberately small,
+//! `rand`/`proptest` stand-ins — this is a deliberately small,
 //! std-only lexer rather than a full parser. It produces, per source
 //! line:
 //!

@@ -1,7 +1,7 @@
 //! # `mla-runner`
 //!
 //! Deterministic parallel run-campaign subsystem for the workspace: a
-//! std-only work-stealing thread pool behind a [`Campaign`] API (and the
+//! std-only scoped thread pool behind a [`Campaign`] API (and the
 //! raw scoped-batch primitive [`run_indexed`] it runs on), the
 //! [`SeedSequence`] splitter that gives every run an independent,
 //! reproducible seed stream, and a JSON artifact store
@@ -15,7 +15,7 @@
 //! [`SeedSequence`] derived purely from the campaign's seed root and the
 //! spec's index; as long as the job draws all randomness from that
 //! sequence, the result vector is **bit-identical for every `T`** and
-//! every work-stealing interleaving. The experiment suite in `mla-sim`
+//! every schedule of the workers. The experiment suite in `mla-sim`
 //! submits all of its repetition loops through this API, which is why
 //! `mla-experiments --threads 8` reproduces `--threads 1` exactly.
 //!
@@ -54,4 +54,6 @@ pub use campaign::{resolve_threads, Campaign, RunSpec};
 pub use json::{format_number, Json, JsonError};
 pub use pool::run_indexed;
 pub use seed::SeedSequence;
-pub use wire::{buffered_frame, fill_payload, put_frame, read_frame, write_frame, WireError};
+pub use wire::{
+    buffered_frame, parse_payload, put_frame, read_frame, read_frame_with, write_frame, WireError,
+};

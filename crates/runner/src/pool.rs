@@ -1,22 +1,17 @@
-//! A std-only work-stealing thread pool for indexed job batches.
+//! A std-only scoped thread pool for indexed job batches.
 //!
-//! The pool executes a batch of jobs identified by their index in the
-//! batch. Each worker owns a deque loaded with a contiguous chunk of
-//! indices; it pops from the front of its own deque and, when empty,
-//! steals from the back of its neighbours' — the classic work-stealing
-//! discipline, here with mutexed `VecDeque`s instead of lock-free
-//! Chase-Lev deques because the workspace forbids `unsafe` and jobs are
-//! coarse (whole simulation runs), so lock traffic is negligible.
+//! Workers share one atomic cursor: each takes the next unclaimed index
+//! with a `fetch_add` until the batch runs out, so a worker that draws
+//! cheap jobs simply claims more of them. Jobs are coarse (whole
+//! simulation runs), so one counter is all the coordination they need.
 //!
 //! Determinism: the pool only decides *where* and *when* a job runs.
 //! Results are scattered back into batch order, so as long as each job is
 //! a pure function of its index (which [`Campaign`](crate::Campaign)
 //! guarantees by deriving per-job seeds from the index), the output
-//! vector is bit-identical for every worker count and every steal
-//! interleaving.
+//! vector is bit-identical for every worker count and every schedule.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `count` jobs across `threads` workers and returns the results in
 /// job-index order.
@@ -25,11 +20,8 @@ use std::sync::Mutex;
 /// `0..count` is executed exactly once.
 ///
 /// Workers are **scoped** (`std::thread::scope`), so the job may borrow
-/// from the caller's stack — this is the primitive behind both the
-/// [`Campaign`](crate::Campaign) executor (jobs own their inputs) and the
-/// simulation engine's batched serving path, where workers plan a batch
-/// of merges against *borrowed* graph state and arrangement and the
-/// caller regains exclusive `&mut` access the moment this returns.
+/// from the caller's stack; this is the primitive behind the
+/// [`Campaign`](crate::Campaign) executor.
 ///
 /// With `threads <= 1` (or one job) everything runs inline on the caller
 /// thread — no spawns, bit-identical results by construction.
@@ -56,27 +48,21 @@ where
         return (0..count).map(job).collect();
     }
 
-    // Contiguous chunks keep a worker's own work cache-friendly; stealing
-    // from the back takes the work farthest from the victim's cursor.
-    let chunk = count.div_ceil(threads);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w * chunk..((w + 1) * chunk).min(count)).collect()))
-        .collect();
-
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
-
+    // `Relaxed` suffices: the cursor publishes no data. Each index goes
+    // to exactly one worker, and results come back through the joins.
+    let cursor = AtomicUsize::new(0);
     let harvested: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|me| {
-                let deques = &deques;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    while let Some(index) = next_job(deques, me) {
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= count {
+                            return local;
+                        }
                         local.push((index, job(index)));
                     }
-                    local
                 })
             })
             .collect();
@@ -86,6 +72,8 @@ where
             .collect()
     });
 
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
+    slots.resize_with(count, || None);
     for (index, value) in harvested.into_iter().flatten() {
         debug_assert!(slots[index].is_none(), "job {index} ran twice");
         slots[index] = Some(value);
@@ -96,26 +84,9 @@ where
         .collect()
 }
 
-/// Pops the next index for worker `me`: own front first, then steal from
-/// the other workers' backs. `None` once every deque is empty.
-fn next_job(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(index) = deques[me].lock().expect("deque poisoned").pop_front() {
-        return Some(index);
-    }
-    let n = deques.len();
-    for offset in 1..n {
-        let victim = (me + offset) % n;
-        if let Some(index) = deques[victim].lock().expect("deque poisoned").pop_back() {
-            return Some(index);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_index_order() {

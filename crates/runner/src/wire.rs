@@ -1,11 +1,16 @@
 //! Length-prefixed JSON framing for the serving wire protocol.
 //!
-//! One frame is an ASCII decimal byte length, a newline, exactly that
-//! many payload bytes (a JSON document), and a trailing newline:
+//! One frame is a length header, a newline, exactly that many payload
+//! bytes (a JSON document), and a trailing newline:
 //!
 //! ```text
 //! 21\n{"op":"open","n":64}\n
 //! ```
+//!
+//! The header is one or more ASCII decimal digits (leading zeros
+//! allowed) and nothing else: no sign, whitespace or `\r`. With its
+//! newline it spans at most 32 bytes, and it declares at most
+//! [`MAX_FRAME_LEN`] bytes. Any other header is [`WireError::BadHeader`].
 //!
 //! The explicit length makes framing independent of the payload (JSON
 //! may contain escaped newlines; pretty-printed documents span many),
@@ -14,10 +19,11 @@
 //! truncated payloads and malformed JSON all surface as structured
 //! [`WireError`]s, never panics or unbounded allocations.
 //!
-//! A frame that a reader already holds whole in its buffer is parsed
-//! where it lies; [`buffered_frame`] tells a server whether the next
-//! frame is there, so reading it cannot block, and [`fill_payload`]
-//! hands out such a frame's payload bytes for a server to read itself.
+//! [`read_frame_with`] reads every frame, handing its payload to the
+//! caller in place when the reader's buffer holds all of it, and
+//! [`read_frame`] is that plus [`parse_payload`]. [`buffered_frame`]
+//! tells a server whether the next frame is buffered, so reading it
+//! cannot block.
 
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
@@ -39,9 +45,8 @@ const MAX_HEADER_LEN: usize = 32;
 pub enum WireError {
     /// The underlying stream failed.
     Io(std::io::Error),
-    /// The length header was not a newline-terminated decimal integer
-    /// of at most 32 bytes (non-UTF-8 bytes included), or exceeded
-    /// [`MAX_FRAME_LEN`].
+    /// The length header was outside the grammar of the module docs,
+    /// or the byte after the payload was not a newline.
     BadHeader(String),
     /// The stream ended inside a declared payload.
     Truncated,
@@ -101,112 +106,117 @@ pub fn write_frame(w: &mut impl Write, message: &Json) -> Result<(), WireError> 
 /// `buf` holds all of it: `Some((header_len, payload_len))`, the header's
 /// newline counted in `header_len`, so the frame spans
 /// `header_len + payload_len + 1` bytes. `None` while the frame runs
-/// past the end of `buf`, and for a header that is not plain decimal
-/// digits within the caps; [`read_frame`] judges those.
+/// past the end of `buf`, and for a header outside the grammar.
 #[must_use]
 pub fn buffered_frame(buf: &[u8]) -> Option<(usize, usize)> {
     let newline = buf
         .iter()
         .take(MAX_HEADER_LEN)
         .position(|&byte| byte == b'\n')?;
-    let digits = &buf[..newline];
-    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    let len = digits.iter().try_fold(0usize, |len, &digit| {
-        len.checked_mul(10)?.checked_add(usize::from(digit - b'0'))
-    })?;
-    (len <= MAX_FRAME_LEN && buf.len() > newline + 1 + len).then_some((newline + 1, len))
+    let len = declared_len(&buf[..newline]).ok()?;
+    (buf.len() > newline + 1 + len).then_some((newline + 1, len))
 }
 
-/// Fills `r`'s buffer if it is empty, retrying interrupted reads, and
-/// returns the payload of the frame at its start when the buffer holds
-/// that whole frame and its terminating newline: `Some((payload,
-/// frame_len))`, where `frame_len` is what to [`BufRead::consume`] once
-/// the payload has been read. `None` when the frame runs past the
-/// buffer, its header is not one [`buffered_frame`] accepts, or its
-/// terminator is wrong; [`read_frame`] reads those and judges them.
+/// The payload length that a header declares, its newline left off.
+fn declared_len(digits: &[u8]) -> Result<usize, WireError> {
+    let header = || String::from_utf8_lossy(digits);
+    if digits.is_empty() {
+        return Err(WireError::BadHeader("empty length header".to_owned()));
+    }
+    if !digits.iter().all(u8::is_ascii_digit) {
+        return Err(WireError::BadHeader(format!(
+            "non-numeric length \"{}\"",
+            header()
+        )));
+    }
+    let len = digits.iter().fold(0usize, |len, &digit| {
+        len.saturating_mul(10)
+            .saturating_add(usize::from(digit - b'0'))
+    });
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::BadHeader(format!(
+            "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+            header()
+        )));
+    }
+    Ok(len)
+}
+
+/// `f` of the payload that ends `frame`, once the byte after it is
+/// checked to be the frame's closing newline.
+fn terminated<T>(frame: &[u8], f: impl FnOnce(&[u8]) -> T) -> Result<T, WireError> {
+    match frame.split_last() {
+        Some((b'\n', payload)) => Ok(f(payload)),
+        _ => Err(WireError::BadHeader(
+            "payload not terminated by a newline".to_owned(),
+        )),
+    }
+}
+
+/// Reads one frame and returns what `f` makes of its payload bytes;
+/// `Ok(None)` on a clean end of stream (EOF before any header byte).
+///
+/// Interrupted reads are retried. A frame that `r`'s buffer holds whole
+/// is handed to `f` where it lies and then consumed; any other frame is
+/// copied out first. Either way the payload is consumed or dropped
+/// before this returns.
 ///
 /// # Errors
 ///
-/// The stream's error if filling the buffer fails.
-pub fn fill_payload<R: BufRead + ?Sized>(r: &mut R) -> io::Result<Option<(&[u8], usize)>> {
-    loop {
+/// [`WireError`] on malformed headers, truncated payloads or stream
+/// failures.
+pub fn read_frame_with<R, T>(r: &mut R, f: impl FnOnce(&[u8]) -> T) -> Result<Option<T>, WireError>
+where
+    R: BufRead + ?Sized,
+{
+    let buf = loop {
         match r.fill_buf() {
-            Ok([]) => return Ok(None),
-            Ok(_) => break,
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
+            filled => break filled?,
         }
+    };
+    if buf.is_empty() {
+        return Ok(None);
     }
-    // The buffer is not empty, so this hands it out without reading.
-    let buf = r.fill_buf()?;
-    Ok(buffered_frame(buf).and_then(|(header, len)| {
-        let end = header + len;
-        (buf.get(end) == Some(&b'\n')).then(|| (&buf[header..end], end + 1))
-    }))
+    if let Some((header, len)) = buffered_frame(buf) {
+        let value = terminated(&buf[header..=header + len], f)?;
+        r.consume(header + len + 1);
+        return Ok(Some(value));
+    }
+    let mut header = Vec::new();
+    Read::take(&mut *r, MAX_HEADER_LEN as u64).read_until(b'\n', &mut header)?;
+    let Some(digits) = header.strip_suffix(b"\n") else {
+        return Err(WireError::BadHeader(format!(
+            "length header unterminated within {MAX_HEADER_LEN} bytes"
+        )));
+    };
+    // +1 for the trailing newline after the payload.
+    let mut frame = vec![0u8; declared_len(digits)? + 1];
+    r.read_exact(&mut frame).map_err(|err| match err.kind() {
+        io::ErrorKind::UnexpectedEof => WireError::Truncated,
+        _ => WireError::Io(err),
+    })?;
+    terminated(&frame, f).map(Some)
 }
 
-/// Reads one frame; `Ok(None)` on a clean end of stream (EOF before any
-/// header byte).
-///
-/// A frame the reader holds whole in its buffer ([`fill_payload`]) is
-/// parsed in place. One that straddles a refill, exceeds the buffer or
-/// is malformed is read by copying its header and payload out, which
-/// reports every error.
+/// Reads one frame and parses its payload; `Ok(None)` on a clean end of
+/// stream (EOF before any header byte).
 ///
 /// # Errors
 ///
 /// [`WireError`] on malformed headers, truncated payloads, stream
 /// failures or invalid JSON.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, WireError> {
-    if let Some((payload, frame_len)) = fill_payload(r)? {
-        let parsed = parse_payload(payload);
-        r.consume(frame_len);
-        return parsed.map(Some);
-    }
-    let mut header = Vec::new();
-    if Read::take(&mut *r, MAX_HEADER_LEN as u64).read_until(b'\n', &mut header)? == 0 {
-        return Ok(None);
-    }
-    if header.last() != Some(&b'\n') {
-        return Err(WireError::BadHeader(format!(
-            "length header unterminated within {MAX_HEADER_LEN} bytes"
-        )));
-    }
-    let header = String::from_utf8_lossy(&header);
-    let trimmed = header.trim();
-    if trimmed.is_empty() {
-        return Err(WireError::BadHeader("empty length header".to_owned()));
-    }
-    let len: usize = trimmed
-        .parse()
-        .map_err(|_| WireError::BadHeader(format!("non-numeric length \"{trimmed}\"")))?;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::BadHeader(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    // +1 for the trailing newline after the payload.
-    let mut payload = vec![0u8; len + 1];
-    let mut read = 0;
-    while read < payload.len() {
-        let got = r.read(&mut payload[read..])?;
-        if got == 0 {
-            return Err(WireError::Truncated);
-        }
-        read += got;
-    }
-    if payload[len] != b'\n' {
-        return Err(WireError::BadHeader(
-            "payload not terminated by a newline".to_owned(),
-        ));
-    }
-    Ok(Some(parse_payload(&payload[..len])?))
+    read_frame_with(r, parse_payload)?.transpose()
 }
 
 /// Parses a frame's payload bytes as one JSON document.
-fn parse_payload(payload: &[u8]) -> Result<Json, WireError> {
+///
+/// # Errors
+///
+/// [`WireError::Json`] if the bytes are not UTF-8 or not one JSON
+/// document.
+pub fn parse_payload(payload: &[u8]) -> Result<Json, WireError> {
     let text = std::str::from_utf8(payload).map_err(|_| {
         WireError::Json(JsonError {
             offset: 0,
@@ -263,9 +273,13 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_structured_errors() {
-        let cases: [(&[u8], ErrCheck); 10] = [
+        let cases: [(&[u8], ErrCheck); 13] = [
             (b"abc\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"\n", |e| matches!(e, WireError::BadHeader(_))),
+            // A sign, a space or a carriage return: digits only.
+            (b"+2\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
+            (b" 2\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
+            (b"2\r\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             // Header bytes that are not UTF-8.
             (b"\xff\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
             (b"2\xff\n{}\n", |e| matches!(e, WireError::BadHeader(_))),
@@ -339,15 +353,6 @@ mod tests {
         // Cut off inside the header, the payload or before the terminator.
         for partial in [&b""[..], b"2", b"2\n", b"2\n{}"] {
             assert_eq!(buffered_frame(partial), None, "{partial:?}");
-        }
-        // Headers that are not plain digits are left to `read_frame`.
-        for odd in [
-            &b"+2\n{}\n"[..],
-            b" 2\n{}\n",
-            b"\n{}\n",
-            b"99999999999999999999999\n",
-        ] {
-            assert_eq!(buffered_frame(odd), None, "{odd:?}");
         }
     }
 }

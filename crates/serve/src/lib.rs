@@ -23,12 +23,11 @@
 //! buffered batch, not one per reveal, and a client that waits for each
 //! response never waits on a held one.
 //!
-//! A `reveal` request written compactly (the members `op`, `tenant`, `a`
-//! and `b` only, no whitespace, no escapes, plain decimal numbers) skips
-//! the `Json` tree: [`serve_loop`] reads its four fields where they lie
-//! in the input buffer and writes the cost response straight into the
-//! output. The response bytes are the ones [`Server::handle`] gives; any
-//! other frame takes that general path.
+//! [`serve_loop`] reads each frame once. A compact `reveal` request (the
+//! one shape defined at `compact_reveal` in `server.rs`) skips the `Json`
+//! tree: its four fields are read where they lie, and the cost response
+//! is written straight into the output. The response bytes are the ones
+//! [`Server::handle`] gives; every other frame takes that general path.
 //!
 //! The `mla-serve` binary wraps [`serve_loop`] around stdin/stdout (the
 //! default) or a TCP listener, with `--restore`/`--checkpoint` flags for

@@ -12,7 +12,7 @@
 //! | op           | required fields                          | effect |
 //! |--------------|------------------------------------------|--------|
 //! | `open`       | `tenant`, `topology`, `n`, `policy`      | create a session (`backend`, `seed`, `record`, `check_feasibility`, `target` optional) |
-//! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal; a compact frame is read without a `Json` tree (see [`serve_loop`]) and answered with the same bytes |
+//! | `reveal`     | `tenant`, `a`, `b`                       | serve one reveal; a compact frame (see `compact_reveal`) is read without a `Json` tree and answered with the same bytes |
 //! | `reveals`    | `tenant`, `events` (`[[a,b],…]`)         | serve a frame of reveals in order, one at a time; if one fails, the error also carries `applied` (this frame's reveals served before it, which stay served) and the totals |
 //! | `position`   | `tenant`, `node`                         | arrangement position mid-stream |
 //! | `cost`       | `tenant`                                 | exact cost totals so far |
@@ -38,14 +38,14 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use mla_graph::{RevealEvent, Topology};
 use mla_permutation::codec::{put_len, ByteReader};
 use mla_permutation::{Node, Permutation};
 use mla_runner::{
-    buffered_frame, fill_payload, put_frame, read_frame, write_frame, Json, WireError,
+    buffered_frame, parse_payload, put_frame, read_frame_with, write_frame, Json, WireError,
 };
 use mla_sim::checkpoint;
 use mla_sim::{
@@ -620,12 +620,14 @@ struct CompactReveal<'a> {
     b: usize,
 }
 
-/// Reads `payload` as a compact `reveal` request: an object with exactly
-/// the members `op` (`"reveal"`), `tenant` (a string with no escape or
-/// control byte), `a` and `b` (plain decimal digits with no sign,
-/// fraction, exponent or leading zero that fit `usize`), each once and in
-/// any order, with no whitespace anywhere. `None` for every other
-/// payload, which [`read_frame`] and [`Server::handle`] then serve.
+/// Reads `payload` as a compact `reveal` request, the one shape
+/// [`serve_loop`] serves without a `Json` tree. A compact frame's payload
+/// is an object with exactly the members `op` (`"reveal"`), `tenant` (a
+/// string with no escape or control byte), `a` and `b` (plain decimal
+/// digits with no sign, fraction, exponent or leading zero that fit
+/// `usize`), each once and in any order, with no whitespace anywhere.
+/// `None` for every other payload, which [`parse_payload`] and
+/// [`Server::handle`] then serve.
 ///
 /// A payload this accepts means to `Json::parse` exactly what it says
 /// here: the keys and values carry no escapes, and the rest of the
@@ -694,15 +696,6 @@ fn plain_usize(rest: &mut &[u8]) -> Option<usize> {
     Some(value)
 }
 
-/// The compact `reveal` frame at the start of `reader`'s buffer, if
-/// there is one, and the length of its frame. The buffer is filled first
-/// if it is empty, so a frame that arrives on its own, as every frame of
-/// a client that waits for each response does, is found too.
-fn buffered_reveal<R: BufRead>(reader: &mut R) -> io::Result<Option<(CompactReveal<'_>, usize)>> {
-    Ok(fill_payload(reader)?
-        .and_then(|(payload, frame_len)| Some((compact_reveal(payload)?, frame_len))))
-}
-
 /// Sends the best-effort `wire` error response to a failure that ends
 /// [`serve_loop`], and returns the failure.
 fn wire_failure(writer: &mut impl Write, err: WireError) -> WireError {
@@ -724,17 +717,12 @@ fn wire_failure(writer: &mut impl Write, err: WireError) -> WireError {
 /// therefore never waits on a held one, and a pipelining client gets one
 /// write per buffered batch of reveals instead of one per reveal.
 ///
-/// A `reveal` frame with a compact payload that `reader`'s buffer holds
-/// whole, once filled, is served without a `Json` tree. Compact means
-/// exactly the members `op`, `tenant`, `a` and `b`, each once and in any
-/// order, with no whitespace, no escape or control byte in the tenant
-/// name, and `a` and `b` as plain decimal digits (no sign, fraction,
-/// exponent or leading zero) that fit `usize`. The loop reads the four
-/// fields where they lie and renders a successful response straight into
-/// `writer`. Every response byte, an error's included, is what the `Json`
-/// path answers. Every other frame (other ops, `reveals`, any other
-/// spelling of a `reveal`, a frame that straddles a refill) goes through
-/// [`read_frame`] and [`Server::handle`].
+/// Each frame is read once, by [`read_frame_with`]. A compact `reveal`
+/// payload (the one shape `compact_reveal` accepts) is served where it
+/// lies, and a successful response is rendered straight into `writer`.
+/// Any other payload is parsed into a `Json` tree, which
+/// [`Server::handle`] serves once the payload's bytes are gone. Every
+/// response byte, an error's included, is the same on both paths.
 ///
 /// Malformed JSON in a well-framed payload gets a `bad-json` error
 /// response and the loop continues (the frame boundary is intact). A
@@ -757,27 +745,27 @@ pub fn serve_loop<R: Read>(
             writer.flush()?;
             held = false;
         }
-        let compact = match buffered_reveal(reader) {
-            Ok(compact) => compact,
-            Err(err) => return Err(wire_failure(writer, err.into())),
-        };
-        if let Some((reveal, frame_len)) = compact {
-            server.reveal(reveal.tenant, reveal.a, reveal.b, writer)?;
-            reader.consume(frame_len);
-            held = true;
-            continue;
-        }
-        if reader.buffer().is_empty() {
-            return Ok(false);
-        }
-        let request = match read_frame(reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(false),
-            Err(WireError::Json(err)) => {
+        // `Ok(None)` once a compact `reveal` is served.
+        let frame = read_frame_with(reader, |payload| match compact_reveal(payload) {
+            Some(reveal) => server
+                .reveal(reveal.tenant, reveal.a, reveal.b, writer)
+                .map(|()| None),
+            None => parse_payload(payload).map(Some),
+        });
+        let request = match frame {
+            Ok(Some(Ok(Some(request)))) => request,
+            Ok(Some(Ok(None))) => {
+                held = true;
+                continue;
+            }
+            Ok(Some(Err(WireError::Json(err)))) => {
                 write_frame(writer, &err_response("bad-json", err.to_string()))?;
                 held = false;
                 continue;
             }
+            // Writing the compact path's response failed.
+            Ok(Some(Err(err))) => return Err(err),
+            Ok(None) => return Ok(false),
             Err(err) => return Err(wire_failure(writer, err)),
         };
         let reveal = request.get("op").and_then(Json::as_str) == Some("reveal");
@@ -803,6 +791,7 @@ pub fn serve_loop<R: Read>(
 mod tests {
     use super::*;
     use mla_permutation::SegmentArrangement;
+    use mla_runner::read_frame;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -1477,48 +1466,6 @@ mod tests {
                 String::from_utf8_lossy(payload)
             );
         }
-    }
-
-    /// Hands out one whole frame per read, the way the requests of a
-    /// client that waits for each response arrive.
-    struct FramePerRead(std::collections::VecDeque<Vec<u8>>);
-
-    impl Read for FramePerRead {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let Some(frame) = self.0.pop_front() else {
-                return Ok(0);
-            };
-            buf[..frame.len()].copy_from_slice(&frame);
-            Ok(frame.len())
-        }
-    }
-
-    #[test]
-    fn a_reveal_that_arrives_on_its_own_takes_the_compact_path() {
-        let frames = [
-            r#"{"op":"reveal","tenant":"t0","a":0,"b":1}"#,
-            r#"{"op":"cost","tenant":"t0"}"#,
-            r#"{"op":"reveal","tenant":"t0","a":2,"b":3}"#,
-        ]
-        .map(|text| {
-            let mut frame = Vec::new();
-            put_text_frame(&mut frame, text);
-            frame
-        });
-        let mut reader = BufReader::new(FramePerRead(frames.to_vec().into()));
-        // Each frame lands in an empty buffer: the decision must come
-        // after the fill, or no such frame ever takes the compact path.
-        assert!(reader.buffer().is_empty());
-        let (reveal, len) = buffered_reveal(&mut reader).unwrap().unwrap();
-        assert_eq!((reveal.tenant, reveal.a, reveal.b), ("t0", 0, 1));
-        assert_eq!(len, frames[0].len());
-        reader.consume(len);
-        assert!(reader.buffer().is_empty());
-        assert!(buffered_reveal(&mut reader).unwrap().is_none());
-        assert_eq!(reader.buffer(), frames[1].as_slice());
-        assert!(read_frame(&mut reader).unwrap().is_some());
-        let (reveal, _) = buffered_reveal(&mut reader).unwrap().unwrap();
-        assert_eq!((reveal.a, reveal.b), (2, 3));
     }
 
     /// The tenants of the decoder test: name, topology, n.

@@ -72,22 +72,6 @@ impl Table {
             .push(cells.iter().map(|&c| c.to_owned()).collect());
     }
 
-    /// Appends a row of owned strings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row has {} cells, table has {} columns",
-            cells.len(),
-            self.headers.len()
-        );
-        self.rows.push(cells);
-    }
-
     /// Appends a footnote printed below the table.
     pub fn note(&mut self, note: &str) {
         self.notes.push(note.to_owned());
@@ -192,7 +176,7 @@ mod tests {
     #[test]
     fn csv_round_trip() {
         let mut table = Table::new("t", &["x", "y"]);
-        table.row_owned(vec!["1".into(), "2".into()]);
+        table.row(&["1", "2"]);
         assert_eq!(table.to_csv(), "x,y\n1,2\n");
     }
 }

@@ -22,7 +22,7 @@ use mla_adversary::{random_clique_instance, random_line_instance, MergeShape};
 use mla_core::{
     DetClosest, MovePolicy, OnlineMinla, OptReplay, RandCliques, RandLines, RearrangePolicy,
 };
-use mla_graph::{Instance, RevealEvent, Topology};
+use mla_graph::{GraphState, Instance, RevealEvent, Topology, UnionFind};
 use mla_offline::LopConfig;
 use mla_permutation::codec::{put_len, put_u32, put_u8, ByteReader};
 use mla_permutation::{Arrangement, MergeOrder, Node, Permutation, SegmentArrangement};
@@ -323,23 +323,30 @@ fn counts_beyond_the_remaining_bytes_are_rejected_before_allocating() {
     }
 }
 
-/// `session`'s checkpoint with its arrangement swapped for what
+/// `session`'s checkpoint with one section of its body, the
+/// arrangement (`section` 0) or the graph state (1), swapped for what
 /// `encode` writes, re-sealed: the checksum holds, so only the decoder's
 /// own checks can refuse the body.
-fn with_arrangement(session: &dyn TenantSession, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+fn resealed(
+    session: &dyn TenantSession,
+    section: usize,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
     let sealed = encode_session(session);
     let (version, body) = checkpoint::open(&sealed).unwrap();
     let mut r = ByteReader::new(body);
     let backend = SessionSpec::decode_from(&mut r).unwrap().backend;
-    let start = body.len() - r.remaining();
+    let mut bounds = vec![body.len() - r.remaining()];
     match backend {
         BackendKind::Dense => drop(Permutation::decode_from(&mut r).unwrap()),
         BackendKind::Segment => drop(SegmentArrangement::decode_from(&mut r, version).unwrap()),
     }
-    let end = body.len() - r.remaining();
-    let mut crafted = body[..start].to_vec();
+    bounds.push(body.len() - r.remaining());
+    drop(GraphState::decode_from(&mut r).unwrap());
+    bounds.push(body.len() - r.remaining());
+    let mut crafted = body[..bounds[section]].to_vec();
     encode(&mut crafted);
-    crafted.extend_from_slice(&body[end..]);
+    crafted.extend_from_slice(&body[bounds[section + 1]..]);
     checkpoint::seal(&crafted)
 }
 
@@ -458,7 +465,7 @@ fn resealed_arrangements_that_split_a_component_are_refused() {
                 decode_session(&encode_session(session.as_ref())).is_ok(),
                 "{case}"
             );
-            let crafted = with_arrangement(session.as_ref(), encode);
+            let crafted = resealed(session.as_ref(), 0, encode);
             match (policy, decode_session(&crafted)) {
                 (PolicyKind::Det | PolicyKind::Opt, restored) => {
                     assert!(restored.is_ok(), "{case}: {restored:?}");
@@ -466,6 +473,42 @@ fn resealed_arrangements_that_split_a_component_are_refused() {
                 (_, Err(CheckpointError::Malformed { .. })) => {}
                 (_, other) => panic!("{case}: {other:?}"),
             }
+        }
+    }
+}
+
+/// A re-sealed lines body whose graph state holds the triangle 0-1-2
+/// beside node 3 in one union-find component of size 4 (size − 1 edges,
+/// but no path) is refused for every policy on both backends. Restored,
+/// a `det` session's next reveal (3, 4) would panic the serving thread.
+#[test]
+fn resealed_lines_state_with_a_cycle_is_refused() {
+    let mut dsu = UnionFind::new(5);
+    for v in 1..4 {
+        dsu.union(Node::new(0), Node::new(v));
+    }
+    let cyclic = |out: &mut Vec<u8>| {
+        put_u8(out, 1);
+        put_len(out, 5);
+        let none = [u32::MAX; 2];
+        for slots in [[1, 2], [0, 2], [0, 1], none, none] {
+            slots.into_iter().for_each(|u| put_u32(out, u));
+        }
+        dsu.encode_into(out);
+    };
+    let events =
+        [(0, 1), (1, 2), (2, 3)].map(|(a, b)| RevealEvent::new(Node::new(a), Node::new(b)));
+    for backend in BACKENDS {
+        for policy in POLICIES {
+            let spec = grid_spec(Topology::Lines, 5, policy, backend, 1);
+            let mut session = open_session(spec).unwrap();
+            session.apply_events(&events).unwrap();
+            let crafted = resealed(session.as_ref(), 1, cyclic);
+            let restored = decode_session(&crafted);
+            assert!(
+                matches!(restored, Err(CheckpointError::Malformed { .. })),
+                "{policy:?} on {backend:?}: {restored:?}"
+            );
         }
     }
 }
